@@ -42,17 +42,30 @@ def chordal_separator_masks(graph: Graph) -> tuple[set[int], bool]:
     return separators, component_roots > 1
 
 
-def minimal_separators_of_chordal(graph: Graph) -> set[frozenset[Node]]:
+def minimal_separators_of_chordal(
+    graph: Graph,
+    canonical: dict[frozenset[Node], frozenset[Node]] | None = None,
+) -> set[frozenset[Node]]:
     """Return ``MinSep(graph)`` for a chordal ``graph``.
 
     Raises :class:`~repro.errors.NotChordalError` on non-chordal input.
     A chordal graph has strictly fewer minimal separators than nodes
     (Rose), which is what makes the sets returned here small enough to
     serve as SGR independent sets.
+
+    ``canonical`` maps each separator to one shared object: a separator
+    equal to one already in the map is returned as that object (and a
+    new one is added), so the results of many calls share storage.  The
+    set is built in the same insertion order either way, so it iterates
+    identically with or without the map.
     """
     masks, include_empty = chordal_separator_masks(graph)
     label_set = graph.label_set
-    separators = {label_set(mask) for mask in masks}
+    if canonical is None:
+        separators = {label_set(mask) for mask in masks}
+    else:
+        share = canonical.setdefault
+        separators = {share(s, s) for s in map(label_set, masks)}
     if include_empty:
         separators.add(frozenset())
     return separators

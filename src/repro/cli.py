@@ -493,7 +493,7 @@ def _graceful_sigterm() -> None:
 
 def _command_enumerate(args: argparse.Namespace) -> int:
     from repro.engine import EnumerationEngine, EnumerationJob
-    from repro.sgr.enum_mis import EnumMISStatistics
+    from repro.sgr.enum_mis import EnumMISStatistics, report_clause
 
     graph = load_graph(args.graph, args.format)
     print(f"{graph.summary()}; chordal: {is_chordal(graph)}")
@@ -603,22 +603,9 @@ def _command_enumerate(args: argparse.Namespace) -> int:
         print("0 minimal triangulations (resumed run already complete?)")
         return 130 if interrupted else 0
     print(f"{count} minimal triangulations; best width {best.width}")
-    supervision = []
-    if stats.batch_retries:
-        supervision.append(f"{stats.batch_retries} batch retries")
-    if stats.batches_quarantined:
-        supervision.append(
-            f"{stats.batches_quarantined} quarantined "
-            f"({stats.poison_answers} answers salvaged serially)"
-        )
-    if stats.protocol_rejections:
-        supervision.append(
-            f"{stats.protocol_rejections} protocol rejections"
-        )
-    if supervision:
-        # A correct answer set that needed salvage is worth knowing
-        # about — mirror result.summary()'s supervision clause here.
-        print("supervision: " + ", ".join(supervision))
+    clause = report_clause(stats)
+    if clause:
+        print(clause)
     if args.td_out is not None:
         decomposition = best.tree_decomposition()
         write_pace_td(decomposition, graph, args.td_out)

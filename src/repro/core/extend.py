@@ -50,6 +50,7 @@ def extend_parallel_set(
     graph: Graph,
     separators: Iterable[Separator],
     triangulator: str | Triangulator = "mcs_m",
+    canonical: dict[Separator, Separator] | None = None,
 ) -> frozenset[Separator]:
     """Extend pairwise-parallel minimal separators to a maximal family.
 
@@ -65,6 +66,10 @@ def extend_parallel_set(
         to validate untrusted input.
     triangulator:
         Name or instance of the triangulation heuristic.
+    canonical:
+        Optional separator → shared-object map; the returned separators
+        are taken from it (see
+        :func:`~repro.chordal.chordal_separators.minimal_separators_of_chordal`).
 
     Returns
     -------
@@ -86,4 +91,4 @@ def extend_parallel_set(
     # minimal_separators_of_chordal (clique-forest scan, no per-clique
     # label translation); labels materialise once, on the answer
     # boundary.
-    return frozenset(minimal_separators_of_chordal(triangulated))
+    return frozenset(minimal_separators_of_chordal(triangulated, canonical))

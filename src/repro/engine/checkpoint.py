@@ -160,9 +160,9 @@ class CheckpointState:
     #: For multi-region jobs the order matters: answers appear exactly
     #: in the order they entered the cross-region product.
     yielded: list[Answer] = field(default_factory=list)
-    # Scalar counters plus the map-valued ``redundant_extensions``;
-    # populated on the document, kept here for single-state round
-    # trips through :meth:`CheckpointManager.save` / ``load``.
+    # Scalar counters plus the map-valued ``kernel_tiers``; populated
+    # on the document, kept here for single-state round trips through
+    # :meth:`CheckpointManager.save` / ``load``.
     stats: dict = field(default_factory=dict)
 
 
@@ -191,7 +191,7 @@ def _decode_stats(raw: dict) -> dict:
     """Normalise persisted statistics counters.
 
     Scalar counters decode as ints; map-valued counters (the
-    ``redundant_extensions`` breakdown) decode as ``{str: int}``.
+    ``kernel_tiers`` breakdown) decode as ``{str: int}``.
     Checkpoints from before a counter existed simply lack its key —
     :meth:`~repro.sgr.enum_mis.EnumMISStatistics.restore` tolerates
     that — and unknown keys ride through harmlessly.

@@ -159,6 +159,9 @@ class MISCoordinator:
             if batcher is not None
             else AdaptiveBatcher(getattr(runner, "workers", 1))
         )
+        # An in-process runner has no IPC: its round-trip stamp also
+        # covers other batches run synchronously inside submit().
+        self._in_process = getattr(runner, "in_process", False)
         self._packed_wire = (
             _wire is not None
             and getattr(runner, "wire_format", "plain") == "packed"
@@ -286,8 +289,7 @@ class MISCoordinator:
             # Legacy tuple format: the worker times its batch too, so
             # a numpy-less *pool* runner still meters real IPC (only
             # the payload-byte columns stay 0 — nothing packed to
-            # count).  For the inline runner compute ≈ round-trip and
-            # the IPC term is a few timer ticks.
+            # count).
             candidates, delta, compute_ns = result
             received = 0
         # ``collected_ns`` is stamped once per wait() wake-up, before
@@ -296,7 +298,8 @@ class MISCoordinator:
         roundtrip = max(0, collected_ns - entry.submitted_ns)
         compute_ns = min(compute_ns, roundtrip)
         stats = self._stats
-        stats.ipc_time_ns += max(0, roundtrip - compute_ns)
+        if not self._in_process:
+            stats.ipc_time_ns += roundtrip - compute_ns
         stats.ipc_payload_bytes += entry.sent_bytes + received
         stats.batches_dispatched += 1
         stats.batch_roundtrip_ns += roundtrip

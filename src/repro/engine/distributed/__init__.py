@@ -84,6 +84,11 @@ class DistributedBackend(EnumerationBackend):
         self._max_batch_retries = max_batch_retries
         self._liveness_windows = liveness_windows
 
+    def expected_workers(self, workers: int | None = None) -> int:
+        """The worker count a run starts with: ``workers`` if given."""
+        expected = workers if workers is not None else self._expected_workers
+        return max(1, int(expected))
+
     def stream(self, job, stats, workers):
         if self._listen is None:
             raise EngineError(
@@ -101,8 +106,7 @@ class DistributedBackend(EnumerationBackend):
             ) from exc
         from repro.engine.sharded import coordinated_stream
 
-        expected = workers if workers is not None else self._expected_workers
-        expected = max(1, int(expected))
+        expected = self.expected_workers(workers)
 
         def factory(payload):
             return DistributedRunner(

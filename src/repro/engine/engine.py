@@ -144,6 +144,8 @@ class EnumerationEngine:
         return result
 
     def _effective_workers(self, job: EnumerationJob) -> int:
+        if self.backend_name == "distributed":
+            return self._backend.expected_workers(self._workers)
         if self.backend_name != "sharded":
             return 1
         if self._workers is not None:

@@ -416,9 +416,10 @@ class WorkerState:
             return out, stats, time.perf_counter_ns() - started
         except BatchAbortedError:
             # Free the scratch state the runaway batch grew (separator
-            # interns, crossing caches): the worker survives the abort
-            # and must return to a small footprint before its next
-            # batch, or an RSS breach would recur on healthy work.
+            # interns, crossing caches, the Extend memo): the worker
+            # survives the abort and must return to a small footprint
+            # before its next batch, or an RSS breach would recur on
+            # healthy work.
             self._regions.clear()
             raise
         finally:
@@ -439,9 +440,6 @@ class WorkerState:
             current_rss_bytes(),
         )
 
-
-#: Back-compat alias (the class predates the socket worker extraction).
-_WorkerState = WorkerState
 
 _WORKER_STATE: WorkerState | None = None
 
@@ -495,6 +493,8 @@ class InlineRunner:
 
     workers = 1
     wire_format = "plain"
+    #: Batches never leave this process, so the coordinator meters no IPC.
+    in_process = True
 
     def __init__(self, payload: GraphPayload) -> None:
         self._state = WorkerState(payload)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.triangulation import Triangulation
-from repro.sgr.enum_mis import EnumMISStatistics
+from repro.sgr.enum_mis import EnumMISStatistics, report_clause
 
 __all__ = ["AnswerRecord", "EnumerationResult"]
 
@@ -89,10 +89,8 @@ class EnumerationResult:
     def summary(self) -> str:
         """One-line human-readable report.
 
-        Clean runs stay one clause; runs that exercised the supervision
-        machinery (batch retries, quarantines, rejected workers) say
-        so, because a correct answer set that needed salvage is worth
-        knowing about.
+        Ends with :func:`~repro.sgr.enum_mis.report_clause` (supervision
+        events and the Extend memo hit rate) when that is non-empty.
         """
         state = "complete" if self.completed else "stopped"
         line = (
@@ -101,19 +99,7 @@ class EnumerationResult:
             f" {state}) in {self.elapsed:.3f}s;"
             f" best width {self.min_width}, best fill {self.min_fill}"
         )
-        stats = self.stats
-        supervision = []
-        if stats.batch_retries:
-            supervision.append(f"{stats.batch_retries} batch retries")
-        if stats.batches_quarantined:
-            supervision.append(
-                f"{stats.batches_quarantined} quarantined "
-                f"({stats.poison_answers} answers salvaged serially)"
-            )
-        if stats.protocol_rejections:
-            supervision.append(
-                f"{stats.protocol_rejections} protocol rejections"
-            )
-        if supervision:
-            line += "; supervision: " + ", ".join(supervision)
+        clause = report_clause(self.stats)
+        if clause:
+            line += "; " + clause
         return line

@@ -46,6 +46,7 @@ __all__ = [
     "enumerate_maximal_independent_sets",
     "EnumMISStatistics",
     "merge_statistics",
+    "report_clause",
 ]
 
 
@@ -63,7 +64,7 @@ class EnumMISStatistics:
     edge-oracle sweeps) and ``ipc_time_ns`` (everything a task batch
     spends off-CPU between the sharded coordinator and its workers —
     pickling, transport, and queueing behind other in-flight batches;
-    ~0 for in-process execution).  ``ipc_time_ns`` sums per-batch
+    0 for in-process execution).  ``ipc_time_ns`` sums per-batch
     round-trip − compute over batches that are deliberately pipelined
     several deep per worker, so concurrent waits overlap and the total
     can exceed the run's wall clock — it is a queueing-theory quantity
@@ -86,6 +87,11 @@ class EnumMISStatistics:
     edge_cache_hits: int = 0
     edge_cache_misses: int = 0
     edge_cache_evictions: int = 0
+    # Maintained by SGRs with a memoized expansion (the separator-graph
+    # SGR's bounded Extend memo): calls answered from the memo, and
+    # entries dropped by its generation rotation.
+    extend_memo_hits: int = 0
+    extend_memo_evictions: int = 0
     # Stage timers (ns) and sharded-engine wire accounting.
     extend_time_ns: int = 0
     crossing_time_ns: int = 0
@@ -109,7 +115,6 @@ class EnumMISStatistics:
     batches_quarantined: int = 0
     poison_answers: int = 0
     protocol_rejections: int = 0
-    redundant_extensions: dict[str, int] = field(default_factory=dict)
     # Graph-kernel tier → batches executed on that tier, filled by the
     # workers (process-pool and socket alike).  A mixed-tier fleet —
     # e.g. one host whose native extension failed to build degrading to
@@ -128,6 +133,8 @@ class EnumMISStatistics:
         "edge_cache_hits",
         "edge_cache_misses",
         "edge_cache_evictions",
+        "extend_memo_hits",
+        "extend_memo_evictions",
         "extend_time_ns",
         "crossing_time_ns",
         "ipc_time_ns",
@@ -145,10 +152,7 @@ class EnumMISStatistics:
 
     #: Map-valued counters ({str: int}), handled alongside the scalars
     #: by snapshot/add/restore (merged key-wise rather than summed).
-    _MAP_FIELDS = (
-        "redundant_extensions",
-        "kernel_tiers",
-    )
+    _MAP_FIELDS = ("kernel_tiers",)
 
     def snapshot(self) -> dict:
         """Return the counters as a plain (JSON-safe) dict.
@@ -164,11 +168,12 @@ class EnumMISStatistics:
     def add(self, other: "EnumMISStatistics") -> None:
         """Accumulate another statistics object into this one, in place.
 
-        Scalar counters are summed and ``redundant_extensions`` maps are
-        merged key-wise.  This is how the sharded enumeration engine
-        folds per-worker counters into the run's aggregate report (the
-        stage timers sum too: each records CPU-stage time that elapsed
-        in exactly one worker or in the coordinator).
+        Scalar counters are summed and map-valued counters
+        (``kernel_tiers``) are merged key-wise.  This is how the sharded
+        enumeration engine folds per-worker counters into the run's
+        aggregate report (the stage timers sum too: each records
+        CPU-stage time that elapsed in exactly one worker or in the
+        coordinator).
         """
         for name in self._SCALAR_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -183,10 +188,8 @@ class EnumMISStatistics:
         Unknown keys are ignored and missing keys leave the current
         value untouched, so old checkpoints stay loadable after new
         counters are added (and new checkpoints degrade gracefully on
-        old code).  The map-valued counters (``redundant_extensions``,
-        ``kernel_tiers``) round-trip too; ``redundant_extensions`` used
-        to be silently dropped here, which lost it across engine
-        checkpoint/resume.
+        old code).  The map-valued counters (``kernel_tiers``) round-trip
+        too.
         """
         for key in self._SCALAR_FIELDS:
             if key in counters:
@@ -195,6 +198,30 @@ class EnumMISStatistics:
             value = counters.get(key)
             if value is not None:
                 setattr(self, key, dict(value))
+
+
+def report_clause(stats: EnumMISStatistics) -> str:
+    """The run-report clause behind ``result.summary()`` and the CLI.
+
+    Names the supervision events a run needed (a correct answer set
+    that needed salvage is worth knowing about) and the Extend memo hit
+    rate with its base; ``""`` when there is nothing to report.
+    """
+    supervision = []
+    if stats.batch_retries:
+        supervision.append(f"{stats.batch_retries} batch retries")
+    if stats.batches_quarantined:
+        supervision.append(
+            f"{stats.batches_quarantined} quarantined "
+            f"({stats.poison_answers} answers salvaged serially)"
+        )
+    if stats.protocol_rejections:
+        supervision.append(f"{stats.protocol_rejections} protocol rejections")
+    clauses = ["supervision: " + ", ".join(supervision)] if supervision else []
+    if stats.extend_memo_hits:
+        hits, calls = stats.extend_memo_hits, stats.extend_calls
+        clauses.append(f"extend memo: {hits}/{calls} calls hit ({hits / calls:.0%})")
+    return "; ".join(clauses)
 
 
 def merge_statistics(parts: Iterable[EnumMISStatistics]) -> EnumMISStatistics:

@@ -22,40 +22,45 @@ independent set of MSGraph has size < |V(g)|.
 
 Performance
 -----------
-EnumMIS hammers the edge oracle: every direction step queries the
-crossing relation for ``v`` against each member of the current answer,
-and the same separator pairs recur across answers.  This SGR therefore
+EnumMIS calls both oracles over and over: every direction step sweeps
+``v`` against the members of an answer, and every candidate it builds
+goes through ``Extend``.  The same separator pairs recur across
+answers, and so do the candidates.  This SGR keeps two bounded caches,
+both pure memos of pure functions, so neither can change an answer:
 
-* *interns* each separator frozenset to its vertex bitmask once,
-* caches the connected components of ``g \\ S`` per separator (the
-  expensive half of a crossing test) — both as int masks and, once a
-  batch query touches the separator, as a packed ``uint64`` word
-  matrix (:mod:`repro.graph.bitset_np`),
-* answers ``v``-versus-many queries through :meth:`has_edges_batch`,
-  which resolves cached pairs with one dict probe each (zero when v
-  has no cached pairs at all) and evaluates all remaining pairs in a
-  single vectorized pass of
-  :func:`repro.graph.bitset_np.crossing_batch` — no per-pair Python
-  call, which is where the scalar oracle spends most of its time, and
-* memoizes results per query node (``cache[id_v][id_u]``; ids are
-  dense interned ints, so the hot loops never hash a |V|-bit mask) in
-  a *bounded*, generation-capped cache, exposing hit/miss/eviction
-  counters through :class:`~repro.sgr.enum_mis.EnumMISStatistics`.
+* **Crossing pairs.**  Each separator is interned once to a dense id
+  and its vertex bitmask; the components of ``g \\ S`` are cached per
+  separator (as int masks and, once a batch query touches it, as a
+  packed ``uint64`` matrix of :mod:`repro.graph.bitset_np`).
+  :meth:`has_edges_batch` answers a ``v``-versus-many sweep with one
+  dict probe per cached pair and one vectorized
+  :func:`repro.graph.bitset_np.crossing_batch` pass for the rest.
+  Results are stored per query node (``cache[id_v][id_u]``).  Bound:
+  ``edge_cache_limit`` pairs per generation (default
+  :data:`DEFAULT_EDGE_CACHE_LIMIT`; ``None`` for unbounded).
+* **Extend results.**  :meth:`extend` maps an input family φ to the
+  maximal family it extends to.  For a fixed triangulator that result
+  is a function of φ alone (paper Lemma 4.6), and most candidates of a
+  run repeat an earlier one.  Bound: :data:`EXTEND_MEMO_LIMIT`
+  *separator references* per generation, counting ``|φ| + |result|``
+  per entry, so a large graph's long families weigh what they cost.
+  Equal separators of different results are one shared object (a
+  separator → separator map filled by ``dict.setdefault``), so an entry
+  stores references, not copies.  The serial loop and every inline,
+  pool and distributed worker call Extend through this method, so each
+  SGR instance memoizes with no second code path.
 
-The pair cache is two generations of at most ``edge_cache_limit``
-entries each: inserts go to the current generation, a hit in the old
-generation promotes the entry, and filling the current generation
-drops the old one wholesale (counted as evictions).  Lookups stay O(1)
-with no per-hit bookkeeping, recently used pairs survive rotation, and
-the *pair-level* structure — the one that grows quadratically in the
-separators touched, the space concern previously documented here as an
-open trade-off — is capped.  (The per-separator tables — interning,
-component tuples, packed matrices — still grow linearly with
-``|MinSep seen|``; they are the price of the oracle itself, not of
-memoization.)  An evicted pair is simply recomputed on its next query;
-crossing is a pure function of the graph, so the answer can never
-change.  Pass ``edge_cache_limit=None`` to restore the unbounded
-behaviour.
+Both caches use the same two-generation eviction: entries go to the
+current generation, a hit in the old generation promotes the entry to
+the current one, and filling the current generation drops the old one
+wholesale.  Lookups stay O(1) with no per-hit bookkeeping, recently
+used entries survive rotation, and at most two generations are ever
+held.  Hits, misses and evictions are counted in the attached
+:class:`~repro.sgr.enum_mis.EnumMISStatistics` (``edge_cache_*`` and
+``extend_memo_*``).  An evicted entry is simply recomputed on its next
+query.  The per-separator tables (ids, masks, components, shared
+separator objects) are not evicted; they grow linearly with the
+separators seen, the price of the oracles themselves.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ try:  # pragma: no cover - exercised implicitly by every batch query
 except ImportError:  # numpy unavailable: batch queries fall back to scalar
     _kernel = None  # type: ignore[assignment]
 
-__all__ = ["MinimalSeparatorSGR", "DEFAULT_EDGE_CACHE_LIMIT"]
+__all__ = ["MinimalSeparatorSGR", "DEFAULT_EDGE_CACHE_LIMIT", "EXTEND_MEMO_LIMIT"]
 
 Separator = frozenset[Node]
 
@@ -86,6 +91,15 @@ Separator = frozenset[Node]
 #: bounds the cache near a few hundred MB in the worst case while
 #: being far larger than any run that fits in a workday.
 DEFAULT_EDGE_CACHE_LIMIT = 1 << 20
+
+#: Per-generation bound of the Extend memo, in stored separator
+#: references (``|input| + |result|`` summed over entries; two
+#: generations may be live at once).  Separators themselves are shared
+#: objects, so a reference costs a set slot plus its share of the
+#: frozenset header: about 80 bytes on Gnp(30, 0.35), so one generation
+#: holds about 20 MiB.  That covers the first ~4500 answers of that
+#: graph without a rotation.  ``0`` disables the memo.
+EXTEND_MEMO_LIMIT = 1 << 18
 
 class MinimalSeparatorSGR(SuccinctGraphRepresentation):
     """The SGR ``(Gms, Ams_V, Ams_E)`` of the paper, for one input graph.
@@ -102,7 +116,8 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         Optional :class:`~repro.sgr.enum_mis.EnumMISStatistics` whose
         ``edge_cache_hits`` / ``edge_cache_misses`` /
         ``edge_cache_evictions`` counters are updated by the memoized
-        edge oracle.
+        edge oracle, and whose ``extend_memo_hits`` /
+        ``extend_memo_evictions`` counters by the Extend memo.
     edge_cache_limit:
         Per-generation entry cap of the crossing-pair cache (``None``
         for unbounded).  Must be positive when given.
@@ -146,6 +161,14 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         self._edge_cache_old: dict[int, dict[int, bool]] = {}
         self._edge_entries = 0
         self._edge_entries_old = 0
+        # The Extend memo, input family → result, in two generations
+        # sized in separator references (see EXTEND_MEMO_LIMIT).
+        self._memo: dict[frozenset[Separator], frozenset[Separator]] = {}
+        self._memo_old: dict[frozenset[Separator], frozenset[Separator]] = {}
+        self._memo_refs = 0
+        self._memo_refs_old = 0
+        # One shared object per separator seen in an Extend result.
+        self._canonical: dict[Separator, Separator] = {}
         self._words = (
             _kernel.word_count(len(graph.core.adj))
             if _kernel is not None
@@ -175,6 +198,11 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
     def edge_cache_limit(self) -> int | None:
         """The per-generation entry cap (``None`` = unbounded)."""
         return self._edge_cache_limit
+
+    @property
+    def extend_memo_size(self) -> int:
+        """Separator references held by the Extend memo (both generations)."""
+        return self._memo_refs + self._memo_refs_old
 
     @property
     def statistics(self) -> EnumMISStatistics | None:
@@ -438,5 +466,44 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         return False
 
     def extend(self, independent_set: frozenset[Separator]) -> frozenset[Separator]:
-        """Extend a pairwise-parallel family to a maximal one (Figure 3)."""
-        return extend_parallel_set(self._graph, independent_set, self._triangulator)
+        """Extend a pairwise-parallel family to a maximal one (Figure 3).
+
+        Memoized on ``independent_set`` in the bounded two-generation
+        memo described in the module docstring.  A hit returns the
+        object an earlier call returned, and a call after eviction
+        rebuilds an equal set in the same insertion order, so the memo
+        changes neither the answers nor the order in which any caller
+        meets them.
+        """
+        limit = EXTEND_MEMO_LIMIT
+        if limit <= 0:
+            return extend_parallel_set(
+                self._graph, independent_set, self._triangulator
+            )
+        stats = self._stats
+        extended = self._memo.get(independent_set)
+        if extended is not None:
+            if stats is not None:
+                stats.extend_memo_hits += 1
+            return extended
+        extended = self._memo_old.pop(independent_set, None)
+        if extended is not None:
+            # Promote the old-generation hit so it survives rotation.
+            self._memo_refs_old -= len(independent_set) + len(extended)
+            if stats is not None:
+                stats.extend_memo_hits += 1
+        else:
+            extended = extend_parallel_set(
+                self._graph, independent_set, self._triangulator,
+                self._canonical,
+            )
+        self._memo[independent_set] = extended
+        self._memo_refs += len(independent_set) + len(extended)
+        if self._memo_refs >= limit:
+            if self._memo_old and stats is not None:
+                stats.extend_memo_evictions += len(self._memo_old)
+            self._memo_old = self._memo
+            self._memo_refs_old = self._memo_refs
+            self._memo = {}
+            self._memo_refs = 0
+        return extended

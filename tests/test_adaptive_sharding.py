@@ -491,6 +491,17 @@ class TestStageTimers:
         assert stats.ipc_time_ns == 0
         assert stats.batches_dispatched == 0
 
+    def test_inline_coordinator_reports_no_ipc(self, tmp_path):
+        # Checkpointed serial jobs run batches through the in-process
+        # inline runner: batches are metered, but nothing is IPC.
+        g = gnp_random_graph(12, 0.35, seed=11)
+        result = EnumerationEngine("serial").run(
+            EnumerationJob(g, checkpoint_path=str(tmp_path / "run.ckpt"))
+        )
+        assert result.stats.batches_dispatched > 0
+        assert result.stats.batch_roundtrip_ns > 0
+        assert result.stats.ipc_time_ns == 0
+
     def test_sharded_run_reports_same_fields(self):
         g = gnp_random_graph(12, 0.35, seed=11)
         result = EnumerationEngine("sharded", workers=2).run(

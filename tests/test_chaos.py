@@ -676,42 +676,58 @@ def _soak_expected(mode: str) -> frozenset:
     return frozenset(serial_answers(_SOAK_GRAPH, mode=mode))
 
 
+def _chaotic_spawn(seed: int):
+    """Launch two in-thread workers with seeded chaos schedules."""
+
+    def spawn(address):
+        threads = []
+        for index in range(2):
+            spec = ChaosSpec(
+                seed=seed * 1000 + index,
+                drop=0.05, dup=0.05, corrupt=0.05, reset=0.02,
+                delay=0.1, delay_ms=1.0,
+            )
+            config = WorkerConfig(
+                heartbeat_s=0.2,
+                max_retries=100,
+                connect_timeout_s=5.0,
+                backoff_base_s=0.01,
+                backoff_cap_s=0.05,
+                chaos=ChaosInjector(spec),
+            )
+            thread = threading.Thread(
+                target=run_worker, args=(address, config), daemon=True
+            )
+            thread.start()
+            threads.append(thread)
+        return threads
+
+    return spawn
+
+
 @pytest.mark.slow
 class TestChaosSoak:
     @pytest.mark.parametrize("mode", ["UG", "UP"])
     @pytest.mark.parametrize("seed", range(10))
     def test_chaotic_fleet_matches_serial(self, seed, mode):
-        def spawn(address):
-            threads = []
-            for index in range(2):
-                spec = ChaosSpec(
-                    seed=seed * 1000 + index,
-                    drop=0.05, dup=0.05, corrupt=0.05, reset=0.02,
-                    delay=0.1, delay_ms=1.0,
-                )
-                config = WorkerConfig(
-                    heartbeat_s=0.2,
-                    max_retries=100,
-                    connect_timeout_s=5.0,
-                    backoff_base_s=0.01,
-                    backoff_cap_s=0.05,
-                    chaos=ChaosInjector(spec),
-                )
-                thread = threading.Thread(
-                    target=run_worker, args=(address, config), daemon=True
-                )
-                thread.start()
-                threads.append(thread)
-            return threads
-
         result = run_distributed(
             EnumerationJob(_SOAK_GRAPH, mode=mode),
-            spawn=spawn,
+            spawn=_chaotic_spawn(seed),
             batch_timeout_s=1.0,
         )
         assert answer_set(result.triangulations) == set(
             _soak_expected(mode)
         ), (seed, mode)
+
+    def test_chaotic_fleet_with_memo_hits_matches_serial(self):
+        # A graph big enough that the workers' Extend memos answer
+        # repeated candidates, under the same fault schedule.
+        graph = gnp_random_graph(12, 0.35, seed=11)
+        result = run_distributed(
+            EnumerationJob(graph), spawn=_chaotic_spawn(7), batch_timeout_s=1.0
+        )
+        assert answer_set(result.triangulations) == serial_answers(graph)
+        assert result.stats.extend_memo_hits > 0
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,14 @@ class TestEnumerateCommand:
     def test_triangulator_choice(self, square_gr, capsys):
         assert main(["enumerate", square_gr, "--triangulator", "lb_triang"]) == 0
 
+    def test_reports_extend_memo_hit_rate(self, tmp_path, capsys):
+        path = tmp_path / "c7.edges"
+        write_edge_list(cycle_graph(7), path)
+        assert main(["enumerate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "42 minimal triangulations" in out
+        assert "extend memo: " in out and " calls hit (" in out
+
     def test_atoms_decompose(self, square_gr, capsys):
         assert main(["enumerate", square_gr, "--decompose", "atoms"]) == 0
         assert "2 minimal triangulations" in capsys.readouterr().out

@@ -116,6 +116,20 @@ def run_distributed(job, *, workers=2, spawn=None, **backend_kwargs):
     return result
 
 
+class TestWorkerCount:
+    def test_result_reports_the_expected_workers(self):
+        graph = gnp_random_graph(7, 0.4, seed=3)
+        result = run_distributed(EnumerationJob(graph), workers=2)
+        assert result.workers == 2
+        assert "(2 workers," in result.summary()
+
+    def test_engine_override_wins(self):
+        backend = DistributedBackend(listen="127.0.0.1:0", expected_workers=3)
+        job = EnumerationJob(gnp_random_graph(6, 0.5, seed=1))
+        assert EnumerationEngine(backend)._effective_workers(job) == 3
+        assert EnumerationEngine(backend, workers=2)._effective_workers(job) == 2
+
+
 class TestEquality:
     def test_matches_serial_on_property_corpus(self):
         for graph in small_random_graphs(6, max_nodes=8):

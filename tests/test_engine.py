@@ -27,7 +27,7 @@ from repro.engine.checkpoint import (
 from repro.experiments.runner import run_enumeration
 from repro.graph.generators import cycle_graph, gnp_random_graph
 from repro.graph.graph import Graph
-from repro.sgr.enum_mis import EnumMISStatistics, merge_statistics
+from repro.sgr.enum_mis import EnumMISStatistics, merge_statistics, report_clause
 
 
 def answer_set(triangulations) -> set[frozenset]:
@@ -184,11 +184,11 @@ class TestStatisticsMerge:
         a = EnumMISStatistics(
             extend_calls=3, edge_oracle_calls=10, answers=2,
             edge_cache_hits=4, edge_cache_misses=1,
-            redundant_extensions={"x": 1},
+            kernel_tiers={"x": 1},
         )
         b = EnumMISStatistics(
             extend_calls=5, duplicates_suppressed=7, nodes_generated=2,
-            edge_cache_hits=1, redundant_extensions={"x": 2, "y": 3},
+            edge_cache_hits=1, kernel_tiers={"x": 2, "y": 3},
         )
         total = merge_statistics([a, b])
         assert total.extend_calls == 8
@@ -198,7 +198,7 @@ class TestStatisticsMerge:
         assert total.nodes_generated == 2
         assert total.edge_cache_hits == 5
         assert total.edge_cache_misses == 1
-        assert total.redundant_extensions == {"x": 3, "y": 3}
+        assert total.kernel_tiers == {"x": 3, "y": 3}
 
     def test_merge_of_nothing_is_zero(self):
         assert merge_statistics([]).snapshot() == EnumMISStatistics().snapshot()
@@ -209,28 +209,55 @@ class TestStatisticsMerge:
         b.restore(a.snapshot())
         assert b.snapshot() == a.snapshot()
 
-    def test_snapshot_restore_keeps_redundant_extensions(self):
+    def test_snapshot_restore_keeps_kernel_tiers(self):
         a = EnumMISStatistics(
             extend_calls=4,
             edge_cache_evictions=11,
-            redundant_extensions={"mcs_m": 2, "lb_triang": 5},
+            extend_memo_hits=6,
+            kernel_tiers={"indexed": 2, "native": 5},
         )
         b = EnumMISStatistics()
         b.restore(a.snapshot())
-        assert b.redundant_extensions == {"mcs_m": 2, "lb_triang": 5}
+        assert b.kernel_tiers == {"indexed": 2, "native": 5}
         assert b.edge_cache_evictions == 11
+        assert b.extend_memo_hits == 6
         assert b.snapshot() == a.snapshot()
         # The snapshot holds a copy, not the live map.
-        a.redundant_extensions["mcs_m"] = 99
-        assert b.redundant_extensions["mcs_m"] == 2
+        a.kernel_tiers["indexed"] = 99
+        assert b.kernel_tiers["indexed"] == 2
 
     def test_restore_tolerates_old_checkpoints(self):
         # Checkpoints written before a counter existed lack its key;
         # restore must leave the current value alone, not crash.
-        stats = EnumMISStatistics(redundant_extensions={"keep": 1})
+        stats = EnumMISStatistics(kernel_tiers={"keep": 1})
         stats.restore({"extend_calls": 6, "unknown_future_counter": 3})
         assert stats.extend_calls == 6
-        assert stats.redundant_extensions == {"keep": 1}
+        assert stats.kernel_tiers == {"keep": 1}
+
+    def test_report_clause(self):
+        assert report_clause(EnumMISStatistics()) == ""
+        stats = EnumMISStatistics(
+            batch_retries=2, extend_calls=8, extend_memo_hits=6
+        )
+        assert report_clause(stats) == (
+            "supervision: 2 batch retries; extend memo: 6/8 calls hit (75%)"
+        )
+
+    def test_restore_ignores_retired_redundant_extensions(self):
+        # Snapshots from before the never-written map counter was
+        # retired still carry it; it must restore cleanly and vanish.
+        stats = EnumMISStatistics()
+        stats.restore(
+            {
+                "extend_calls": 2,
+                "redundant_extensions": {"mcs_m": 3},
+                "kernel_tiers": {"indexed": 1},
+            }
+        )
+        assert stats.extend_calls == 2
+        assert stats.kernel_tiers == {"indexed": 1}
+        assert "redundant_extensions" not in stats.snapshot()
+        assert not hasattr(stats, "redundant_extensions")
 
     def test_stats_survive_checkpoint_file_round_trip(self, tmp_path):
         from repro.engine.checkpoint import CheckpointManager, CheckpointState
@@ -238,14 +265,14 @@ class TestStatisticsMerge:
         stats = EnumMISStatistics(
             answers=7,
             edge_cache_evictions=2,
-            redundant_extensions={"mcs_m": 3},
+            kernel_tiers={"native": 3},
         )
         manager = CheckpointManager(tmp_path / "stats.ckpt.json", "fp")
         manager.save(CheckpointState(stats=stats.snapshot()))
         restored = EnumMISStatistics()
         restored.restore(manager.load().stats)
         assert restored.snapshot() == stats.snapshot()
-        assert restored.redundant_extensions == {"mcs_m": 3}
+        assert restored.kernel_tiers == {"native": 3}
 
 
 class TestCheckpointResume:

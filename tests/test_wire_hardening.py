@@ -92,8 +92,8 @@ class TestRoundTrip:
 
     def test_result_stats_round_trip(self):
         stats = EnumMISStatistics()
-        stats.answers_extended = 7
-        stats.redundant_extensions["mcs_m"] = 3
+        stats.extend_memo_hits = 7
+        stats.kernel_tiers["numpy"] = 3
         stats.kernel_tiers["native"] = 2
         result = encode_result([(1,)], 1, 42, stats)
         again = result_from_bytes(result_to_bytes(result))
