@@ -7,8 +7,9 @@ against implementations whose correctness is obvious:
 
 * :func:`brute_force_minimal_separators` — try every vertex subset
   against the two-full-components definition;
-* :func:`brute_force_minimal_triangulations` — try every subset of
-  non-edges, keep the chordal fillings, discard non-minimal ones;
+* :func:`brute_force_minimal_triangulations` — try subsets of
+  non-edges by ascending size, keep the chordal fillings, skip
+  supersets of kept ones;
 * :func:`brute_force_maximal_independent_sets` /
   :func:`brute_force_maximal_cliques` — Bron–Kerbosch with pivoting;
 * :func:`brute_force_maximal_parallel_families` — maximal independent
@@ -64,11 +65,14 @@ def brute_force_minimal_triangulations(
 ) -> set[frozenset[frozenset[Node]]]:
     """Return ``MinTri(graph)`` as a set of fill-edge sets.
 
-    Every subset of the non-edges is tried; chordal fillings are kept
-    and the inclusion-minimal ones among them are returned.  Each
-    result is a frozenset of 2-element frozensets (the fill edges).
-    O(2^non_edges); refuses graphs with more than ``max_non_edges``
-    missing edges.
+    Subsets of the non-edges are tried in ascending size and the
+    chordal fillings are kept.  A subset that contains an earlier kept
+    filling cannot be minimal, so it is skipped untested; every
+    chordal filling that is not skipped is then inclusion-minimal,
+    because each of its chordal proper subsets, being smaller, was
+    tried first.  Each result is a frozenset of 2-element frozensets
+    (the fill edges).  O(2^non_edges); refuses graphs with more than
+    ``max_non_edges`` missing edges.
     """
     non_edges = graph.missing_edges()
     if len(non_edges) > max_non_edges:
@@ -76,20 +80,19 @@ def brute_force_minimal_triangulations(
             f"{len(non_edges)} non-edges exceeds the brute-force limit "
             f"of {max_non_edges}"
         )
-    chordal_fills: list[frozenset[frozenset[Node]]] = []
+    found: list[int] = []  # kept fillings as bitmasks over non_edges
+    minimal: set[frozenset[frozenset[Node]]] = set()
     for size in range(len(non_edges) + 1):
-        for fill in itertools.combinations(non_edges, size):
+        for chosen in itertools.combinations(range(len(non_edges)), size):
+            mask = sum(1 << i for i in chosen)
+            if any(kept & mask == kept for kept in found):
+                continue
+            fill = [non_edges[i] for i in chosen]
             filled = graph.copy()
             filled.add_edges(fill)
             if is_chordal(filled):
-                chordal_fills.append(
-                    frozenset(frozenset(edge) for edge in fill)
-                )
-    minimal = {
-        fill
-        for fill in chordal_fills
-        if not any(other < fill for other in chordal_fills)
-    }
+                found.append(mask)
+                minimal.add(frozenset(frozenset(edge) for edge in fill))
     return minimal
 
 

@@ -18,18 +18,31 @@ atoms pairwise overlap only inside cliques).  The top-level enumerator
 exposes this as ``decompose="atoms"``, which can shrink the separator
 space exponentially on graphs with clique cut-sets.
 
-Finding ``ClqMinSep(g)`` uses the paper's own toolbox: by Theorem 4.4
-every clique minimal separator of g is a minimal separator of *every*
-minimal triangulation h, and conversely a minimal separator of h that
-is a clique in g is a clique minimal separator of g (Theorem 4.1).  So
-one MCS-M pass plus the linear-time chordal extraction suffices.
+Both ``ClqMinSep(g)`` and the atoms come from one pass of the paper's
+own toolbox.  By Theorem 4.4 every clique minimal separator of g is a
+minimal separator of *every* minimal triangulation h, and a minimal
+separator of h that is a clique of g is a clique minimal separator of g
+(Theorem 4.1).  The minimal separators of h are the edge labels of its
+clique forest, so one MCS-M run (giving h) and one clique-forest scan
+of h give everything:
+
+* an edge whose label is a clique of g is *cut* — its label is a clique
+  minimal separator;
+* the cliques joined by every other edge are *merged*, and the union of
+  each merged class is one atom (Berry, Pogorelcnik & Simonet, "An
+  introduction to clique minimal separator decomposition", Algorithms
+  3(2), 2010).
+
+A disconnected graph needs no special case: its clique forest has one
+root per component, and roots are never merged.  The cost is one MCS-M
+plus one clique-forest scan, then a mask clique test per forest edge.
 """
 
 from __future__ import annotations
 
-from repro.chordal.chordal_separators import minimal_separators_of_chordal
+from repro.chordal.cliques import clique_forest_masks
 from repro.chordal.triangulate import mcs_m
-from repro.graph.components import components_without, connected_components
+from repro.graph.core import iter_bits
 from repro.graph.graph import Graph, Node
 
 __all__ = ["clique_minimal_separators", "atoms"]
@@ -38,52 +51,51 @@ __all__ = ["clique_minimal_separators", "atoms"]
 def clique_minimal_separators(graph: Graph) -> set[frozenset[Node]]:
     """Return ``ClqMinSep(graph)``: the minimal separators that are cliques.
 
-    Computed through one minimal triangulation (MCS-M): a set is a
-    clique minimal separator of g iff it is a minimal separator of the
-    triangulation and a clique of g.  The empty separator of a
-    disconnected graph is excluded — component splitting is handled
-    separately by :func:`atoms`.
+    The labels of the cut clique-forest edges of one minimal
+    triangulation (see the module docstring).  The empty separator of a
+    disconnected graph is excluded — component splitting is handled by
+    :func:`atoms`.
     """
-    fill, __ = mcs_m(graph)
-    triangulated = graph.copy()
-    triangulated.add_edges(fill)
-    candidates = minimal_separators_of_chordal(triangulated)
-    return {
-        separator
-        for separator in candidates
-        if separator and graph.is_clique(separator)
-    }
+    __, separators = _decompose(graph)
+    return {graph.label_set(mask) for mask in separators}
 
 
 def atoms(graph: Graph) -> list[frozenset[Node]]:
     """Return the atoms of ``graph`` as node sets, deterministically ordered.
 
     An atom is a maximal induced subgraph with no clique minimal
-    separator; distinct atoms overlap only in clique separators.  The
-    decomposition is computed by recursively splitting on any clique
-    minimal separator (the atom set is known to be independent of the
-    splitting order).  A disconnected graph decomposes per component.
+    separator; distinct atoms overlap only in clique separators.  A
+    disconnected graph decomposes per component.
     """
-    result: list[frozenset[Node]] = []
-    stack = [frozenset(component) for component in connected_components(graph)]
-    while stack:
-        region = stack.pop()
-        subgraph = graph.subgraph(region)
-        separators = clique_minimal_separators(subgraph)
-        separator = _smallest(separators)
-        if separator is None:
-            result.append(region)
-            continue
-        for component in components_without(subgraph, separator):
-            stack.append(frozenset(component | separator))
+    atom_masks, __ = _decompose(graph)
+    result = [graph.label_set(mask) for mask in atom_masks]
     result.sort(key=lambda atom: (sorted(map(_node_key, atom))))
     return result
 
 
-def _smallest(separators: set[frozenset[Node]]) -> frozenset[Node] | None:
-    if not separators:
-        return None
-    return min(separators, key=lambda s: (len(s), sorted(map(_node_key, s))))
+def _decompose(graph: Graph) -> tuple[list[int], set[int]]:
+    """``(atom masks, clique minimal separator masks)`` in one pass."""
+    fill, __ = mcs_m(graph)
+    triangulated = graph.copy()
+    triangulated.add_edges(fill)
+    cliques, parent, separators, __ = clique_forest_masks(triangulated)
+    adj = graph.core.adj
+    # A parent clique precedes its children in the MCS scan, so one
+    # forward sweep assigns every clique to the top clique of its atom.
+    top = list(range(len(cliques)))
+    atom_masks: dict[int, int] = {}
+    cuts: set[int] = set()
+    for i, (up, separator) in enumerate(zip(parent, separators)):
+        if up is not None:
+            if all(
+                separator & ~(adj[v] | 1 << v) == 0
+                for v in iter_bits(separator)
+            ):
+                cuts.add(separator)
+            else:
+                top[i] = top[up]
+        atom_masks[top[i]] = atom_masks.get(top[i], 0) | cliques[i]
+    return list(atom_masks.values()), cuts
 
 
 def _node_key(node: Node) -> tuple[str, str]:

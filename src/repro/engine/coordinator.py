@@ -33,7 +33,10 @@ never wrong answers).  The coordinator does not own the checkpoint
 file: it reports its control snapshot to a *sink* (one file may hold
 many region sections — see :mod:`repro.engine.checkpoint`) and is
 handed a pre-validated :class:`~repro.engine.checkpoint.CheckpointState`
-to resume from.
+to resume from.  A coordinator saves only on its cadence; the job that
+owns the sink saves once more on exit — normal, interrupted or failed —
+after every region stream has closed, so the number of saves follows
+the answer count, not the region count.
 
 Task sizing is delegated to an
 :class:`~repro.engine.batching.AdaptiveBatcher` (shared across the
@@ -111,11 +114,16 @@ class MISCoordinator:
 
     ``checkpoint`` is a sink object exposing ``every`` (save cadence in
     newly generated answers) and ``save()`` (persist the document this
-    coordinator's section belongs to); ``restore_state`` is this
-    region's section of a loaded checkpoint.  Restoration — including
-    the fast-forward of the deterministic separator iterator and its
-    prefix validation — happens eagerly at construction, so a sink may
-    snapshot any coordinator of a job the moment all of them exist.
+    coordinator's section belongs to).  The coordinator calls ``save()``
+    only on that cadence; the sink's owner saves on exit, once the
+    stream has closed or raised (:meth:`control_snapshot` stays valid
+    after either, requeueing work still in flight).
+
+    ``restore_state`` is this region's section of a loaded checkpoint.
+    Restoration — including the fast-forward of the deterministic
+    separator iterator and its prefix validation — happens eagerly at
+    construction, so a sink may snapshot any coordinator of a job the
+    moment all of them exist.
     """
 
     def __init__(
@@ -431,17 +439,14 @@ class MISCoordinator:
             yielded=sorted(self._yielded, key=sorted),
         )
 
-    def _save_checkpoint(self) -> None:
-        if self._checkpoint is not None:
-            self._checkpoint.save()
-            self._since_save = 0
-
     def _maybe_checkpoint(self) -> None:
+        """Save on this region's cadence; the job saves once on exit."""
         if (
             self._checkpoint is not None
             and self._since_save >= self._checkpoint.every
         ):
-            self._save_checkpoint()
+            self._checkpoint.save()
+            self._since_save = 0
 
     def _restore(self, state: CheckpointState) -> Iterator[int]:
         """Load (Q, P, V) and return the node iterator, fast-forwarded.
@@ -502,100 +507,88 @@ class MISCoordinator:
         queue = self._queue
         inflight = self._inflight
         mode = self._mode
-        # Restore (and its fingerprint/prefix validation) already
-        # happened at construction, so a failed resume can never
-        # overwrite a good checkpoint with partially restored state
-        # from the finally clause below.
         node_iterator = self._node_iterator
-        try:
-            if not self._resumed:
-                seed = self._seed()
-                self._seen.add(seed)
-                self._stats.answers += 1
-                queue.push(seed)
-                if mode == "UG":
-                    self._yielded.add(seed)
-                    yield seed
-            elif mode == "UG":
-                # Under UG an answer is yielded the moment it is first
-                # generated — so any restored answer the interrupted run
-                # generated but never delivered must be emitted now, or
-                # it would never be yielded at all.
-                for answer in queue.items() + sorted(
-                    self._dispatched, key=sorted
-                ):
-                    if answer not in self._yielded:
+        if not self._resumed:
+            seed = self._seed()
+            self._seen.add(seed)
+            self._stats.answers += 1
+            queue.push(seed)
+            if mode == "UG":
+                self._yielded.add(seed)
+                yield seed
+        elif mode == "UG":
+            # Under UG an answer is yielded the moment it is first
+            # generated — so any restored answer the interrupted run
+            # generated but never delivered must be emitted now, or
+            # it would never be yielded at all.
+            for answer in queue.items() + sorted(self._dispatched, key=sorted):
+                if answer not in self._yielded:
+                    self._yielded.add(answer)
+                    yield answer
+        batcher = self._batcher
+        while True:
+            # Dispatch popped answers against the current V snapshot.
+            while len(queue) and len(inflight) < batcher.max_inflight():
+                count = min(
+                    batcher.pop_chunk_size(len(queue), len(self._known)),
+                    len(queue),
+                )
+                batch = self._popping
+                for __ in range(count):
+                    batch.append(queue.pop())
+                for answer in batch:
+                    if mode == "UP" and answer not in self._yielded:
                         self._yielded.add(answer)
                         yield answer
-            batcher = self._batcher
-            while True:
-                # Dispatch popped answers against the current V snapshot.
-                while len(queue) and len(inflight) < batcher.max_inflight():
-                    count = min(
-                        batcher.pop_chunk_size(
-                            len(queue), len(self._known)
-                        ),
-                        len(queue),
-                    )
-                    batch = self._popping
-                    for __ in range(count):
-                        batch.append(queue.pop())
-                    for answer in batch:
-                        if mode == "UP" and answer not in self._yielded:
+                self._dispatch("pop", batch, tuple(self._known))
+                # Only now is the batch safely in flight: answers
+                # move from "still queued" to "dispatched" together,
+                # so an interrupt mid-batch can never record an
+                # unprocessed answer as processed.
+                self._dispatched.update(batch)
+                self._popping = []
+
+            if inflight:
+                done, __ = wait(inflight, return_when=FIRST_COMPLETED)
+                collected_ns = batcher.now()
+                for future in done:
+                    entry = inflight[future]
+                    # _collect may raise (broken pool); the entry
+                    # leaves _inflight only after its answers are
+                    # absorbed, so the job's exit checkpoint, taken
+                    # after this stream unwinds, requeues the batch.
+                    fresh = self._collect(future, entry, collected_ns)
+                    del inflight[future]
+                    for answer in fresh:
+                        if mode == "UG":
                             self._yielded.add(answer)
                             yield answer
-                    self._dispatch("pop", batch, tuple(self._known))
-                    # Only now is the batch safely in flight: answers
-                    # move from "still queued" to "dispatched" together,
-                    # so an interrupt mid-batch can never record an
-                    # unprocessed answer as processed.
-                    self._dispatched.update(batch)
-                    self._popping = []
+                    if entry.kind == "barrier" and not any(
+                        e.kind == "barrier" for e in inflight.values()
+                    ):
+                        self._barrier_node = None
+                self._maybe_checkpoint()
+                continue
 
-                if inflight:
-                    done, __ = wait(inflight, return_when=FIRST_COMPLETED)
-                    collected_ns = batcher.now()
-                    for future in done:
-                        entry = inflight[future]
-                        # _collect may raise (broken pool); the entry
-                        # leaves _inflight only after its answers are
-                        # absorbed, so the crash-path checkpoint in the
-                        # finally clause below requeues the batch.
-                        fresh = self._collect(future, entry, collected_ns)
-                        del inflight[future]
-                        for answer in fresh:
-                            if mode == "UG":
-                                self._yielded.add(answer)
-                                yield answer
-                        if entry.kind == "barrier" and not any(
-                            e.kind == "barrier" for e in inflight.values()
-                        ):
-                            self._barrier_node = None
-                    self._maybe_checkpoint()
-                    continue
+            if len(queue):
+                continue
 
-                if len(queue):
-                    continue
-
-                # Q empty, nothing in flight: grow V by one node.
-                if self._exhausted:
-                    break
-                try:
-                    v = next(node_iterator)
-                except StopIteration:
-                    self._exhausted = True
-                    break
-                self._known.append(v)
-                self._stats.nodes_generated += 1
-                if not self._dispatched:
-                    continue
-                self._barrier_node = v
-                targets = sorted(self._dispatched, key=sorted)
-                size = batcher.barrier_chunk_size(len(targets))
-                for start in range(0, len(targets), size):
-                    self._dispatch(
-                        "barrier", targets[start : start + size], (v,)
-                    )
-        finally:
-            if self._checkpoint is not None:
-                self._save_checkpoint()
+            # Q empty, nothing in flight: grow V by one node.
+            if self._exhausted:
+                break
+            try:
+                v = next(node_iterator)
+            except StopIteration:
+                self._exhausted = True
+                break
+            self._known.append(v)
+            self._stats.nodes_generated += 1
+            if not self._dispatched:
+                continue
+            self._barrier_node = v
+            targets = sorted(self._dispatched, key=sorted)
+            size = batcher.barrier_chunk_size(len(targets))
+            for start in range(0, len(targets), size):
+                self._dispatch(
+                    "barrier", targets[start : start + size], (v,)
+                )

@@ -18,7 +18,10 @@ section of one checkpoint document (see
 :mod:`repro.engine.checkpoint`), the cross-region product records its
 arrival order and delivered-combination count, and resume replays the
 recorded product deterministically so no combination is delivered
-twice and none is lost.
+twice and none is lost.  Region coordinators save on their answer
+cadence and the product on its combination cadence; the job saves once
+more on exit, so the number of saves does not grow with the region
+count.
 """
 
 from __future__ import annotations
@@ -79,9 +82,10 @@ def _materialise(
 class _DocumentSink:
     """One checkpoint document shared by every region of a job.
 
-    Coordinators call :meth:`save` (directly, or through their cadence
-    counter); the sink then snapshots *all* attached coordinators plus
-    the cross-region product state and writes the whole document
+    Coordinators call :meth:`save` on their answer cadence, the product
+    on its combination cadence (:meth:`bump`) and the job once on exit;
+    each call snapshots *all* attached coordinators plus the
+    cross-region product state and writes the whole document
     atomically.  For multi-region jobs ``caches`` holds each region's
     answers in product-arrival order and overrides the per-section
     ``yielded`` lists, whose order the replay on resume depends on.
@@ -163,6 +167,22 @@ def coordinated_stream(
         )
         document = manager.load_document_if_resuming(job.resume)
 
+    # A single region is enumerated over the original graph object so
+    # yielded Triangulations reference it, exactly like the serial path.
+    # A disconnected input gets per-region coordinators on the shared
+    # pool, recombined through the lazy fair product; ranking is
+    # component-local at best, so (as in repro.core.ranked) that
+    # product falls back to plain order.
+    region_graphs = (
+        [graph.subgraph(region_nodes) for region_nodes in regions]
+        if multi_region
+        else [graph]
+    )
+    priority = None
+    if cost_fn is not None and not multi_region:
+        priority = lambda answer: cost_fn(  # noqa: E731
+            _materialise(graph, answer)
+        )
     payload = make_payload(graph, job.triangulator)
     runner = runner_factory(payload)
     # One batcher for the whole job: the per-pair cost model learned on
@@ -172,55 +192,6 @@ def coordinated_stream(
         getattr(runner, "workers", 1), target_ms=job.batch_target_ms
     )
     try:
-        if not multi_region:
-            # Enumerate over the original graph object so yielded
-            # Triangulations reference it, exactly like the serial path.
-            sink = restore = None
-            fingerprint = ""
-            if manager is not None:
-                fingerprint = region_fingerprint(graph)
-                sink = _DocumentSink(manager, stats)
-            if document is not None:
-                restore = _match_sections(
-                    document, [fingerprint], job
-                )[0]
-                stats.restore(document.stats)
-            priority = None
-            if cost_fn is not None:
-                priority = lambda answer: cost_fn(  # noqa: E731
-                    _materialise(graph, answer)
-                )
-            coordinator = MISCoordinator(
-                graph,
-                graph.core.alive,
-                runner,
-                mode=mode,
-                triangulator=job.triangulator,
-                priority=priority,
-                stats=stats,
-                checkpoint=sink,
-                restore_state=restore,
-                region_fingerprint=fingerprint,
-                batcher=batcher,
-                max_batch_retries=job.max_batch_retries,
-            )
-            if sink is not None:
-                sink.attach(coordinator)
-            answers = coordinator.stream()
-            try:
-                for answer in answers:
-                    yield _materialise(graph, answer)
-            finally:
-                answers.close()
-            return
-
-        # Disconnected input: per-region coordinators on the shared
-        # pool, recombined through the lazy fair product.  Ranking is
-        # component-local at best, so (as in repro.core.ranked) the
-        # cross-region product falls back to plain order.
-        region_graphs = [
-            graph.subgraph(region_nodes) for region_nodes in regions
-        ]
         sink = None
         restores: list = [None] * len(region_graphs)
         fingerprints = [""] * len(region_graphs)
@@ -229,15 +200,17 @@ def coordinated_stream(
                 region_fingerprint(region) for region in region_graphs
             ]
             sink = _DocumentSink(manager, stats)
-            sink.caches = [[] for __ in region_graphs]
+            if multi_region:
+                sink.caches = [[] for __ in region_graphs]
             if document is not None:
                 restores = _match_sections(document, fingerprints, job)
-                sink.caches = [
-                    list(section.yielded) for section in restores
-                ]
-                sink.arrivals = list(document.arrivals)
-                sink.delivered = document.delivered
                 stats.restore(document.stats)
+                if multi_region:
+                    sink.caches = [
+                        list(section.yielded) for section in restores
+                    ]
+                    sink.arrivals = list(document.arrivals)
+                    sink.delivered = document.delivered
         coordinators = [
             MISCoordinator(
                 region,
@@ -245,6 +218,7 @@ def coordinated_stream(
                 runner,
                 mode=mode,
                 triangulator=job.triangulator,
+                priority=priority,
                 stats=stats,
                 checkpoint=sink,
                 restore_state=restores[index],
@@ -254,17 +228,26 @@ def coordinated_stream(
             )
             for index, region in enumerate(region_graphs)
         ]
+        # Every restore has succeeded: only from here on may the job
+        # write its document, so a failed resume never overwrites a
+        # good checkpoint.
         if sink is not None:
             for coordinator in coordinators:
                 sink.attach(coordinator)
         streams = [coordinator.stream() for coordinator in coordinators]
         try:
-            yield from _product_stream(
-                graph, region_graphs, streams, sink, document
-            )
+            if multi_region:
+                yield from _product_stream(
+                    graph, region_graphs, streams, sink, document
+                )
+            else:
+                for answer in streams[0]:
+                    yield _materialise(graph, answer)
         finally:
             for stream in streams:
                 stream.close()
+            # The job's one exit save, after every region stream has
+            # closed or raised; coordinators save only on cadence.
             if sink is not None:
                 sink.save()
     finally:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from helpers import small_chordal_graphs, small_random_graphs
+import importlib
+
+import pytest
+
+from helpers import reference_atoms, small_chordal_graphs, small_random_graphs
 from repro.chordal.atoms import atoms, clique_minimal_separators
 from repro.chordal.cliques import maximal_cliques
 from repro.chordal.minimal_separators import all_minimal_separators
@@ -15,6 +19,8 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.graph import Graph
+from repro.workloads.pgm import promedas_like
+from repro.workloads.tpch import tpch_suite
 
 
 class TestCliqueMinimalSeparators:
@@ -128,8 +134,6 @@ class TestAtomDecomposedEnumeration:
         assert count == 25
 
     def test_invalid_decompose_value(self):
-        import pytest
-
         with pytest.raises(ValueError):
             list(enumerate_minimal_triangulations(path_graph(3), decompose="magic"))
 
@@ -138,3 +142,57 @@ class TestAtomDecomposedEnumeration:
         plain = {t.fill_edges for t in enumerate_minimal_triangulations(g, decompose="none")}
         split = {t.fill_edges for t in enumerate_minimal_triangulations(g, decompose="atoms")}
         assert plain == split
+
+
+def _disconnected_corpus() -> list[Graph]:
+    """Pairs of random graphs side by side, plus isolated nodes."""
+    graphs = []
+    for index, (a, b) in enumerate(
+        zip(
+            small_random_graphs(20, max_nodes=9, seed=1321),
+            small_random_graphs(20, max_nodes=9, seed=1323),
+        )
+    ):
+        g = a.copy()
+        g.add_nodes(("b", node) for node in b.nodes())
+        for u, v in b.edges():
+            g.add_edge(("b", u), ("b", v))
+        g.add_nodes(("isolated", k) for k in range(index % 3))
+        graphs.append(g)
+    return graphs
+
+
+class TestOnePassOracle:
+    """``atoms()`` returns the recursive splitter's list, in its order."""
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            lambda: small_random_graphs(60, max_nodes=11, seed=1327),
+            _disconnected_corpus,
+            lambda: small_chordal_graphs(30, seed=1329),
+            lambda: [promedas_like(60, 90, seed=s) for s in range(4)],
+            lambda: [g for __, g in tpch_suite()],
+        ],
+        ids=["random", "disconnected", "chordal", "promedas", "tpch"],
+    )
+    def test_matches_recursive_splitter(self, corpus):
+        for g in corpus():
+            assert atoms(g) == reference_atoms(g)
+
+    def test_isolated_nodes_are_atoms(self):
+        g = Graph(nodes=[7, "x"], edges=[(0, 1), (1, 2), (2, 0)])
+        assert atoms(g) == reference_atoms(g)
+        assert frozenset({7}) in atoms(g) and frozenset({"x"}) in atoms(g)
+
+    def test_one_mcs_m_pass(self, monkeypatch):
+        # The package re-exports the function under the module's name.
+        atoms_module = importlib.import_module("repro.chordal.atoms")
+        calls = []
+        real = atoms_module.mcs_m
+        monkeypatch.setattr(
+            atoms_module, "mcs_m", lambda g: calls.append(g) or real(g)
+        )
+        result = atoms(promedas_like(120, 190, seed=310))
+        assert len(result) > 100
+        assert len(calls) == 1

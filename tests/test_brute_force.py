@@ -6,6 +6,8 @@ against hand-computed answers and against networkx where applicable.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from helpers import small_random_graphs
@@ -16,6 +18,7 @@ from repro.baselines.brute_force import (
     brute_force_minimal_separators,
     brute_force_minimal_triangulations,
 )
+from repro.chordal.peo import is_chordal
 from repro.errors import EnumerationBudgetExceeded
 from repro.graph.generators import (
     complete_graph,
@@ -61,6 +64,29 @@ class TestMinimalTriangulationsOracle:
     def test_size_guard(self):
         with pytest.raises(EnumerationBudgetExceeded):
             brute_force_minimal_triangulations(Graph(nodes=range(10)))
+
+    def test_pruning_matches_unpruned_definition(self):
+        # Skipping supersets of found fillings must not change the
+        # answer: compare with "every chordal filling, minus the ones
+        # that strictly contain another".
+        def unpruned(graph):
+            non_edges = graph.missing_edges()
+            chordal = []
+            for size in range(len(non_edges) + 1):
+                for fill in itertools.combinations(non_edges, size):
+                    filled = graph.copy()
+                    filled.add_edges(fill)
+                    if is_chordal(filled):
+                        chordal.append(frozenset(map(frozenset, fill)))
+            return {f for f in chordal if not any(o < f for o in chordal)}
+
+        corpus = [cycle_graph(n) for n in (4, 5, 6)] + [
+            g
+            for g in small_random_graphs(25, max_nodes=7, seed=2311)
+            if len(g.missing_edges()) <= 12
+        ]
+        for g in corpus:
+            assert brute_force_minimal_triangulations(g) == unpruned(g)
 
 
 class TestCliqueOracles:

@@ -551,3 +551,181 @@ class TestMultiRegionCheckpoint:
         assert len(data["arrivals"]) == sum(
             len(section["yielded"]) for section in data["regions"]
         )
+
+
+def _many_atoms_graph() -> Graph:
+    """A 20-edge path with a C4, a C4 and a C5 hung on it: 23 atoms.
+
+    Every path edge is an atom with one (empty) triangulation; the
+    cycles give 2 · 2 · 5 = 20 answers in all.
+    """
+    g = Graph(edges=[(f"p{i}", f"p{i + 1}") for i in range(20)])
+    for anchor, tag, length in (("p0", "a", 4), ("p10", "b", 4), ("p20", "c", 5)):
+        ring = [anchor] + [f"{tag}{i}" for i in range(1, length)]
+        for i, node in enumerate(ring):
+            g.add_edge(node, ring[(i + 1) % length])
+    return g
+
+
+class TestManyRegionCheckpoint:
+    """The job saves once on exit; regions save only on cadence."""
+
+    # (graph, decompose) for the single- and the multi-region path.
+    CASES = {
+        "single": (lambda: gnp_random_graph(13, 0.3, seed=21), "components"),
+        "multi": (_many_atoms_graph, "atoms"),
+    }
+
+    @staticmethod
+    def _count_saves(monkeypatch) -> list:
+        saves = []
+        real = CheckpointManager.save_document
+
+        def counting(self, document):
+            saves.append(document)
+            real(self, document)
+
+        monkeypatch.setattr(CheckpointManager, "save_document", counting)
+        return saves
+
+    def test_saves_do_not_grow_with_regions(self, tmp_path, monkeypatch):
+        from repro.chordal.atoms import atoms
+        from repro.workloads.pgm import promedas_like
+
+        g = promedas_like(40, 60, seed=0)
+        regions = len(atoms(g))
+        assert regions >= 20
+        saves = self._count_saves(monkeypatch)
+        every = 16
+        result = EnumerationEngine("serial").run(
+            EnumerationJob(
+                g, decompose="atoms", checkpoint_path=tmp_path / "c.json",
+                checkpoint_every=every, max_results=101,
+            )
+        )
+        assert result.count == 101
+        assert len(saves) < regions
+        assert len(saves) <= -(-result.stats.answers // every) + 2
+
+    def test_single_region_saves_on_exit(self, tmp_path, monkeypatch):
+        g = gnp_random_graph(13, 0.3, seed=21)
+        saves = self._count_saves(monkeypatch)
+        EnumerationEngine("serial").run(
+            EnumerationJob(
+                g, checkpoint_path=tmp_path / "c.json",
+                checkpoint_every=10_000, max_results=5,
+            )
+        )
+        assert len(saves) == 1
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("backend", ["serial", "sharded"])
+    def test_interrupt_and_resume(self, tmp_path, case, backend):
+        build, decompose = self.CASES[case]
+        g = build()
+        full = serial_answers(g, decompose=decompose)
+        engine = EnumerationEngine(backend, workers=2)
+        for k in (1, len(full) // 2, len(full) - 1):
+            path = tmp_path / f"{case}-{k}.ckpt.json"
+            first = engine.run(
+                EnumerationJob(
+                    g, decompose=decompose, checkpoint_path=path,
+                    checkpoint_every=3, max_results=k,
+                )
+            )
+            second = engine.run(
+                EnumerationJob(
+                    g, decompose=decompose, checkpoint_path=path,
+                    resume=True,
+                )
+            )
+            got_first = answer_set(first.triangulations)
+            got_second = answer_set(second.triangulations)
+            assert len(got_first) == k
+            assert len(got_second) == len(second.triangulations)
+            assert not (got_first & got_second)
+            assert got_first | got_second == full
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exception_leaves_resumable_document(
+        self, tmp_path, monkeypatch, case
+    ):
+        from concurrent.futures import Future
+
+        import repro.engine.serial as serial_backend
+        from repro.engine.pool import InlineRunner
+
+        class FailingRunner(InlineRunner):
+            """Raises out of the 4th batch's result."""
+
+            submitted = 0
+
+            def submit(self, batch):
+                FailingRunner.submitted += 1
+                if FailingRunner.submitted == 4:
+                    future: Future = Future()
+                    future.set_exception(RuntimeError("worker died"))
+                    return future
+                return super().submit(batch)
+
+        build, decompose = self.CASES[case]
+        g = build()
+        full = serial_answers(g, decompose=decompose)
+        path = tmp_path / f"{case}.ckpt.json"
+        engine = EnumerationEngine("serial")
+        monkeypatch.setattr(serial_backend, "InlineRunner", FailingRunner)
+        before = []
+        with pytest.raises(RuntimeError, match="worker died"):
+            for triangulation in engine.stream(
+                EnumerationJob(
+                    g, decompose=decompose, checkpoint_path=path,
+                    checkpoint_every=10_000,
+                )
+            ):
+                before.append(triangulation)
+        monkeypatch.undo()
+        assert path.exists()
+        after = engine.run(
+            EnumerationJob(
+                g, decompose=decompose, checkpoint_path=path, resume=True
+            )
+        )
+        got_before = answer_set(before)
+        got_after = answer_set(after.triangulations)
+        assert not (got_before & got_after)
+        assert got_before | got_after == full
+        assert after.completed
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("tamper", ["graph", "region", "prefix"])
+    def test_failed_resume_leaves_file_untouched(self, tmp_path, case, tamper):
+        build, decompose = self.CASES[case]
+        g = build()
+        path = tmp_path / f"{case}.ckpt.json"
+        engine = EnumerationEngine("serial")
+        engine.run(
+            EnumerationJob(
+                g, decompose=decompose, checkpoint_path=path, max_results=3
+            )
+        )
+        if tamper == "graph":
+            g = g.copy()
+            g.add_edge("extra", "node")
+        else:
+            data = json.loads(path.read_text())
+            section = next(
+                s for s in data["regions"] if len(s["known_nodes"]) > 0
+            )
+            if tamper == "region":
+                section["region"] = "0" * len(section["region"])
+            else:
+                section["known_nodes"][0] ^= 1 << 40
+            path.write_text(json.dumps(resign(data)))
+        pristine = path.read_bytes()
+        with pytest.raises(CheckpointError):
+            engine.run(
+                EnumerationJob(
+                    g, decompose=decompose, checkpoint_path=path, resume=True
+                )
+            )
+        assert path.read_bytes() == pristine
