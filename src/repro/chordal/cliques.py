@@ -27,17 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as _np
+
 from repro.errors import NotChordalError
+from repro.graph import bitset_np as _kernel
 from repro.graph.core import MaxWeightBuckets, iter_bits
 from repro.graph.graph import Graph, Node
-
-try:  # numpy unavailable: only the int-mask reference path exists
-    import numpy as _np
-
-    from repro.graph import bitset_np as _kernel
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-    _kernel = None
 
 __all__ = [
     "CliqueForest",
@@ -123,7 +118,7 @@ def clique_forest_masks(
     # Unvisited vertices bucketed by weight (= number of visited
     # neighbours); max-weight extraction and weight bumps are mask ops.
     unvisited = core.alive
-    matrix = _kernel.packed_view(core) if _kernel is not None else None
+    matrix = _kernel.packed_view(core)
     if matrix is not None:
         ns = _kernel.kernels_for(core)
         words = matrix.shape[1]

@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 
+from repro.graph import bitset_np as _kernel
 from repro.graph.components import is_separator
 from repro.graph.core import IndexedGraph, iter_bits
 from repro.graph.graph import Graph, Node
@@ -145,8 +146,8 @@ def are_crossing_batch_masks(
 
     Computes the components of ``g \\ S`` once, then answers every
     target in a single vectorized pass of the packed-bitset kernel
-    (:func:`repro.graph.bitset_np.crossing_batch`) when numpy is
-    available, falling back to the scalar component walk otherwise.
+    (:func:`repro.graph.bitset_np.crossing_batch`), or by the scalar
+    component walk for fewer than ``BATCH_KERNEL_MIN`` targets.
     Semantically ``[are_crossing_masks(core, s, t) for t in targets]``.
 
     This is the stateless form of the batch oracle; the separator-graph
@@ -155,11 +156,7 @@ def are_crossing_batch_masks(
     """
     targets = list(targets)
     components = core.components(s)
-    try:
-        from repro.graph import bitset_np as _kernel
-    except ImportError:
-        _kernel = None  # type: ignore[assignment]
-    if _kernel is None or len(targets) < BATCH_KERNEL_MIN:
+    if len(targets) < BATCH_KERNEL_MIN:
         results = []
         for t in targets:
             remainder = t & ~s

@@ -32,13 +32,9 @@ import heapq
 from collections.abc import Sequence
 
 from repro.errors import NotChordalError
+from repro.graph import bitset_np as _kernel
 from repro.graph.core import iter_bits
 from repro.graph.graph import Graph, Node, edge_key
-
-try:  # numpy unavailable: only the int-mask reference path exists
-    from repro.graph import bitset_np as _kernel
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _kernel = None
 
 __all__ = [
     "maximum_cardinality_search",
@@ -153,7 +149,7 @@ def is_perfect_elimination_ordering(graph: Graph, order: Sequence[Node]) -> bool
     int-mask path below stays the reference oracle.
     """
     indices = _order_indices(graph, order)
-    if _kernel is not None and len(indices) >= _kernel.BATCH_MIN:
+    if len(indices) >= _kernel.BATCH_MIN:
         matrix = _kernel.packed_view(graph.core)
         if matrix is not None:
             return _kernel.kernels_for(graph.core).is_peo_packed(

@@ -30,23 +30,16 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.chordal.peo import elimination_fill_in
+from repro.graph import bitset_np as _kernel
 from repro.graph.core import MaxWeightBuckets, iter_bits
 from repro.graph.graph import Graph, Node, edge_key, sort_edges
-
-try:  # numpy unavailable: only the int-mask reference paths exist
-    import numpy as _np
-
-    from repro.graph import bitset_np as _kernel
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-    _kernel = None
 
 
 def _packed_view(core):
     """The core's packed adjacency matrix, or ``None`` on the int tier."""
-    if _kernel is None:
-        return None
     return _kernel.packed_view(core)
 
 

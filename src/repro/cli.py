@@ -723,16 +723,12 @@ def _command_report(args: argparse.Namespace) -> int:
 
 def _command_kernels(args: argparse.Namespace) -> int:
     """Print which kernel tier serves, and why (or why not)."""
-    try:
-        from repro.graph import bitset_np as _bitset
-    except ImportError:
-        print("numpy            : not installed")
-        print("active tier      : indexed (int-mask reference paths)")
-        return 0
     import numpy as np
 
+    from repro.graph import bitset_np
+
     print(f"numpy            : {np.__version__}")
-    print(f"registered       : {', '.join(sorted(_bitset.GRAPH_BACKENDS))}")
+    print(f"registered       : {', '.join(sorted(bitset_np.GRAPH_BACKENDS))}")
     try:
         from repro.graph._native import native
     except ImportError as exc:  # pragma: no cover - torn install
@@ -750,7 +746,7 @@ def _command_kernels(args: argparse.Namespace) -> int:
         print(f"native tier      : unavailable ({info['reason']})")
     active = "native" if info["available"] else "numpy"
     print(f"active tier      : {active} (auto above "
-          f"{_bitset.NUMPY_THRESHOLD} nodes; force with --graph-backend)")
+          f"{bitset_np.NUMPY_THRESHOLD} nodes; force with --graph-backend)")
     print("kernels:")
     for name, tier in sorted(info["kernels"].items()):
         print(f"  {name:<22} {tier}")

@@ -5,29 +5,36 @@
 polynomial time, as a lazy generator of
 :class:`~repro.core.triangulation.Triangulation` objects.
 
-The pipeline for a *connected* graph is exactly the paper's:
-``EnumMIS`` over the separator-graph SGR, with the ``Extend`` expansion
-wrapping a pluggable triangulation heuristic; each produced maximal
-pairwise-parallel family φ is materialised as the triangulation
-``g[φ]``.
+Every call is one :class:`~repro.engine.job.EnumerationJob` streamed
+through the enumeration engine, whatever the backend, so there is one
+assembly of the pipeline (:func:`repro.engine.sharded.coordinated_stream`):
+the graph is split into regions (connected components, or atoms), each
+region runs ``EnumMIS`` over its separator-graph SGR, and each produced
+maximal pairwise-parallel family φ is materialised as the triangulation
+``g[φ]``.  Several regions are combined by the classical product rule:
+a minimal triangulation of g is an independent choice of one per
+region, interleaved through a lazy fair product so output stays
+incremental (the first answer appears after one ``Extend`` per region).
 
-Disconnected graphs are handled by the classical product rule: a
-minimal triangulation of g is an independent choice of a minimal
-triangulation per connected component.  The per-component enumerations
-are interleaved through a lazy fair product, preserving incremental
-output (the first answer appears after one ``Extend`` per component).
+:func:`separator_mask_families` is the per-region loop of serial jobs
+without a checkpoint: the paper-reference
+:func:`~repro.sgr.enum_mis.enumerate_maximal_independent_sets` over a
+:class:`~repro.sgr.separator_graph.MinimalSeparatorSGR`, with each
+family re-keyed to the separator masks the engine's region streams
+speak.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from repro.chordal.triangulate import Triangulator, get_triangulator
 from repro.core.extend import minimal_triangulation_via
 from repro.core.triangulation import Triangulation
-from repro.graph.components import connected_components
-from repro.graph.graph import Graph, Node
+from repro.graph.bitset_np import core_backend_name
+# Unused here, but perfbench/spans.py wraps this module's name.
+from repro.graph.components import connected_components  # noqa: F401
+from repro.graph.graph import Graph
 from repro.sgr.enum_mis import EnumMISStatistics, enumerate_maximal_independent_sets
 from repro.sgr.separator_graph import MinimalSeparatorSGR
 
@@ -86,10 +93,10 @@ def enumerate_minimal_triangulations(
         separator space exponentially; ``"none"`` disables splitting.
     backend:
         Execution strategy, resolved through the enumeration-engine
-        registry (:mod:`repro.engine`): ``"serial"`` (default, this
-        module's pipeline) or ``"sharded"`` (answer queue partitioned
-        across a multiprocessing worker pool).  Every backend yields
-        the same answer set.
+        registry (:mod:`repro.engine`): ``"serial"`` (default, one
+        process) or ``"sharded"`` (answer queue partitioned across a
+        multiprocessing worker pool).  Every backend yields the same
+        answer set.
     workers:
         Worker-pool size for parallel backends (``None`` = one per
         CPU); ignored by the serial backend.
@@ -98,60 +105,86 @@ def enumerate_minimal_triangulations(
         ``"auto"`` (default — the packed-numpy core at or above
         :data:`repro.graph.bitset_np.NUMPY_THRESHOLD` nodes, the
         single-int bitmask core below).  ``None`` keeps the graph's
-        current core untouched (used by the engine, which resolves the
-        backend before dispatch).
+        current core untouched.
+
+    Raises
+    ------
+    ValueError
+        On an unknown ``mode``, ``decompose`` or ``graph_backend``
+        (raised when the generator is first advanced).
 
     Yields
     ------
     Triangulation
         Every minimal triangulation of ``graph``, exactly once.
     """
-    if backend != "serial":
-        from repro.engine import EnumerationEngine, EnumerationJob
+    yield from _stream_job(
+        graph,
+        stats,
+        backend,
+        workers,
+        mode=mode,
+        triangulator=triangulator,
+        decompose=decompose,
+        graph_backend=(
+            core_backend_name(graph.core)
+            if graph_backend is None
+            else graph_backend
+        ),
+    )
 
-        yield from EnumerationEngine(backend, workers=workers).stream(
-            EnumerationJob(
-                graph,
-                mode=mode,
-                triangulator=triangulator,
-                decompose=decompose,
-                graph_backend=(
-                    "auto" if graph_backend is None else graph_backend
-                ),
-            ),
-            stats=stats,
-        )
-        return
-    from repro.graph import resolve_graph_backend
 
-    graph = resolve_graph_backend(graph, graph_backend)
-    method = get_triangulator(triangulator)
-    if decompose not in {"none", "components", "atoms"}:
-        raise ValueError(
-            f"decompose must be 'none', 'components' or 'atoms', got {decompose!r}"
-        )
-    if decompose == "none":
-        yield from _enumerate_connected(graph, method, mode, stats)
-        return
-    if decompose == "atoms":
-        from repro.chordal.atoms import atoms
+def _stream_job(
+    graph: Graph,
+    stats: EnumMISStatistics | None,
+    backend: str,
+    workers: int | None,
+    **fields: object,
+) -> Iterator[Triangulation]:
+    """Stream one engine job; an invalid spec raises ``ValueError``.
 
-        regions = atoms(graph)
-    else:
-        regions = connected_components(graph)
-    if len(regions) <= 1:
-        yield from _enumerate_connected(graph, method, mode, stats)
-        return
+    The library entry points take plain arguments, so a bad one is a
+    ``ValueError`` there rather than the engine's ``EngineError``.
+    """
+    from repro.engine import EngineError, EnumerationEngine, EnumerationJob
 
-    per_region = [
-        _enumerate_connected(graph.subgraph(region), method, mode, stats)
-        for region in regions
-    ]
-    for combination in _fair_product(per_region):
-        fill: list[tuple[Node, Node]] = []
-        for part in combination:
-            fill.extend(part.fill_edges)
-        yield Triangulation(graph, tuple(fill))
+    job = EnumerationJob(graph, **fields)  # type: ignore[arg-type]
+    try:
+        job.validate()
+    except EngineError as exc:
+        raise ValueError(str(exc)) from None
+    yield from EnumerationEngine(backend, workers=workers).stream(job, stats)
+
+
+def separator_mask_families(
+    region: Graph,
+    triangulator: str | Triangulator = "mcs_m",
+    mode: str = "UG",
+    stats: EnumMISStatistics | None = None,
+    priority: Callable[[frozenset[int]], object] | None = None,
+) -> Iterator[frozenset[int]]:
+    """EnumMIS over the separator-graph SGR of one region (Figure 1).
+
+    Yields every maximal pairwise-parallel family of minimal separators
+    of ``region`` exactly once, as a frozenset of separator masks.
+    ``priority``, when given, ranks answers in that same form and
+    drains the answer queue best-first.  Not public API: this is the
+    serial region stream of
+    :func:`repro.engine.sharded.coordinated_stream`.
+    """
+    sgr = MinimalSeparatorSGR(region, get_triangulator(triangulator), stats=stats)
+    mask_of = region.mask_of
+
+    def masks(family: frozenset[frozenset]) -> frozenset[int]:
+        return frozenset(mask_of(separator) for separator in family)
+
+    ranked = None
+    if priority is not None:
+        ranked = lambda family: priority(masks(family))
+    for family in enumerate_maximal_independent_sets(
+        sgr, mode=mode, stats=stats, priority=ranked
+    ):
+        yield masks(family)
 
 
 def count_minimal_triangulations(
@@ -166,62 +199,3 @@ def count_minimal_triangulations(
         if limit is not None and count >= limit:
             break
     return count
-
-
-def _enumerate_connected(
-    graph: Graph,
-    method: Triangulator,
-    mode: str,
-    stats: EnumMISStatistics | None,
-) -> Iterator[Triangulation]:
-    if graph.num_nodes == 0:
-        yield Triangulation(graph, ())
-        return
-    sgr = MinimalSeparatorSGR(graph, method, stats=stats)
-    core = graph.core
-    label_of = graph.label_of
-    for family in enumerate_maximal_independent_sets(sgr, mode=mode, stats=stats):
-        # Materialise the fill of g[family] at yield time: saturate the
-        # separator masks on a scratch adjacency copy and translate the
-        # added index pairs back to labels only for the answer object.
-        scratch = core.copy()
-        fill: list[tuple[Node, Node]] = []
-        for separator in family:
-            for u, v in scratch.saturate(graph.mask_of(separator)):
-                fill.append((label_of(u), label_of(v)))
-        yield Triangulation(graph, tuple(fill))
-
-
-def _fair_product(iterators: list[Iterator[Triangulation]]) -> Iterator[tuple]:
-    """Lazily enumerate the cartesian product of independent generators.
-
-    Every tuple is produced exactly once, attributed to its
-    latest-arriving coordinate: when generator i yields a new element
-    x, all tuples combining x with already-cached elements of the other
-    generators are emitted.  Output is incremental — no generator needs
-    to be exhausted before the first tuple appears.
-    """
-    caches: list[list[Triangulation]] = [[] for __ in iterators]
-    active = list(range(len(iterators)))
-
-    # Seed one element per component (every graph has ≥ 1 minimal
-    # triangulation, so this never raises StopIteration).
-    for i, iterator in enumerate(iterators):
-        caches[i].append(next(iterator))
-    yield tuple(cache[0] for cache in caches)
-
-    while active:
-        for i in list(active):
-            try:
-                new_element = next(iterators[i])
-            except StopIteration:
-                active.remove(i)
-                continue
-            other_caches = [
-                cache for j, cache in enumerate(caches) if j != i
-            ]
-            for rest in itertools.product(*other_caches):
-                combo = list(rest)
-                combo.insert(i, new_element)
-                yield tuple(combo)
-            caches[i].append(new_element)

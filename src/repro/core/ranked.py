@@ -14,18 +14,27 @@ number of minimal separators is polynomial.  Here the order is
 heuristic: the k-th output is *not* guaranteed to be the k-th best, but
 in practice the best-width/fill results arrive far earlier than under
 FIFO order (see ``tests/test_ranked.py`` for the measured bias).
+
+Ranking is a field of the engine job, not a pipeline of its own:
+:func:`enumerate_minimal_triangulations_prioritized` streams an
+:class:`~repro.engine.job.EnumerationJob` with ``cost`` set through
+the same assembly as every other job
+(:func:`repro.engine.sharded.coordinated_stream`).  Its queue priority
+materialises each generated answer and scores it; the answer is
+materialised again when it is popped and yielded, so the queue holds
+separator masks, not triangulations.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from repro.chordal.triangulate import Triangulator, get_triangulator
+from repro.chordal.triangulate import Triangulator
+from repro.core.enumerate import _stream_job
 from repro.core.triangulation import Triangulation
-from repro.graph.components import connected_components
-from repro.graph.graph import Graph, Node
-from repro.sgr.enum_mis import EnumMISStatistics, enumerate_maximal_independent_sets
-from repro.sgr.separator_graph import MinimalSeparatorSGR
+from repro.graph.bitset_np import core_backend_name
+from repro.graph.graph import Graph
+from repro.sgr.enum_mis import EnumMISStatistics
 
 __all__ = [
     "enumerate_minimal_triangulations_prioritized",
@@ -76,7 +85,8 @@ def enumerate_minimal_triangulations_prioritized(
         Execution strategy, resolved through the enumeration-engine
         registry (:mod:`repro.engine`); ``"sharded"`` drains the same
         best-first queue while extend tasks run on ``workers``
-        processes.  The serial default keeps this module's pipeline.
+        processes.  Every backend runs the same job with ``cost`` set,
+        on the graph's current graph core.
 
     Yields
     ------
@@ -87,52 +97,19 @@ def enumerate_minimal_triangulations_prioritized(
 
     Notes
     -----
-    Disconnected graphs are handled per component, cheapest component
-    order first; the cross-component product uses the plain enumerator.
+    Disconnected graphs are enumerated per component and combined by
+    the fair product in plain order: costs are component-local, so the
+    product is not ranked.
     """
-    if backend != "serial":
-        from repro.engine import EnumerationEngine, EnumerationJob
-
-        yield from EnumerationEngine(backend, workers=workers).stream(
-            EnumerationJob(graph, triangulator=triangulator, cost=cost),
-            stats=stats,
-        )
-        return
-    cost_fn = _resolve_cost(cost)
-    method = get_triangulator(triangulator)
-    components = connected_components(graph)
-    if len(components) > 1:
-        # Delegate the product structure to the plain enumerator and
-        # re-rank greedily within a window-free stream: materialise per
-        # component (costs stay component-local and exact ordering of
-        # the product is out of scope for the heuristic order anyway).
-        from repro.core.enumerate import enumerate_minimal_triangulations
-
-        # graph_backend=None: keep the caller's graph-core choice —
-        # engine-routed jobs arrive here already resolved, and "auto"
-        # would re-resolve (and possibly override) it.
-        yield from enumerate_minimal_triangulations(
-            graph, triangulator=method, mode="UP", stats=stats,
-            graph_backend=None,
-        )
-        return
-
-    sgr = MinimalSeparatorSGR(graph, method)
-
-    def materialise(family: frozenset[frozenset[Node]]) -> Triangulation:
-        saturated = graph.copy()
-        fill: list[tuple[Node, Node]] = []
-        for separator in family:
-            fill.extend(saturated.saturate(separator))
-        return Triangulation(graph, tuple(fill))
-
-    def priority(family: frozenset[frozenset[Node]]) -> object:
-        return cost_fn(materialise(family))
-
-    for family in enumerate_maximal_independent_sets(
-        sgr, mode="UP", stats=stats, priority=priority
-    ):
-        yield materialise(family)
+    yield from _stream_job(
+        graph,
+        stats,
+        backend,
+        workers,
+        triangulator=triangulator,
+        cost=cost,
+        graph_backend=core_backend_name(graph.core),
+    )
 
 
 def anytime_treewidth(

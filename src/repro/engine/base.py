@@ -11,10 +11,16 @@ any caller — exactly like the triangulator registry one layer below.
 
 Shipped backends:
 
-* ``serial``  — the single-process EnumMIS pipeline (today's
-  :func:`repro.core.enumerate.enumerate_minimal_triangulations`);
+* ``serial``  — the whole job in one process (see
+  :mod:`repro.engine.serial`);
 * ``sharded`` — the answer queue Q partitioned across a
-  multiprocessing worker pool (see :mod:`repro.engine.sharded`).
+  multiprocessing worker pool (see :mod:`repro.engine.sharded`);
+* ``distributed`` — the same queue served by TCP workers (see
+  :mod:`repro.engine.distributed`).
+
+All of them run one assembly,
+:func:`repro.engine.sharded.coordinated_stream`, and differ only in the
+loop that produces each region's answers.
 """
 
 from __future__ import annotations

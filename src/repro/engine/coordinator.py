@@ -45,9 +45,9 @@ worker compute time and round-trip, and the next batch is sized to the
 job's target duration from the observed per-pair cost.  The same
 measurements are folded into the run statistics (``ipc_time_ns``,
 ``ipc_payload_bytes``, ``batches_dispatched``), so the report and the
-policy can never disagree about what was observed.  Batches travel in
-the packed wire format of :mod:`repro.engine.wire` whenever the runner
-advertises it.
+policy can never disagree about what was observed.  Batches leave the
+process in the packed wire format of :mod:`repro.engine.wire`; an
+in-process runner gets plain tuples.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from typing import NamedTuple
 from repro.chordal.minimal_separators import minimal_separator_masks
 from repro.chordal.triangulate import Triangulator
 from repro.core.extend import extend_parallel_set
+from repro.engine import wire
 from repro.engine.base import BatchFailedError, EngineError
 from repro.engine.batching import AdaptiveBatcher
 from repro.engine.checkpoint import CheckpointError, CheckpointState
@@ -75,13 +76,9 @@ from repro.engine.watchdog import (
     BatchFailure,
     BatchLimits,
 )
+from repro.graph.bitset_np import word_count
 from repro.graph.graph import Graph
 from repro.sgr.enum_mis import EnumMISStatistics, _AnswerQueue
-
-try:  # numpy unavailable: the legacy tuple wire format only
-    from repro.engine import wire as _wire
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _wire = None
 
 __all__ = ["MISCoordinator"]
 
@@ -167,17 +164,11 @@ class MISCoordinator:
             if batcher is not None
             else AdaptiveBatcher(getattr(runner, "workers", 1))
         )
-        # An in-process runner has no IPC: its round-trip stamp also
-        # covers other batches run synchronously inside submit().
+        # An in-process runner has no IPC (its round-trip stamp also
+        # covers other batches run synchronously inside submit()) and
+        # takes plain tuple batches; every other runner gets packed ones.
         self._in_process = getattr(runner, "in_process", False)
-        self._packed_wire = (
-            _wire is not None
-            and getattr(runner, "wire_format", "plain") == "packed"
-        )
-        if self._packed_wire:
-            from repro.graph.bitset_np import word_count
-
-            self._words = word_count(len(region.core.adj))
+        self._words = word_count(len(region.core.adj))
 
         self._queue = _AnswerQueue(priority)
         self._seen: set[Answer] = set()
@@ -213,17 +204,17 @@ class MISCoordinator:
     ) -> None:
         """Encode and submit one batch; register it as in flight."""
         answer_masks = [tuple(sorted(answer)) for answer in answers]
-        if self._packed_wire:
-            batch = _wire.encode_batch(
-                self._region_mask, answer_masks, directions, self._words
-            )
-            sent = batch.nbytes
-        else:
+        if self._in_process:
             batch = (
                 self._region_mask,
                 [(masks, directions) for masks in answer_masks],
             )
             sent = 0
+        else:
+            batch = wire.encode_batch(
+                self._region_mask, answer_masks, directions, self._words
+            )
+            sent = batch.nbytes
         # Stamp *before* submitting: the inline runner executes the
         # whole batch synchronously inside submit(), and its compute
         # must land in the round-trip or the cost model sees zeros.
@@ -288,16 +279,12 @@ class MISCoordinator:
             return self._handle_failure(
                 entry, result.reason, exhausted=False
             )
-        if _wire is not None and isinstance(result, _wire.PackedResult):
-            candidates = _wire.decode_result(result)
+        if isinstance(result, wire.PackedResult):
+            candidates = wire.decode_result(result)
             delta = result.stats
             compute_ns = result.compute_ns
             received = result.nbytes
         else:
-            # Legacy tuple format: the worker times its batch too, so
-            # a numpy-less *pool* runner still meters real IPC (only
-            # the payload-byte columns stay 0 — nothing packed to
-            # count).
             candidates, delta, compute_ns = result
             received = 0
         # ``collected_ns`` is stamped once per wait() wake-up, before

@@ -97,13 +97,7 @@ class DistributedBackend(EnumerationBackend):
                 "DistributedBackend(listen=(host, port)) and hand the "
                 "instance to the engine"
             )
-        try:
-            from repro.engine.distributed.runner import DistributedRunner
-        except ImportError as exc:  # pragma: no cover - numpy-less installs
-            raise EngineError(
-                "the distributed backend requires numpy (packed wire "
-                "format); install numpy or use --backend serial"
-            ) from exc
+        from repro.engine.distributed.runner import DistributedRunner
         from repro.engine.sharded import coordinated_stream
 
         expected = self.expected_workers(workers)

@@ -2,7 +2,7 @@
 
 :class:`DistributedRunner` implements the same surface the sharded
 coordinator already drives — ``submit(batch) → Future``, ``workers``,
-``wire_format``, ``close()`` — so
+``close()`` — so
 :func:`repro.engine.sharded.coordinated_stream` (and with it
 checkpointing, multi-region products, adaptive batching and the whole
 (Q, P, V) control discipline) runs over TCP unchanged.  The runner owns

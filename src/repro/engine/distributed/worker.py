@@ -44,6 +44,7 @@ from repro.engine.distributed import protocol
 from repro.engine.distributed.chaos import ChaosInjector
 from repro.engine.pool import GraphPayload, WorkerState
 from repro.engine.watchdog import BatchAbortedError, BatchLimits
+from repro.graph import bitset_np
 
 __all__ = ["WorkerConfig", "run_worker"]
 
@@ -80,11 +81,7 @@ class _FatalHandshake(EngineError):
 
 def _local_kernel_tier() -> str:
     """Best kernel tier this host can run, for the HELLO handshake."""
-    try:
-        from repro.graph import bitset_np as _bitset
-    except ImportError:
-        return "indexed"
-    native = _bitset.GRAPH_BACKENDS.get("native")
+    native = bitset_np.GRAPH_BACKENDS.get("native")
     if native is not None and native.runtime_available():
         return "native"
     return "numpy"

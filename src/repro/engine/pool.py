@@ -18,14 +18,14 @@ mapping directly as its core's packed mirror — zero copies of the
 adjacency anywhere.  The runner that created the segment owns its
 lifetime and unlinks it on close, interrupt and crash-unwind paths;
 workers only ever map it (see ``SharedPackedBuffer`` for the
-resource-tracker discipline).  When numpy is unavailable the payload
-degrades to the original dense int-mask form.
+resource-tracker discipline).
 
-Task batches travel in the packed wire format of
+Task batches for a pool travel in the packed wire format of
 :mod:`repro.engine.wire` — per-batch interned mask tables with
-``uint32`` references, one contiguous buffer each way — or, for
-in-process execution where nothing is pickled, as the legacy
-``(region_mask, [(answer_masks, direction_masks), ...])`` tuples.
+``uint32`` references, one contiguous buffer each way.  In-process
+execution, where nothing is pickled, hands
+``(region_mask, [(answer_masks, direction_masks), ...])`` tuples
+straight to the worker state.
 Each job asks: for this answer J (a tuple of separator masks) and each
 direction node v (a separator mask), compute
 ``Extend({v} ∪ {u ∈ J : ¬(v ♮ u)})``.  The worker returns one extended
@@ -60,7 +60,10 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Hashable
 
+import numpy as np
+
 from repro.chordal.triangulate import Triangulator, get_triangulator
+from repro.engine import wire
 from repro.engine.base import EngineError
 from repro.engine.watchdog import (
     BatchAbortedError,
@@ -69,17 +72,11 @@ from repro.engine.watchdog import (
     ResourceWatchdog,
     current_rss_bytes,
 )
+from repro.graph import bitset_np
 from repro.graph.core import IndexedGraph, NodeInterner
 from repro.graph.graph import Graph
 from repro.sgr.enum_mis import EnumMISStatistics
 from repro.sgr.separator_graph import MinimalSeparatorSGR
-
-try:  # numpy unavailable: int-mask payloads, legacy wire format
-    from repro.graph import bitset_np as _bitset
-    from repro.engine import wire as _wire
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _bitset = None
-    _wire = None
 
 __all__ = [
     "GraphPayload",
@@ -94,12 +91,10 @@ __all__ = [
 
 # (answer separator masks, direction separator masks)
 TaskJob = tuple[tuple[int, ...], tuple[int, ...]]
-# Legacy/in-process batch: (region mask, jobs)
+# In-process batch: (region mask, jobs)
 TaskBatch = tuple[int, list[TaskJob]]
-# Legacy/in-process result: (one extended answer per (answer,
-# direction) pair, stats delta, worker compute time in ns — timed in
-# the worker so a numpy-less pool still meters round-trip − compute
-# as IPC)
+# In-process result: (one extended answer per (answer, direction)
+# pair, stats delta, worker compute time in ns)
 BatchResult = tuple[list[tuple[int, ...]], EnumMISStatistics, int]
 
 
@@ -108,9 +103,8 @@ class GraphPayload:
     """Everything a worker needs to rebuild the coordinator's graph.
 
     Exactly one of the adjacency carriers is set: ``shm_name`` (packed
-    matrix in a shared-memory segment — the pool path), ``packed``
-    (the same matrix inline as bytes — in-process runners, tests) or
-    ``adj`` (dense int masks — the numpy-less fallback).
+    matrix in a shared-memory segment — the pool path) or ``packed``
+    (the same matrix inline as bytes — in-process runners, tests).
     """
 
     labels: tuple[Hashable, ...]
@@ -122,7 +116,6 @@ class GraphPayload:
     words: int
     shm_name: str | None = None
     packed: bytes | None = None
-    adj: tuple[int, ...] | None = None
 
 
 def default_worker_count() -> int:
@@ -163,32 +156,19 @@ def make_payload(
 ) -> GraphPayload:
     """Snapshot ``graph`` for worker-side reconstruction.
 
-    The returned payload carries the adjacency inline (packed bytes,
-    or int masks without numpy); :class:`PoolRunner` promotes it to a
-    shared-memory segment before the pickle channel ever sees it.
+    The returned payload carries the packed adjacency inline;
+    :class:`PoolRunner` promotes it to a shared-memory segment before
+    the pickle channel ever sees it.
     """
     core = graph.core
-    labels = tuple(graph.interner.labels_dense)
-    spec = triangulator_spec(triangulator)
-    if _bitset is None:
-        return GraphPayload(
-            labels=labels,
-            alive=core.alive,
-            num_edges=core.num_edges,
-            triangulator=spec,
-            backend="indexed",
-            rows=len(core.adj),
-            words=0,
-            adj=tuple(core.adj),
-        )
-    words = _bitset.word_count(len(core.adj))
-    packed = _bitset.pack_masks(core.adj, words)
+    words = bitset_np.word_count(len(core.adj))
+    packed = bitset_np.pack_masks(core.adj, words)
     return GraphPayload(
-        labels=labels,
+        labels=tuple(graph.interner.labels_dense),
         alive=core.alive,
         num_edges=core.num_edges,
-        triangulator=spec,
-        backend=_bitset.core_backend_name(core),
+        triangulator=triangulator_spec(triangulator),
+        backend=bitset_np.core_backend_name(core),
         rows=len(core.adj),
         words=words,
         packed=packed.tobytes(),
@@ -224,43 +204,31 @@ def _rebuild_graph(
     lifetime — its mapping backs the core's packed mirror.
     """
     buffer = None
-    if payload.adj is not None:
-        adj = list(payload.adj)
-        matrix = None
+    if payload.shm_name is not None:
+        buffer = bitset_np.SharedPackedBuffer.attach(
+            payload.shm_name, payload.rows, payload.words
+        )
+        matrix = buffer.matrix
     else:
-        assert _bitset is not None, "packed payload without numpy"
-        if payload.shm_name is not None:
-            buffer = _bitset.SharedPackedBuffer.attach(
-                payload.shm_name, payload.rows, payload.words
-            )
-            matrix = buffer.matrix
-        else:
-            import numpy as np
-
-            matrix = np.frombuffer(
-                payload.packed, dtype=np.dtype("<u8")
-            ).reshape(payload.rows, payload.words)
-        adj = None
-    if payload.backend != "indexed" and matrix is not None:
+        matrix = np.frombuffer(
+            payload.packed, dtype=np.dtype("<u8")
+        ).reshape(payload.rows, payload.words)
+    if payload.backend != "indexed":
         # Resolve the coordinator's backend name in *this* process: a
         # worker without a usable compiled extension rebuilds a native
         # payload on the numpy core (same kernel semantics, no failure).
-        core_cls = _bitset.GRAPH_BACKENDS.get(
-            payload.backend, _bitset.NumpyGraphCore
+        core_cls = bitset_np.GRAPH_BACKENDS.get(
+            payload.backend, bitset_np.NumpyGraphCore
         )
         if payload.backend == "native" and not core_cls.runtime_available():
-            core_cls = _bitset.NumpyGraphCore
+            core_cls = bitset_np.NumpyGraphCore
             _warn_degraded(payload.backend, "numpy")
         core = core_cls.from_packed(matrix, payload.alive, payload.num_edges)
     else:
         core = IndexedGraph.__new__(IndexedGraph)
-        core.adj = (
-            adj if adj is not None else _bitset.unpack_rows(matrix)
-        )
+        core.adj = bitset_np.unpack_rows(matrix)
         core.alive = payload.alive
         core.num_edges = payload.num_edges
-        if payload.backend != "indexed":
-            core = _bitset.GRAPH_BACKENDS[payload.backend].from_indexed(core)
     interner = NodeInterner.from_dense(list(payload.labels), payload.alive)
     return Graph._from_parts(core, interner), buffer
 
@@ -284,10 +252,7 @@ class WorkerState:
     ) -> None:
         self.graph, self._buffer = _rebuild_graph(payload)
         self.triangulator = get_triangulator(payload.triangulator)
-        if _bitset is not None:
-            self.kernel_tier = _bitset.core_backend_name(self.graph.core)
-        else:
-            self.kernel_tier = "indexed"
+        self.kernel_tier = bitset_np.core_backend_name(self.graph.core)
         self._watchdog = (
             ResourceWatchdog(limits)
             if limits is not None and limits.enabled
@@ -383,11 +348,11 @@ class WorkerState:
         return out
 
     def run_batch(self, batch) -> "BatchResult | object":
-        """Execute one batch in either wire format.
+        """Execute one batch, packed (pool) or as tuples (in process).
 
         Packed batches answer in kind (so the result pickles small);
-        legacy tuples answer with an ``(answers, stats, compute_ns)``
-        triple.  Both carry the worker's measured batch compute time,
+        tuples answer with an ``(answers, stats, compute_ns)`` triple.
+        Both carry the worker's measured batch compute time,
         which the coordinator subtracts from the observed round-trip
         to meter pure IPC.
         """
@@ -398,16 +363,17 @@ class WorkerState:
         if watchdog is not None:
             watchdog.arm()
         try:
-            if _wire is not None and isinstance(batch, _wire.PackedBatch):
-                region_mask, answers, directions = _wire.decode_batch(batch)
+            packed = isinstance(batch, wire.PackedBatch)
+            if packed:
+                region_mask, answers, directions = wire.decode_batch(batch)
                 jobs = [(answer, directions) for answer in answers]
             else:
                 region_mask, jobs = batch
                 answers = [answer_masks for answer_masks, __ in jobs]
             self._check_poison(answers, started)
             out = self._execute(region_mask, jobs, stats)
-            if _wire is not None and isinstance(batch, _wire.PackedBatch):
-                return _wire.encode_result(
+            if packed:
+                return wire.encode_result(
                     out,
                     batch.words,
                     time.perf_counter_ns() - started,
@@ -487,13 +453,13 @@ def _run_batch(batch):
 class InlineRunner:
     """Synchronous runner: tasks execute immediately in this process.
 
-    Uses the legacy tuple wire format — nothing crosses a process
-    boundary, so interning and packing would be pure overhead.
+    Receives plain tuple batches — nothing crosses a process boundary,
+    so interning and packing would be pure overhead.
     """
 
     workers = 1
-    wire_format = "plain"
-    #: Batches never leave this process, so the coordinator meters no IPC.
+    #: Batches never leave this process: the coordinator hands them
+    #: over as tuples and meters no IPC.
     in_process = True
 
     def __init__(self, payload: GraphPayload) -> None:
@@ -523,8 +489,6 @@ class PoolRunner:
     mapping behind, which the kernel reclaims with the process.
     """
 
-    wire_format = "plain"
-
     def __init__(
         self,
         payload: GraphPayload,
@@ -535,19 +499,13 @@ class PoolRunner:
             raise EngineError("sharded execution needs at least 1 worker")
         self.workers = workers
         self._limits = limits
-        self._buffer = None
-        if _bitset is not None and payload.packed is not None:
-            import numpy as np
-
-            matrix = np.frombuffer(
-                payload.packed, dtype=np.dtype("<u8")
-            ).reshape(payload.rows, payload.words)
-            self._buffer = _bitset.SharedPackedBuffer.create(matrix)
-            payload = replace(
-                payload, packed=None, shm_name=self._buffer.name
-            )
-            self.wire_format = "packed"
-        self._payload = payload
+        matrix = np.frombuffer(
+            payload.packed, dtype=np.dtype("<u8")
+        ).reshape(payload.rows, payload.words)
+        self._buffer = bitset_np.SharedPackedBuffer.create(matrix)
+        self._payload = replace(
+            payload, packed=None, shm_name=self._buffer.name
+        )
         try:
             self._executor = self._spawn()
         except Exception as exc:  # pragma: no cover - platform-specific

@@ -1,13 +1,16 @@
-"""The ``serial`` backend: today's single-process enumeration pipeline.
+"""The ``serial`` backend: the whole job in this process.
 
-A thin wrapper over
-:func:`repro.core.enumerate.enumerate_minimal_triangulations` (plain
-jobs) and
-:func:`repro.core.ranked.enumerate_minimal_triangulations_prioritized`
-(ranked jobs).  Checkpointable jobs — single- and multi-region alike —
-route through the same coordinator assembly the sharded backend uses,
-with an in-process :class:`~repro.engine.pool.InlineRunner` —
-identical (Q, P, V) semantics and checkpoint format, no worker pool.
+Every job runs the one assembly of :mod:`repro.engine.sharded`
+(:func:`~repro.engine.sharded.coordinated_stream`): regions,
+materialisation, ranking, the fair product and the checkpoint sink.
+Only the per-region loop is chosen here.  Jobs without a checkpoint run
+the paper-reference EnumMIS loop
+(:func:`repro.core.enumerate.separator_mask_families`), whose answer
+delay tail is lower than the coordinator's on small connected graphs.
+Checkpointed jobs run the coordinator on an in-process
+:class:`~repro.engine.pool.InlineRunner`, which owns the (Q, P, V)
+state a checkpoint records; batches execute synchronously, with no
+worker pool.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from repro.core.triangulation import Triangulation
 from repro.engine.base import EnumerationBackend, register_backend
 from repro.engine.job import EnumerationJob
 from repro.engine.pool import InlineRunner
+from repro.engine.sharded import coordinated_stream
 from repro.sgr.enum_mis import EnumMISStatistics
 
 __all__ = ["SerialBackend"]
@@ -34,33 +38,8 @@ class SerialBackend(EnumerationBackend):
         stats: EnumMISStatistics,
         workers: int | None,
     ) -> Iterator[Triangulation]:
-        if job.checkpoint_path is not None:
-            from repro.engine.sharded import coordinated_stream
-
-            return coordinated_stream(job, stats, InlineRunner)
-        if job.cost is not None:
-            from repro.core.ranked import (
-                enumerate_minimal_triangulations_prioritized,
-            )
-
-            return enumerate_minimal_triangulations_prioritized(
-                job.graph,
-                cost=job.cost,
-                triangulator=job.triangulator,
-                stats=stats,
-            )
-        from repro.core.enumerate import enumerate_minimal_triangulations
-
-        # graph_backend=None: the engine already resolved the job's
-        # graph-core backend before dispatch — keep it as-is.
-        return enumerate_minimal_triangulations(
-            job.graph,
-            triangulator=job.triangulator,
-            mode=job.mode,
-            stats=stats,
-            decompose=job.decompose,
-            graph_backend=None,
-        )
+        runner = InlineRunner if job.checkpoint_path is not None else None
+        return coordinated_stream(job, stats, runner)
 
 
 register_backend(SerialBackend())

@@ -1,27 +1,40 @@
-"""The ``sharded`` backend: EnumMIS across a multiprocessing pool.
+"""The one assembly of an enumeration job, and the ``sharded`` backend.
 
-The graph is decomposed exactly as the serial pipeline does
-(components / atoms / none); each region runs a
-:class:`~repro.engine.coordinator.MISCoordinator` whose extend tasks
-execute on a shared worker pool, and disconnected inputs are recombined
-through the same lazy fair product as the serial enumerator.  Answers
-arrive as frozensets of separator masks and are materialised into
-:class:`~repro.core.triangulation.Triangulation` objects here, by
-saturating the masks on a scratch bitmask core — identical to the
-serial yield path, so both backends produce equal Triangulation values.
+:func:`coordinated_stream` is the only code path from an
+:class:`~repro.engine.job.EnumerationJob` to its Triangulations, for
+every backend:
 
-The module also hosts :func:`coordinated_stream`, the backend-agnostic
-assembly (regions → coordinators → materialisation → product), which
-the serial backend reuses with an in-process runner for checkpointable
-runs.  Checkpointing covers multi-region jobs too: every region owns a
-section of one checkpoint document (see
-:mod:`repro.engine.checkpoint`), the cross-region product records its
-arrival order and delivered-combination count, and resume replays the
-recorded product deterministically so no combination is delivered
-twice and none is lost.  Region coordinators save on their answer
-cadence and the product on its combination cadence; the job saves once
-more on exit, so the number of saves does not grow with the region
-count.
+1. *Regions.*  The graph is split as the job asks (components / atoms /
+   none, :func:`_resolve_regions`).
+2. *Region answer streams.*  Each region yields its maximal
+   pairwise-parallel separator families as frozensets of separator
+   masks.  This is the only part that differs between backends:
+   serial jobs without a checkpoint run the paper-reference EnumMIS
+   loop (:func:`repro.core.enumerate.separator_mask_families`);
+   checkpointed, sharded and distributed jobs run one
+   :class:`~repro.engine.coordinator.MISCoordinator` per region, whose
+   extend tasks execute on a runner (in process, a worker pool or a
+   TCP fleet).
+3. *Ranking.*  A job with ``cost`` drains each queue best-first; the
+   priority materialises an answer and scores it.  The scored
+   Triangulation is not kept: the queue holds only separator masks.
+4. *Materialisation* (:func:`_materialise`): ``g[φ]`` by saturating the
+   answer's separator masks on a scratch bitmask core.
+5. *Product.*  Several regions are recombined through the resumable
+   lazy fair product (:func:`_product_stream`).
+6. *Checkpoint sink.*  Checkpointing covers multi-region jobs too:
+   every region owns a section of one checkpoint document (see
+   :mod:`repro.engine.checkpoint`), the cross-region product records
+   its arrival order and delivered-combination count, and resume
+   replays the recorded product deterministically so no combination is
+   delivered twice and none is lost.  Region coordinators save on
+   their answer cadence and the product on its combination cadence;
+   the job saves once more on exit, so the number of saves does not
+   grow with the region count.
+
+The ``sharded`` backend is this assembly with a
+:class:`~repro.engine.pool.PoolRunner`: the answer queue of each
+region is partitioned across a multiprocessing worker pool.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator
 
+from repro.core.enumerate import separator_mask_families
 from repro.core.ranked import _resolve_cost
 from repro.core.triangulation import Triangulation
 from repro.engine.base import EngineError, EnumerationBackend, register_backend
@@ -43,6 +57,7 @@ from repro.engine.checkpoint import (
 from repro.engine.coordinator import Answer, MISCoordinator
 from repro.engine.job import EnumerationJob
 from repro.engine.pool import (
+    InlineRunner,
     PoolRunner,
     default_worker_count,
     make_payload,
@@ -139,12 +154,19 @@ class _DocumentSink:
 def coordinated_stream(
     job: EnumerationJob,
     stats: EnumMISStatistics,
-    runner_factory: Callable[[object], "InlineRunner | PoolRunner"],
+    runner_factory: Callable[[object], InlineRunner | PoolRunner]
+    | None = None,
 ) -> Iterator[Triangulation]:
-    """Run ``job`` through coordinators on runners from ``runner_factory``.
+    """Enumerate ``job``: the one assembly every backend runs.
 
-    One runner (one worker pool) is shared by every region; it is
-    closed when the stream is closed or exhausted.
+    Regions are resolved, each region gets one answer stream, and the
+    streams are materialised (one region) or combined through the fair
+    product (several).  ``runner_factory`` picks the region loop:
+    ``None`` runs the paper-reference EnumMIS of
+    :func:`~repro.core.enumerate.separator_mask_families` per region
+    (no checkpoint); otherwise every region runs a
+    :class:`~repro.engine.coordinator.MISCoordinator` on one shared
+    runner, which is closed when the stream is closed or exhausted.
     """
     graph = job.graph
     if graph.num_nodes == 0:
@@ -156,6 +178,76 @@ def coordinated_stream(
     cost_fn = _resolve_cost(job.cost) if job.cost is not None else None
     mode = job.effective_mode
 
+    # A single region is enumerated over the original graph object so
+    # yielded Triangulations reference it.  A disconnected input gets
+    # one stream per region, recombined through the lazy fair product;
+    # ranking is component-local at best, so that product runs in
+    # plain order.
+    region_graphs = (
+        [graph.subgraph(region_nodes) for region_nodes in regions]
+        if multi_region
+        else [graph]
+    )
+    # The priority scores a Triangulation and drops it; the yield
+    # materialises the answer again.  Keeping the scored one would keep
+    # its cached graph and clique forest alive for as long as the
+    # answer stays queued, and Q grows with every pop in UP mode.
+    priority = None
+    if cost_fn is not None and not multi_region:
+
+        def priority(answer: Answer) -> object:
+            return cost_fn(_materialise(graph, answer))
+
+    if runner_factory is None:
+        runner = sink = document = None
+        streams = [
+            separator_mask_families(
+                region, job.triangulator, mode, stats, priority
+            )
+            for region in region_graphs
+        ]
+    else:
+        runner, sink, document, streams = _coordinate(
+            job, stats, runner_factory, region_graphs, priority
+        )
+    try:
+        try:
+            if multi_region:
+                yield from _product_stream(
+                    graph, region_graphs, streams, sink, document
+                )
+            else:
+                for answer in streams[0]:
+                    yield _materialise(graph, answer)
+        finally:
+            for stream in streams:
+                stream.close()
+            # The job's one exit save, after every region stream has
+            # closed or raised; coordinators save only on cadence.
+            if sink is not None:
+                sink.save()
+    finally:
+        if runner is not None:
+            runner.close()
+
+
+def _coordinate(
+    job: EnumerationJob,
+    stats: EnumMISStatistics,
+    runner_factory: Callable[[object], InlineRunner | PoolRunner],
+    region_graphs: list[Graph],
+    priority: Callable[[Answer], object] | None,
+) -> tuple:
+    """One coordinator per region, all on one runner from ``runner_factory``.
+
+    Returns ``(runner, sink, document, streams)``: the runner, the
+    checkpoint sink and the loaded document (``None`` without a
+    checkpoint or resume), and the region answer streams.  The runner
+    is closed here if construction or a restore fails.
+    """
+    graph = job.graph
+    mode = job.effective_mode
+    multi_region = len(region_graphs) > 1
     manager = document = None
     if job.checkpoint_path is not None:
         manager = CheckpointManager(
@@ -166,25 +258,7 @@ def coordinated_stream(
             every=job.checkpoint_every,
         )
         document = manager.load_document_if_resuming(job.resume)
-
-    # A single region is enumerated over the original graph object so
-    # yielded Triangulations reference it, exactly like the serial path.
-    # A disconnected input gets per-region coordinators on the shared
-    # pool, recombined through the lazy fair product; ranking is
-    # component-local at best, so (as in repro.core.ranked) that
-    # product falls back to plain order.
-    region_graphs = (
-        [graph.subgraph(region_nodes) for region_nodes in regions]
-        if multi_region
-        else [graph]
-    )
-    priority = None
-    if cost_fn is not None and not multi_region:
-        priority = lambda answer: cost_fn(  # noqa: E731
-            _materialise(graph, answer)
-        )
-    payload = make_payload(graph, job.triangulator)
-    runner = runner_factory(payload)
+    runner = runner_factory(make_payload(graph, job.triangulator))
     # One batcher for the whole job: the per-pair cost model learned on
     # one region transfers to the next (same graph family, same
     # triangulator), and the IPC/latency report covers the run.
@@ -228,30 +302,17 @@ def coordinated_stream(
             )
             for index, region in enumerate(region_graphs)
         ]
-        # Every restore has succeeded: only from here on may the job
-        # write its document, so a failed resume never overwrites a
-        # good checkpoint.
-        if sink is not None:
-            for coordinator in coordinators:
-                sink.attach(coordinator)
-        streams = [coordinator.stream() for coordinator in coordinators]
-        try:
-            if multi_region:
-                yield from _product_stream(
-                    graph, region_graphs, streams, sink, document
-                )
-            else:
-                for answer in streams[0]:
-                    yield _materialise(graph, answer)
-        finally:
-            for stream in streams:
-                stream.close()
-            # The job's one exit save, after every region stream has
-            # closed or raised; coordinators save only on cadence.
-            if sink is not None:
-                sink.save()
-    finally:
+    except BaseException:
         runner.close()
+        raise
+    # Every restore has succeeded: only from here on may the job write
+    # its document, so a failed resume never overwrites a good
+    # checkpoint.
+    if sink is not None:
+        for coordinator in coordinators:
+            sink.attach(coordinator)
+    streams = [coordinator.stream() for coordinator in coordinators]
+    return runner, sink, document, streams
 
 
 def _match_sections(
@@ -286,8 +347,7 @@ def _product_stream(
 ) -> Iterator[Triangulation]:
     """The lazy fair product over region answer streams, resumable.
 
-    Combination semantics match :func:`repro.core.enumerate._fair_product`:
-    when region i contributes a new answer x, every combination of x
+    When region i contributes a new answer x, every combination of x
     with the already-cached answers of the other regions is emitted
     (none while any other cache is still empty, so seeding falls out
     of the uniform rule).  Each combination contains exactly one new

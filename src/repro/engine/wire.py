@@ -32,10 +32,10 @@ answers worker → coordinator, together with the worker's stage-timer
 statistics delta and its batch compute time (the coordinator subtracts
 the latter from the observed round-trip to meter pure IPC time).
 
-The legacy tuple format — ``(region_mask, [(answer_masks,
-direction_masks), ...])`` — remains the in-process representation used
-by the inline runner (nothing is pickled there, so interning would be
-pure overhead) and the fallback when numpy is unavailable.
+The tuple form — ``(region_mask, [(answer_masks, direction_masks),
+...])`` — remains the in-process representation used by the inline
+runner (nothing is pickled there, so interning would be pure
+overhead); every batch that leaves the process is packed.
 
 Untrusted bytes
 ---------------

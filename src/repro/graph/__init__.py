@@ -27,18 +27,12 @@ def resolve_graph_backend(graph: Graph, backend: str | None = "auto"):
     ``"auto"`` (the packed tier at or above
     :data:`repro.graph.bitset_np.NUMPY_THRESHOLD` nodes, preferring
     native when available) or ``None`` (keep the graph exactly as
-    passed).  When numpy is not installed, ``"auto"`` and ``"indexed"``
-    degrade to the int-mask core; asking for ``"numpy"`` or ``"native"``
-    explicitly raises ImportError.
+    passed).
     """
     if backend is None:
         return graph
-    try:
-        from repro.graph.bitset_np import convert_graph
-    except ImportError:
-        if backend in ("numpy", "native"):
-            raise
-        return graph
+    from repro.graph.bitset_np import convert_graph
+
     return convert_graph(graph, backend)
 
 

@@ -73,14 +73,10 @@ from repro.chordal.minimal_separators import (
 )
 from repro.chordal.triangulate import Triangulator, get_triangulator
 from repro.core.extend import extend_parallel_set
+from repro.graph import bitset_np as _kernel
 from repro.graph.graph import Graph, Node
 from repro.sgr.base import SuccinctGraphRepresentation
 from repro.sgr.enum_mis import EnumMISStatistics
-
-try:  # pragma: no cover - exercised implicitly by every batch query
-    from repro.graph import bitset_np as _kernel
-except ImportError:  # numpy unavailable: batch queries fall back to scalar
-    _kernel = None  # type: ignore[assignment]
 
 __all__ = ["MinimalSeparatorSGR", "DEFAULT_EDGE_CACHE_LIMIT", "EXTEND_MEMO_LIMIT"]
 
@@ -169,11 +165,7 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         self._memo_refs_old = 0
         # One shared object per separator seen in an Extend result.
         self._canonical: dict[Separator, Separator] = {}
-        self._words = (
-            _kernel.word_count(len(graph.core.adj))
-            if _kernel is not None
-            else 0
-        )
+        self._words = _kernel.word_count(len(graph.core.adj))
 
     @property
     def graph(self) -> Graph:
@@ -222,11 +214,10 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
             sep_id = len(self._id_mask)
             self._sep_id[separator] = sep_id
             self._id_mask.append(mask)
-            if _kernel is not None:
-                matrix = self._mask_matrix
-                if matrix is None or sep_id >= matrix.shape[0]:
-                    matrix = self._grow_matrix(sep_id)
-                matrix[sep_id] = _kernel.pack_mask(mask, self._words)
+            matrix = self._mask_matrix
+            if matrix is None or sep_id >= matrix.shape[0]:
+                matrix = self._grow_matrix(sep_id)
+            matrix[sep_id] = _kernel.pack_mask(mask, self._words)
         return sep_id
 
     def _grow_matrix(self, sep_id: int):
@@ -437,7 +428,7 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         """Compute v-versus-ids crossings, vectorized when worthwhile."""
         id_mask = self._id_mask
         mask_v = id_mask[id_v]
-        if _kernel is None or len(ids) < _BATCH_KERNEL_MIN:
+        if len(ids) < _BATCH_KERNEL_MIN:
             crossing = self._crossing
             return [crossing(mask_v, id_mask[i]) for i in ids]
         components = self._components_packed(mask_v)

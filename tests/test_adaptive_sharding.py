@@ -23,7 +23,6 @@ from repro.core.enumerate import enumerate_minimal_triangulations
 from repro.engine import EngineError, EnumerationEngine, EnumerationJob, wire
 from repro.engine.batching import AdaptiveBatcher
 from repro.engine.pool import (
-    GraphPayload,
     InlineRunner,
     PoolRunner,
     make_payload,
@@ -203,7 +202,6 @@ class TestGraphPayload:
     def test_payload_is_packed_not_int_masks(self):
         g = gnp_random_graph(20, 0.4, seed=3)
         payload = make_payload(g, "mcs_m")
-        assert payload.adj is None
         assert payload.packed is not None
         assert payload.rows == len(g.core.adj)
 
@@ -214,22 +212,6 @@ class TestGraphPayload:
         assert rebuilt.node_set() == g.node_set()
         assert set(rebuilt.edge_set()) == set(g.edge_set())
         assert rebuilt.core.adj == g.core.adj
-
-    def test_int_mask_fallback_rebuilds(self):
-        # The numpy-less payload form keeps working.
-        g = gnp_random_graph(12, 0.4, seed=4)
-        payload = GraphPayload(
-            labels=tuple(g.interner.labels_dense),
-            alive=g.core.alive,
-            num_edges=g.core.num_edges,
-            triangulator="mcs_m",
-            backend="indexed",
-            rows=len(g.core.adj),
-            words=0,
-            adj=tuple(g.core.adj),
-        )
-        runner = InlineRunner(payload)
-        assert runner._state.graph.core.adj == g.core.adj
 
     def test_numpy_backend_worker_adopts_packed_mirror(self):
         from repro.graph.bitset_np import NumpyGraphCore, convert_graph
@@ -286,7 +268,6 @@ class TestSharedMemoryLifecycle:
         g = gnp_random_graph(14, 0.4, seed=8)
         before = self._segments()
         runner = PoolRunner(make_payload(g, "mcs_m"), workers=2)
-        assert runner.wire_format == "packed"
         created = self._segments() - before
         assert len(created) == 1
         runner.close()
@@ -405,7 +386,7 @@ class TestCrashTimeCheckpoint:
             exactly one)."""
 
             workers = 1
-            wire_format = "plain"
+            in_process = True  # receives the inner runner's tuple batches
 
             def __init__(self, inner):
                 self._inner = inner

@@ -456,7 +456,7 @@ class _PoisonRunner:
     """
 
     workers = 1
-    wire_format = "plain"
+    in_process = True  # receives the inner runner's tuple batches
 
     def __init__(self, payload, poison: frozenset):
         self._inner = InlineRunner(payload)
