@@ -71,13 +71,17 @@ def usable_cores() -> int:
 
 
 def build_case(n: int, candidates: int, backend: str = "auto"):
-    """Return (graph, probe separators, candidate separators) for size n."""
+    """Return (graph, probe masks, candidate masks) for size n.
+
+    Separators are vertex masks, the node form of the separator-graph
+    SGR.
+    """
     if n == 2000:
         # Cycle graph: every non-adjacent pair is a minimal separator,
         # so the separator set is constructed directly — enumerating it
         # through A_V would dwarf the oracle being measured.
         graph = resolve_graph_backend(cycle_graph(n), backend)
-        probes = [frozenset({i, i + n // 2}) for i in range(PROBES)]
+        probes = [graph.mask_of({i, i + n // 2}) for i in range(PROBES)]
         half, quarter = n // 2, n // 4
         pool = []
         for i in itertools.count(PROBES + 1):
@@ -86,9 +90,9 @@ def build_case(n: int, candidates: int, backend: str = "auto"):
             # Alternate crossing pairs (one node per arc of the probe
             # cut) with parallel pairs (both nodes in one arc).
             if i % 2:
-                pool.append(frozenset({i, i + half}))
+                pool.append(graph.mask_of({i, i + half}))
             else:
-                pool.append(frozenset({i, i + quarter}))
+                pool.append(graph.mask_of({i, i + quarter}))
         return graph, probes, pool
     if n == 30:
         graph = gnp_random_graph(n, 0.35, seed=12345)
@@ -98,8 +102,7 @@ def build_case(n: int, candidates: int, backend: str = "auto"):
     masks = list(
         itertools.islice(minimal_separator_masks(graph), candidates + PROBES)
     )
-    separators = [graph.label_set(mask) for mask in masks]
-    return graph, separators[:PROBES], separators[PROBES:]
+    return graph, masks[:PROBES], masks[PROBES:]
 
 
 def clear_cache(sgr: MinimalSeparatorSGR) -> None:
@@ -197,11 +200,7 @@ def main() -> int:
             # Third, stateless oracle: the cache-free mask-level batch
             # test must agree with both memoized SGR paths.
             stateless = [
-                are_crossing_batch_masks(
-                    graph.core,
-                    graph.mask_of(v),
-                    [graph.mask_of(u) for u in candidates],
-                )
+                are_crossing_batch_masks(graph.core, v, candidates)
                 for v in probes
             ]
             agree = stateless == batch_answers

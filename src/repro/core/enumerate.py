@@ -19,9 +19,8 @@ incremental (the first answer appears after one ``Extend`` per region).
 :func:`separator_mask_families` is the per-region loop of serial jobs
 without a checkpoint: the paper-reference
 :func:`~repro.sgr.enum_mis.enumerate_maximal_independent_sets` over a
-:class:`~repro.sgr.separator_graph.MinimalSeparatorSGR`, with each
-family re-keyed to the separator masks the engine's region streams
-speak.
+:class:`~repro.sgr.separator_graph.MinimalSeparatorSGR`, whose nodes
+are already the separator masks the engine's region streams speak.
 """
 
 from __future__ import annotations
@@ -173,18 +172,9 @@ def separator_mask_families(
     :func:`repro.engine.sharded.coordinated_stream`.
     """
     sgr = MinimalSeparatorSGR(region, get_triangulator(triangulator), stats=stats)
-    mask_of = region.mask_of
-
-    def masks(family: frozenset[frozenset]) -> frozenset[int]:
-        return frozenset(mask_of(separator) for separator in family)
-
-    ranked = None
-    if priority is not None:
-        ranked = lambda family: priority(masks(family))
-    for family in enumerate_maximal_independent_sets(
-        sgr, mode=mode, stats=stats, priority=ranked
-    ):
-        yield masks(family)
+    yield from enumerate_maximal_independent_sets(
+        sgr, mode=mode, stats=stats, priority=priority
+    )
 
 
 def count_minimal_triangulations(

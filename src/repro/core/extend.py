@@ -14,13 +14,20 @@ of g into a *maximal* such set:
 Correctness (paper Lemma 4.6) rests on Heggernes' theorem: a minimal
 triangulation of ``g[φ]`` is a minimal triangulation of g, its minimal
 separator set is a maximal pairwise-parallel family, and it contains φ.
+
+Extend runs on vertex masks, the separator form of the whole
+enumeration pipeline (:func:`extend_separator_masks`): separators go in
+and come out as int masks over g's vertex indices, and the empty
+separator of a disconnected graph is mask ``0``.
+:func:`extend_parallel_set` is the label-level public entry point, a
+thin translation around the mask-level function.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.chordal.chordal_separators import minimal_separators_of_chordal
+from repro.chordal.chordal_separators import chordal_separator_masks
 from repro.chordal.sandwich import minimal_triangulation_sandwich
 from repro.chordal.triangulate import Triangulator, get_triangulator
 from repro.graph.graph import Graph, Node
@@ -28,6 +35,12 @@ from repro.graph.graph import Graph, Node
 __all__ = ["extend_parallel_set", "minimal_triangulation_via"]
 
 Separator = frozenset[Node]
+
+# ExtractMinSeps is called through this module-level name because the
+# benchmark's span tracer (perfbench/spans.py) times the
+# ``clique_forest`` layer by wrapping
+# ``repro.core.extend.minimal_separators_of_chordal``.
+minimal_separators_of_chordal = chordal_separator_masks
 
 
 def minimal_triangulation_via(
@@ -46,11 +59,33 @@ def minimal_triangulation_via(
     return filled
 
 
+def extend_separator_masks(
+    graph: Graph,
+    separator_masks: Iterable[int],
+    triangulator: str | Triangulator = "mcs_m",
+) -> set[int]:
+    """Extend pairwise-parallel separator masks to a maximal family.
+
+    The mask-level ``Extend``: ``MinSep(h)`` for a minimal
+    triangulation h of ``g[φ]``, as vertex masks of ``graph``.  The
+    input is trusted, as in the paper.
+    """
+    # Saturate g[φ] on a scratch copy that keeps the graph-core
+    # backend, so a numpy-backed input runs the whole pipeline —
+    # saturation, the heuristic, the clique-forest scan — on the
+    # packed kernels.
+    saturated = graph.copy()
+    core = saturated.core
+    for mask in separator_masks:
+        core.saturate(mask)
+    triangulated = minimal_triangulation_via(saturated, triangulator)
+    return minimal_separators_of_chordal(triangulated)
+
+
 def extend_parallel_set(
     graph: Graph,
     separators: Iterable[Separator],
     triangulator: str | Triangulator = "mcs_m",
-    canonical: dict[Separator, Separator] | None = None,
 ) -> frozenset[Separator]:
     """Extend pairwise-parallel minimal separators to a maximal family.
 
@@ -66,10 +101,6 @@ def extend_parallel_set(
         to validate untrusted input.
     triangulator:
         Name or instance of the triangulation heuristic.
-    canonical:
-        Optional separator → shared-object map; the returned separators
-        are taken from it (see
-        :func:`~repro.chordal.chordal_separators.minimal_separators_of_chordal`).
 
     Returns
     -------
@@ -77,18 +108,7 @@ def extend_parallel_set(
         ``MinSep(h)`` for a minimal triangulation h of ``g[φ]`` — a
         maximal pairwise-parallel family containing φ (Lemma 4.6).
     """
-    # Saturate g[φ] on a scratch bitmask copy: one mask per separator,
-    # no label-level edge bookkeeping (the fill is not needed here).
-    # The copy keeps the graph-core backend, so a numpy-backed input
-    # runs the whole Extend pipeline — saturation, the triangulation
-    # heuristic, the clique-forest extraction — on the packed kernels.
-    saturated = graph.copy()
-    core = saturated.core
-    for separator in separators:
-        core.saturate(saturated.mask_of(separator))
-    triangulated = minimal_triangulation_via(saturated, triangulator)
-    # ExtractMinSeps runs at the mask level inside
-    # minimal_separators_of_chordal (clique-forest scan, no per-clique
-    # label translation); labels materialise once, on the answer
-    # boundary.
-    return frozenset(minimal_separators_of_chordal(triangulated, canonical))
+    masks = extend_separator_masks(
+        graph, map(graph.mask_of, separators), triangulator
+    )
+    return frozenset(map(graph.label_set, masks))

@@ -15,21 +15,23 @@ identical.
 
 Handshake
 ---------
-A connecting worker sends ``HELLO`` (JSON): magic, protocol version,
-the wire formats it can decode, and its available graph-kernel tier.
-The coordinator answers ``WELCOME`` (JSON): protocol version, the
-chosen wire format, the **graph fingerprint** (a digest of the exact
-graph payload this job ships), the coordinator's kernel tier and the
-heartbeat cadence — then streams the ``GRAPH`` frame itself (JSON
-header + the packed ``uint64`` adjacency, shipped once per host).  A
-worker that reconnects — after a network blip or a coordinator restart
-— compares the fingerprint against the graph it already holds and
-skips the rebuild when they match, so resuming a job against a warm
-fleet costs one round-trip, not a re-ship of the adjacency.
+A connecting worker sends ``HELLO`` (JSON): magic, protocol version
+and its available graph-kernel tier.  The coordinator answers
+``WELCOME`` (JSON): protocol version, the **graph fingerprint** (a
+digest of the exact graph payload this job ships), the coordinator's
+kernel tier and the heartbeat cadence — then streams the ``GRAPH``
+frame itself (JSON header + the packed ``uint64`` adjacency, shipped
+once per host).  A worker that reconnects — after a network blip or a
+coordinator restart — compares the fingerprint against the graph it
+already holds and skips the rebuild when they match, so resuming a job
+against a warm fleet costs one round-trip, not a re-ship of the
+adjacency.
 
-Version or format mismatches are answered with a fatal ``ERROR`` frame
-before closing, so an old worker fails loudly instead of retrying
-forever against a coordinator it cannot serve.
+There is one wire format (the packed batches of
+:mod:`repro.engine.wire`), so the protocol version alone says whether
+two ends can talk.  A version mismatch is answered with a fatal
+``ERROR`` frame before closing, so an old worker fails loudly instead
+of retrying forever against a coordinator it cannot serve.
 
 Steady state
 ------------
@@ -137,11 +139,12 @@ def validate_liveness_config(
         )
 
 #: Version 2 added the per-body CRC-32 in tagged frames and the
-#: BATCH_FAILED cooperative-abort frame.  The handshake itself (HELLO/
-#: WELCOME/ERROR JSON bodies) is unchanged, so a version-1 worker
-#: knocking on a version-2 coordinator — or vice versa — is still
+#: BATCH_FAILED cooperative-abort frame.  Version 3 dropped the
+#: one-value wire-format negotiation (HELLO's ``wire_formats``,
+#: WELCOME's ``wire_format``).  Every version checks the version right
+#: after the magic, so a peer of another version — older or newer — is
 #: answered with a clean fatal ERROR frame rather than garbage.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MAGIC = "repro-enum"
 
 #: Per-frame body cap.  The largest legitimate frame is the graph

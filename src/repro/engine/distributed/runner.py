@@ -14,12 +14,12 @@ waits on process-pool futures.
 Elastic membership
 ------------------
 Workers may connect and disconnect at any point of the job.  A new
-connection is handshaken (protocol version, wire format, graph
-fingerprint, kernel tier), shipped the packed adjacency once, and
-immediately pulls from the shared dispatch queue.  Nothing requires a
-worker at job start: batches simply wait in the pending queue until a
-host joins (``pending_timeout_s`` bounds that wait when set, failing
-the in-flight futures with a typed error instead of hanging forever).
+connection is handshaken (protocol version, graph fingerprint, kernel
+tier), shipped the packed adjacency once, and immediately pulls from
+the shared dispatch queue.  Nothing requires a worker at job start:
+batches simply wait in the pending queue until a host joins
+(``pending_timeout_s`` bounds that wait when set, failing the
+in-flight futures with a typed error instead of hanging forever).
 
 Fault-tolerant requeue (exactly-once), bounded by a retry budget
 ----------------------------------------------------------------
@@ -198,8 +198,6 @@ class DistributedRunner:
         whatever joined — useful to keep fleet spin-up out of a
         benchmark's measured window).
     """
-
-    wire_format = "packed"
 
     def __init__(
         self,
@@ -615,7 +613,6 @@ class DistributedRunner:
             {
                 "magic": protocol.MAGIC,
                 "protocol": protocol.PROTOCOL_VERSION,
-                "wire_format": self.wire_format,
                 "fingerprint": self._fingerprint,
                 "kernel_tier": self._payload_tier,
                 "heartbeat_s": self._heartbeat_s,
@@ -674,15 +671,6 @@ class DistributedRunner:
             raise EngineError(
                 f"protocol version mismatch: coordinator speaks "
                 f"{protocol.PROTOCOL_VERSION}, worker speaks {version!r}"
-            )
-        formats = message.get("wire_formats")
-        if (
-            not isinstance(formats, list)
-            or self.wire_format not in formats
-        ):
-            raise EngineError(
-                f"worker does not support the {self.wire_format!r} wire "
-                "format"
             )
         tier = message.get("kernel_tier")
         return tier if isinstance(tier, str) else "unknown"

@@ -5,8 +5,8 @@ drives exactly the same compute path as an in-process pool worker —
 :class:`repro.engine.pool.WorkerState` — behind a blocking socket:
 
 handshake
-    HELLO (protocol version, supported wire formats, local kernel
-    tier) → WELCOME (coordinator's choices + heartbeat cadence) →
+    HELLO (protocol version, local kernel tier) → WELCOME (graph
+    fingerprint, coordinator's kernel tier, heartbeat cadence) →
     GRAPH (the packed uint64 adjacency, shipped once per connection).
     The graph frame's fingerprint keys the rebuilt
     :class:`WorkerState`, so a reconnect to the *same* job skips the
@@ -25,7 +25,7 @@ failure
     exponential-backoff reconnect loop (full jitter); the coordinator
     requeues whatever this worker owned, so a reconnecting worker
     never double-delivers.  A SHUTDOWN frame or an ERROR frame marked
-    fatal (protocol mismatch, wrong wire format) ends the process
+    fatal (protocol version mismatch, bad magic) ends the process
     instead — retrying a rejected handshake would loop forever.
 """
 
@@ -128,7 +128,6 @@ def _handshake(sock: socket.socket, config: WorkerConfig) -> dict:
         {
             "magic": protocol.MAGIC,
             "protocol": protocol.PROTOCOL_VERSION,
-            "wire_formats": ["packed"],
             "kernel_tier": _local_kernel_tier(),
         }
     )
@@ -151,10 +150,6 @@ def _handshake(sock: socket.socket, config: WorkerConfig) -> dict:
             "protocol version mismatch: worker speaks "
             f"{protocol.PROTOCOL_VERSION}, coordinator speaks "
             f"{welcome.get('protocol')!r}"
-        )
-    if welcome.get("wire_format") != "packed":
-        raise _FatalHandshake(
-            f"unsupported wire format {welcome.get('wire_format')!r}"
         )
     return welcome
 

@@ -39,7 +39,9 @@ Each worker keeps one :class:`~repro.sgr.separator_graph.MinimalSeparatorSGR`
 per region for its whole lifetime, so the interned separator table and
 the memoized crossing cache warm up once and are shared by every task
 the worker ever runs — the worker-pool analogue of the caches the
-serial pipeline builds up in a single process.
+serial pipeline builds up in a single process.  The SGR's nodes are
+separator masks, so a worker sweeps and extends the masks it gets off
+the wire as they are and returns masks.
 
 Runners
 -------
@@ -262,10 +264,8 @@ class WorkerState:
         # presence in any answer of a batch makes this worker fail it.
         self._poison_mask = 0
         self._poison_mode = "fail"
-        # region mask → (region graph, SGR, mask → separator cache)
-        self._regions: dict[
-            int, tuple[Graph, MinimalSeparatorSGR, dict[int, frozenset]]
-        ] = {}
+        # region mask → (region graph, SGR)
+        self._regions: dict[int, tuple[Graph, MinimalSeparatorSGR]] = {}
 
     def set_poison(self, mask: int, mode: str = "fail") -> None:
         """Inject a deterministic poison batch (fault-injection only).
@@ -283,9 +283,7 @@ class WorkerState:
         self._poison_mask = mask
         self._poison_mode = mode
 
-    def _region(
-        self, region_mask: int
-    ) -> tuple[Graph, MinimalSeparatorSGR, dict[int, frozenset]]:
+    def _region(self, region_mask: int) -> tuple[Graph, MinimalSeparatorSGR]:
         entry = self._regions.get(region_mask)
         if entry is None:
             if region_mask == self.graph.core.alive:
@@ -294,8 +292,7 @@ class WorkerState:
                 region = self.graph.subgraph(
                     self.graph.label_set(region_mask)
                 )
-            sgr = MinimalSeparatorSGR(region, self.triangulator)
-            entry = (region, sgr, {})
+            entry = (region, MinimalSeparatorSGR(region, self.triangulator))
             self._regions[region_mask] = entry
         return entry
 
@@ -305,33 +302,20 @@ class WorkerState:
         jobs: "list[TaskJob]",
         stats: EnumMISStatistics,
     ) -> list[tuple[int, ...]]:
-        region, sgr, separator_of = self._region(region_mask)
+        __, sgr = self._region(region_mask)
         sgr.attach_statistics(stats)
         has_edges_batch = sgr.has_edges_batch
-        label_set = region.label_set
-        mask_of = region.mask_of
         clock = time.perf_counter_ns
         watchdog = self._watchdog
         out: list[tuple[int, ...]] = []
-        for answer_masks, direction_masks in jobs:
-            answer = []
-            for mask in answer_masks:
-                separator = separator_of.get(mask)
-                if separator is None:
-                    separator = label_set(mask)
-                    separator_of[mask] = separator
-                answer.append(separator)
-            for v_mask in direction_masks:
+        for answer, direction_masks in jobs:
+            for v in direction_masks:
                 # Cooperative abort point: the watchdog bounds a batch
                 # at (answer, direction)-pair granularity — one pair
                 # that never returns is the transport batch-timeout's
                 # problem, a batch that is too big/leaky is caught here.
                 if watchdog is not None:
                     watchdog.check()
-                v = separator_of.get(v_mask)
-                if v is None:
-                    v = label_set(v_mask)
-                    separator_of[v_mask] = v
                 started = clock()
                 crossed = has_edges_batch(v, answer)
                 stats.crossing_time_ns += clock() - started
@@ -342,9 +326,7 @@ class WorkerState:
                 started = clock()
                 extended = sgr.extend(frozenset(kept))
                 stats.extend_time_ns += clock() - started
-                out.append(
-                    tuple(sorted(mask_of(sep) for sep in extended))
-                )
+                out.append(tuple(sorted(extended)))
         return out
 
     def run_batch(self, batch) -> "BatchResult | object":

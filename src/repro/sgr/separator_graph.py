@@ -8,13 +8,21 @@ with the minimal triangulations of g (paper Theorem 4.1).
 
 The three SGR components:
 
-* ``A_V``  — :func:`repro.chordal.minimal_separators.minimal_separators`
+* ``A_V``  — :func:`repro.chordal.minimal_separators.minimal_separator_masks`
   (polynomial delay, Berry et al.);
-* ``A_E``  — :func:`repro.chordal.minimal_separators.are_crossing`
+* ``A_E``  — :func:`repro.chordal.minimal_separators.are_crossing_masks`
   (polynomial time);
-* expansion — :func:`repro.core.extend.extend_parallel_set`
-  (Figure 3 of the paper), parameterised by any triangulation
+* expansion — ``Extend`` (Figure 3 of the paper, module
+  :mod:`repro.core.extend`), parameterised by any triangulation
   heuristic.
+
+The SGR only needs node names that the node enumerator can print and
+the edge oracle can test (Section 3.1.1), so a node is a minimal
+separator as an int *vertex mask* over ``graph``'s vertex indices — the
+form the node enumerator produces and the enumeration engine's answer
+queues, checkpoints and wire format use.  The empty separator of a
+disconnected graph is mask ``0``.  ``graph.label_set(mask)`` and
+``graph.mask_of(separator)`` translate to and from label sets.
 
 Tractable expansion holds because a chordal graph has fewer minimal
 separators than nodes (Rose; paper Corollary 4.3), so every
@@ -28,8 +36,8 @@ goes through ``Extend``.  The same separator pairs recur across
 answers, and so do the candidates.  This SGR keeps two bounded caches,
 both pure memos of pure functions, so neither can change an answer:
 
-* **Crossing pairs.**  Each separator is interned once to a dense id
-  and its vertex bitmask; the components of ``g \\ S`` are cached per
+* **Crossing pairs.**  Each separator mask is interned once to a
+  dense id; the components of ``g \\ S`` are cached per
   separator (as int masks and, once a batch query touches it, as a
   packed ``uint64`` matrix of :mod:`repro.graph.bitset_np`).
   :meth:`has_edges_batch` answers a ``v``-versus-many sweep with one
@@ -44,11 +52,14 @@ both pure memos of pure functions, so neither can change an answer:
   run repeat an earlier one.  Bound: :data:`EXTEND_MEMO_LIMIT`
   *separator references* per generation, counting ``|φ| + |result|``
   per entry, so a large graph's long families weigh what they cost.
-  Equal separators of different results are one shared object (a
-  separator → separator map filled by ``dict.setdefault``), so an entry
-  stores references, not copies.  The serial loop and every inline,
-  pool and distributed worker call Extend through this method, so each
-  SGR instance memoizes with no second code path.
+  Equal separators of different entries are one shared int object
+  (the one in the interning table of the crossing oracle), so an entry
+  stores references, not copies of masks: about 81 bytes per reference
+  on Gnp(30, 0.35) and 58 on a 1600-node PGM graph, where one mask
+  alone takes up to 240 bytes (see :data:`EXTEND_MEMO_LIMIT`).  The
+  serial loop and every inline, pool and distributed worker call
+  Extend through this method, so each SGR instance memoizes with no
+  second code path.
 
 Both caches use the same two-generation eviction: entries go to the
 current generation, a hit in the old generation promotes the entry to
@@ -58,9 +69,9 @@ used entries survive rotation, and at most two generations are ever
 held.  Hits, misses and evictions are counted in the attached
 :class:`~repro.sgr.enum_mis.EnumMISStatistics` (``edge_cache_*`` and
 ``extend_memo_*``).  An evicted entry is simply recomputed on its next
-query.  The per-separator tables (ids, masks, components, shared
-separator objects) are not evicted; they grow linearly with the
-separators seen, the price of the oracles themselves.
+query.  The per-separator tables (ids, masks, components) are not
+evicted; they grow linearly with the separators seen, the price of the
+oracles themselves.
 """
 
 from __future__ import annotations
@@ -72,15 +83,16 @@ from repro.chordal.minimal_separators import (
     minimal_separator_masks,
 )
 from repro.chordal.triangulate import Triangulator, get_triangulator
-from repro.core.extend import extend_parallel_set
+from repro.core.extend import extend_separator_masks
 from repro.graph import bitset_np as _kernel
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import Graph
 from repro.sgr.base import SuccinctGraphRepresentation
 from repro.sgr.enum_mis import EnumMISStatistics
 
 __all__ = ["MinimalSeparatorSGR", "DEFAULT_EDGE_CACHE_LIMIT", "EXTEND_MEMO_LIMIT"]
 
-Separator = frozenset[Node]
+#: A node of the SGR: a minimal separator as a vertex mask.
+Separator = int
 
 #: Per-generation cap of the crossing memo cache (two generations may
 #: be live at once).  Roughly 100 bytes per entry, so the default
@@ -90,11 +102,16 @@ DEFAULT_EDGE_CACHE_LIMIT = 1 << 20
 
 #: Per-generation bound of the Extend memo, in stored separator
 #: references (``|input| + |result|`` summed over entries; two
-#: generations may be live at once).  Separators themselves are shared
+#: generations may be live at once).  Separator masks are shared int
 #: objects, so a reference costs a set slot plus its share of the
-#: frozenset header: about 80 bytes on Gnp(30, 0.35), so one generation
-#: holds about 20 MiB.  That covers the first ~4500 answers of that
-#: graph without a rotation.  ``0`` disables the memo.
+#: frozenset header and the dict entry.  Measured (``sys.getsizeof``
+#: over the memo after a serial run): 81 bytes on Gnp(30, 0.35) after
+#: 3000 answers, so one generation holds about 20 MiB and covers the
+#: first ~4500 answers of that graph without a rotation; 58 bytes on
+#: the 1600-node ``promedas_like(600, 1000, seed=1600)`` after 20
+#: answers, where a mask costs 88 bytes on average and up to 240 bytes,
+#: so an unshared copy per reference would multiply the memo.  ``0``
+#: disables the memo.
 EXTEND_MEMO_LIMIT = 1 << 18
 
 class MinimalSeparatorSGR(SuccinctGraphRepresentation):
@@ -134,9 +151,10 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         self._graph = graph
         self._triangulator = get_triangulator(triangulator)
         self._stats = stats
-        # Interning: each separator gets a dense small id; masks are
-        # looked up by id, and the pair cache is keyed id → id so the
-        # hot loops hash machine ints, never |V|-bit masks.
+        # Interning: each separator mask gets a dense small id; the
+        # pair cache is keyed id → id so the hot loops hash machine
+        # ints, never |V|-bit masks.  ``_id_mask`` holds the one shared
+        # object per separator that Extend results reuse.
         self._sep_id: dict[Separator, int] = {}
         self._id_mask: list[int] = []
         # id → packed uint64 row of the separator mask (kernel builds
@@ -163,8 +181,6 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         self._memo_old: dict[frozenset[Separator], frozenset[Separator]] = {}
         self._memo_refs = 0
         self._memo_refs_old = 0
-        # One shared object per separator seen in an Extend result.
-        self._canonical: dict[Separator, Separator] = {}
         self._words = _kernel.word_count(len(graph.core.adj))
 
     @property
@@ -205,14 +221,12 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         """Point the cache hit/miss counters at ``stats`` (or detach)."""
         self._stats = stats
 
-    def _intern_id(self, separator: Separator, mask: int | None = None) -> int:
-        """Return the dense id of ``separator``, interning it if new."""
-        sep_id = self._sep_id.get(separator)
+    def _intern_id(self, mask: Separator) -> int:
+        """Return the dense id of separator ``mask``, interning it if new."""
+        sep_id = self._sep_id.get(mask)
         if sep_id is None:
-            if mask is None:
-                mask = self._graph.mask_of(separator)
             sep_id = len(self._id_mask)
-            self._sep_id[separator] = sep_id
+            self._sep_id[mask] = sep_id
             self._id_mask.append(mask)
             matrix = self._mask_matrix
             if matrix is None or sep_id >= matrix.shape[0]:
@@ -231,8 +245,13 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         self._mask_matrix = matrix
         return matrix
 
-    def _intern(self, separator: Separator) -> int:
-        return self._id_mask[self._intern_id(separator)]
+    def _shared(self, masks) -> frozenset[Separator]:
+        """``masks`` as a frozenset of the interned separator objects."""
+        id_mask = self._id_mask
+        intern_id = self._intern_id
+        # Built through a set: frozenset(set) sizes its table for the
+        # final count, while inserting one by one overallocates it.
+        return frozenset({id_mask[intern_id(mask)] for mask in masks})
 
     def _components(self, separator_mask: int) -> tuple[int, ...]:
         components = self._components_of.get(separator_mask)
@@ -270,17 +289,14 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
     # ------------------------------------------------------------------
 
     def iter_nodes(self) -> Iterator[Separator]:
-        """Enumerate ``MinSep(g)`` with polynomial delay.
+        """Enumerate ``MinSep(g)`` as vertex masks, with polynomial delay.
 
-        Separator masks are interned on the way out, so later
-        ``has_edge`` calls on yielded separators skip the label → mask
-        translation entirely.
+        Yields what :func:`~repro.chordal.minimal_separators.minimal_separator_masks`
+        yields, in its order, as the interned object of each mask.
         """
-        graph = self._graph
-        for mask in minimal_separator_masks(graph):
-            separator = graph.label_set(mask)
-            self._intern_id(separator, mask)
-            yield separator
+        id_mask = self._id_mask
+        for mask in minimal_separator_masks(self._graph):
+            yield id_mask[self._intern_id(mask)]
 
     def has_edge(self, u: Separator, v: Separator) -> bool:
         """Return whether two minimal separators cross (``u ♮ v``).
@@ -464,13 +480,12 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         object an earlier call returned, and a call after eviction
         rebuilds an equal set in the same insertion order, so the memo
         changes neither the answers nor the order in which any caller
-        meets them.
+        meets them.  A stored entry holds the interned separator
+        objects, for its key as for its result.
         """
         limit = EXTEND_MEMO_LIMIT
         if limit <= 0:
-            return extend_parallel_set(
-                self._graph, independent_set, self._triangulator
-            )
+            return self._extend(independent_set)
         stats = self._stats
         extended = self._memo.get(independent_set)
         if extended is not None:
@@ -484,11 +499,8 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
             if stats is not None:
                 stats.extend_memo_hits += 1
         else:
-            extended = extend_parallel_set(
-                self._graph, independent_set, self._triangulator,
-                self._canonical,
-            )
-        self._memo[independent_set] = extended
+            extended = self._extend(independent_set)
+        self._memo[self._shared(independent_set)] = extended
         self._memo_refs += len(independent_set) + len(extended)
         if self._memo_refs >= limit:
             if self._memo_old and stats is not None:
@@ -498,3 +510,10 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
             self._memo = {}
             self._memo_refs = 0
         return extended
+
+    def _extend(self, independent_set: frozenset[Separator]) -> frozenset[Separator]:
+        return self._shared(
+            extend_separator_masks(
+                self._graph, independent_set, self._triangulator
+            )
+        )

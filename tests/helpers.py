@@ -121,12 +121,13 @@ def reference_fair_product(iterators: list) -> Iterator[tuple]:
 def reference_ranked(
     graph: Graph, cost="width", triangulator: str = "mcs_m"
 ) -> Iterator[Triangulation]:
-    """Best-first enumeration on label-level families (connected graphs).
+    """Best-first enumeration with label-level saturation (connected graphs).
 
     An oracle for the answer order of ranked engine jobs: EnumMIS over
     the separator-graph SGR in ``"UP"`` mode, with a priority that
-    builds the triangulation of each generated family and scores it,
-    and a second build of each family at yield time.
+    builds the triangulation of each generated family (saturating the
+    label set of each separator mask) and scores it, and a second build
+    of each family at yield time.
     """
     named = {
         "width": lambda t: (t.width, t.fill),
@@ -138,8 +139,8 @@ def reference_ranked(
     def materialise(family) -> Triangulation:
         saturated = graph.copy()
         fill = []
-        for separator in family:
-            fill.extend(saturated.saturate(separator))
+        for mask in family:
+            fill.extend(saturated.saturate(graph.label_set(mask)))
         return Triangulation(graph, tuple(fill))
 
     for family in enumerate_maximal_independent_sets(

@@ -9,7 +9,11 @@ label-level ranked loop ``helpers.reference_ranked``.
 from __future__ import annotations
 
 import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +32,25 @@ from repro.sgr.enum_mis import enumerate_maximal_independent_sets
 from repro.sgr.separator_graph import MinimalSeparatorSGR
 from repro.workloads.pgm import promedas_like
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The first 200 serial answers of a str-labelled Gnp(18, 0.3, seed=5),
+# one sorted fill-edge tuple per line.
+_STR_LABEL_ORDER = """
+import itertools
+from repro.core.enumerate import enumerate_minimal_triangulations
+from repro.graph.generators import gnp_random_graph
+from repro.graph.graph import Graph
+
+g = gnp_random_graph(18, 0.3, seed=5)
+graph = Graph(
+    nodes=[f"v{u}" for u in g.nodes()],
+    edges=[(f"v{u}", f"v{v}") for u, v in g.edges()],
+)
+for t in itertools.islice(enumerate_minimal_triangulations(graph), 200):
+    print(t.fill_edges)
+"""
+
 
 def _fills(triangulations) -> list:
     return [t.fill_edges for t in triangulations]
@@ -39,8 +62,8 @@ def _region_triangulations(region: Graph, mode: str):
     for family in enumerate_maximal_independent_sets(sgr, mode=mode):
         scratch = region.copy()
         fill = []
-        for separator in family:
-            fill.extend(scratch.saturate(separator))
+        for mask in family:
+            fill.extend(scratch.saturate(region.label_set(mask)))
         yield Triangulation(region, tuple(fill))
 
 
@@ -150,6 +173,22 @@ class TestSerialSequence:
         )
         assert len(got) == 300
         assert got == expected
+
+    def test_order_does_not_depend_on_label_hashes(self):
+        # Separators are vertex masks throughout, so str labels (whose
+        # hashes vary with PYTHONHASHSEED) cannot reorder the answers.
+        runs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+            runs.append(
+                subprocess.run(
+                    [sys.executable, "-c", _STR_LABEL_ORDER],
+                    env=env, check=True, capture_output=True, text=True,
+                ).stdout
+            )
+        assert runs[0].count("\n") == 200
+        assert runs[0] == runs[1]
 
     def test_connected_corpus(self):
         for graph in small_random_graphs(12, max_nodes=8, seed=4242):

@@ -200,9 +200,7 @@ class TestBackendSelection:
 class TestBatchOracleEquivalence:
     def test_batch_matches_scalar_on_corpus(self):
         for g in small_random_graphs(12, max_nodes=8, seed=41):
-            seps = [
-                g.label_set(m) for m in minimal_separator_masks(g)
-            ]
+            seps = list(minimal_separator_masks(g))
             if not seps:
                 continue
             batch_sgr = MinimalSeparatorSGR(g)
@@ -214,7 +212,7 @@ class TestBatchOracleEquivalence:
 
     def test_batch_counters_and_memoization(self):
         g = gnp_random_graph(14, 0.35, seed=17)
-        seps = [g.label_set(m) for m in minimal_separator_masks(g)]
+        seps = list(minimal_separator_masks(g))
         stats = EnumMISStatistics()
         sgr = MinimalSeparatorSGR(g, stats=stats)
         v = seps[0]
@@ -233,7 +231,7 @@ class TestBatchOracleEquivalence:
         # must be found (as a hit, not a recompute) when the same pair
         # is queried through the scalar oracle the other way round.
         g = gnp_random_graph(12, 0.4, seed=37)
-        seps = [g.label_set(m) for m in minimal_separator_masks(g)]
+        seps = list(minimal_separator_masks(g))
         u, v = seps[0], seps[1]
         stats = EnumMISStatistics()
         sgr = MinimalSeparatorSGR(g, stats=stats)
@@ -245,7 +243,7 @@ class TestBatchOracleEquivalence:
     def test_identical_crossing_matrices_across_backends(self):
         for g in small_random_graphs(8, max_nodes=8, seed=47):
             ng = convert_graph(g, "numpy")
-            seps = [g.label_set(m) for m in minimal_separator_masks(g)]
+            seps = list(minimal_separator_masks(g))
             if not seps:
                 continue
             sgr_indexed = MinimalSeparatorSGR(g)
@@ -309,7 +307,7 @@ class TestEnumerationEquivalence:
 class TestBoundedEdgeCache:
     def test_eviction_recomputes_and_never_flips(self):
         g = gnp_random_graph(12, 0.4, seed=11)
-        seps = [g.label_set(m) for m in minimal_separator_masks(g)]
+        seps = list(minimal_separator_masks(g))
         reference = MinimalSeparatorSGR(g, edge_cache_limit=None)
         answers = {
             (u, v): reference.has_edge(u, v)
@@ -330,7 +328,7 @@ class TestBoundedEdgeCache:
 
     def test_eviction_correct_through_batch_oracle(self):
         g = gnp_random_graph(12, 0.4, seed=19)
-        seps = [g.label_set(m) for m in minimal_separator_masks(g)]
+        seps = list(minimal_separator_masks(g))
         reference = MinimalSeparatorSGR(g, edge_cache_limit=None)
         expected = {
             v: reference.has_edges_batch(v, seps) for v in seps
@@ -354,7 +352,7 @@ class TestBoundedEdgeCache:
 
     def test_unbounded_cache_never_evicts(self):
         g = gnp_random_graph(10, 0.4, seed=23)
-        seps = [g.label_set(m) for m in minimal_separator_masks(g)]
+        seps = list(minimal_separator_masks(g))
         stats = EnumMISStatistics()
         sgr = MinimalSeparatorSGR(g, stats=stats, edge_cache_limit=None)
         for v in seps:

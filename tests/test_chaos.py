@@ -645,8 +645,7 @@ class TestDistributedSupervision:
                     runner.address, timeout=5
                 ) as sock:
                     hello = protocol.encode_json(
-                        {"magic": protocol.MAGIC, "protocol": 999,
-                         "wire_formats": ["packed"]}
+                        {"magic": protocol.MAGIC, "protocol": 999}
                     )
                     protocol.send_frame(sock, protocol.MSG_HELLO, hello)
                     frame = protocol.recv_frame(sock)

@@ -392,8 +392,7 @@ class TestProtocol:
         try:
             with socket.create_connection(runner.address, timeout=5) as sock:
                 hello = protocol.encode_json(
-                    {"magic": "wrong", "protocol": protocol.PROTOCOL_VERSION,
-                     "wire_formats": ["packed"]}
+                    {"magic": "wrong", "protocol": protocol.PROTOCOL_VERSION}
                 )
                 protocol.send_frame(sock, protocol.MSG_HELLO, hello)
                 frame = protocol.recv_frame(sock)
@@ -413,8 +412,7 @@ class TestProtocol:
         try:
             with socket.create_connection(runner.address, timeout=5) as sock:
                 hello = protocol.encode_json(
-                    {"magic": protocol.MAGIC, "protocol": 999,
-                     "wire_formats": ["packed"]}
+                    {"magic": protocol.MAGIC, "protocol": 999}
                 )
                 protocol.send_frame(sock, protocol.MSG_HELLO, hello)
                 frame = protocol.recv_frame(sock)

@@ -67,7 +67,46 @@ class TestSerialOrder:
         family = frozenset(itertools.islice(sgr.iter_nodes(), 1))
         first = sgr.extend(family)
         assert sgr.extend(frozenset(family)) is first
-        assert first == extend_parallel_set(graph, family)
+        labels = [graph.label_set(mask) for mask in family]
+        assert {graph.label_set(mask) for mask in first} == set(
+            extend_parallel_set(graph, labels)
+        )
+
+
+class TestSharedSeparators:
+    """Equal separators in different memo entries are one int object."""
+
+    def test_results_share_separator_objects(self):
+        graph = gnp_random_graph(14, 0.35, seed=5)
+        sgr = MinimalSeparatorSGR(graph)
+        first_seen: dict[int, int] = {}
+        occurrences = 0
+        families = enumerate_maximal_independent_sets(sgr)
+        for family in itertools.islice(families, 60):
+            for mask in family:
+                assert first_seen.setdefault(mask, mask) is mask
+                occurrences += mask > 256
+        # Ints above 256 are not cached by the interpreter, so only the
+        # SGR's interning makes a repeat of one the identical object;
+        # the run must repeat some.
+        assert occurrences > sum(mask > 256 for mask in first_seen)
+
+    def test_memo_keys_hold_the_interned_objects(self):
+        graph = gnp_random_graph(14, 0.35, seed=5)
+        sgr = MinimalSeparatorSGR(graph)
+        result = sgr.extend(frozenset())
+        nodes = {mask: mask for mask in sgr.iter_nodes()}
+        for mask in result:
+            assert nodes[mask] is mask
+        # A family decoded off the wire carries fresh int objects.
+        big = max(result)
+        fresh = frozenset([int(str(big))])
+        assert next(iter(fresh)) is not big
+        extended = sgr.extend(fresh)
+        assert big in extended
+        for key, value in sgr._memo.items():
+            for mask in itertools.chain(key, value):
+                assert nodes[mask] is mask
 
 
 class TestBound:
@@ -135,7 +174,7 @@ class TestCoordinatorPaths:
         __, stats, __ = state.run_batch(batch)
         cold_hits = stats.extend_memo_hits
         assert cold_hits < len(directions)
-        __, sgr, __ = state._regions[graph.core.alive]
+        __, sgr = state._regions[graph.core.alive]
         assert sgr.extend_memo_size > 0
         __, stats, __ = state.run_batch(batch)
         assert stats.extend_memo_hits == len(directions)

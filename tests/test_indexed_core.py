@@ -258,13 +258,18 @@ class TestSGREdgeCacheCounters:
         for g in small_random_graphs(8, max_nodes=7, seed=5):
             sgr = MinimalSeparatorSGR(g)
             separators = sorted(all_minimal_separators(g), key=sorted)
+            mask_of = g.mask_of
             for s in separators:
                 for t in separators:
-                    assert sgr.has_edge(s, t) == are_crossing(g, s, t)
+                    assert sgr.has_edge(mask_of(s), mask_of(t)) == are_crossing(
+                        g, s, t
+                    )
             # Asking again is served from the cache and stays consistent.
             for s in separators:
                 for t in separators:
-                    assert sgr.has_edge(s, t) == are_crossing(g, s, t)
+                    assert sgr.has_edge(mask_of(s), mask_of(t)) == are_crossing(
+                        g, s, t
+                    )
 
 
 class TestIndexedGraphStandalone:

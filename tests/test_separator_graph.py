@@ -11,10 +11,12 @@ from repro.chordal.minimal_separators import (
     all_minimal_separators,
     are_crossing,
     is_pairwise_parallel,
+    minimal_separator_masks,
 )
 from repro.chordal.sandwich import is_minimal_triangulation
 from repro.core.extend import extend_parallel_set, minimal_triangulation_via
 from repro.graph.generators import cycle_graph, grid_graph, path_graph
+from repro.graph.graph import Graph
 from repro.sgr.enum_mis import enumerate_maximal_independent_sets
 from repro.sgr.separator_graph import MinimalSeparatorSGR
 
@@ -23,14 +25,41 @@ class TestSGRInterface:
     def test_nodes_are_minimal_separators(self):
         g = cycle_graph(5)
         sgr = MinimalSeparatorSGR(g)
-        assert set(sgr.iter_nodes()) == all_minimal_separators(g)
+        nodes = list(sgr.iter_nodes())
+        assert nodes == list(minimal_separator_masks(g))
+        assert {g.label_set(mask) for mask in nodes} == all_minimal_separators(g)
 
     def test_edges_are_crossings(self):
         g = cycle_graph(6)
         sgr = MinimalSeparatorSGR(g)
         s, t = frozenset({0, 3}), frozenset({1, 4})
-        assert sgr.has_edge(s, t) == are_crossing(g, s, t)
-        assert sgr.has_edge(s, t)
+        assert sgr.has_edge(g.mask_of(s), g.mask_of(t)) == are_crossing(g, s, t)
+        assert sgr.has_edge(g.mask_of(s), g.mask_of(t))
+
+    def test_disconnected_non_chordal_input(self):
+        # Two cycles: the empty separator is a node, as mask 0.
+        g = Graph(edges=list(cycle_graph(4).edges()) + [
+            (u + 10, v + 10) for u, v in cycle_graph(5).edges()
+        ])
+        sgr = MinimalSeparatorSGR(g)
+        nodes = list(sgr.iter_nodes())
+        assert 0 in nodes
+        separators = all_minimal_separators(g)
+        assert frozenset() in separators
+        assert {g.label_set(mask) for mask in nodes} == separators
+        for s in nodes:
+            for t in nodes:
+                assert sgr.has_edge(s, t) == are_crossing(
+                    g, g.label_set(s), g.label_set(t)
+                ), (s, t)
+        for phi in ([], [0], [g.mask_of({0, 2})], [0, g.mask_of({10, 12})]):
+            labels = [g.label_set(mask) for mask in phi]
+            extended = sgr.extend(frozenset(phi))
+            assert {g.label_set(mask) for mask in extended} == set(
+                extend_parallel_set(g, labels)
+            )
+            assert 0 in extended
+            assert extended >= set(phi)
 
     def test_properties(self):
         g = cycle_graph(4)
@@ -108,5 +137,8 @@ class TestEndToEndMIS:
             if not is_connected(g):
                 continue
             sgr = MinimalSeparatorSGR(g)
-            produced = set(enumerate_maximal_independent_sets(sgr))
+            produced = {
+                frozenset(map(g.label_set, family))
+                for family in enumerate_maximal_independent_sets(sgr)
+            }
             assert produced == brute_force_maximal_parallel_families(g)
