@@ -80,8 +80,6 @@ __all__ = [
     "batch_from_bytes",
     "result_to_bytes",
     "result_from_bytes",
-    "reference_batch",
-    "legacy_batch",
 ]
 
 _REF_DTYPE = np.dtype("<u4")
@@ -484,61 +482,3 @@ def result_from_bytes(data: bytes) -> PackedResult:
     validate_result(result)
     return result
 
-
-# ----------------------------------------------------------------------
-# Reference workload for wire-format sizing (benchmark + tests)
-# ----------------------------------------------------------------------
-
-
-def reference_batch(
-    n: int, seed: int = 99
-) -> tuple[list[tuple[int, ...]], tuple[int, ...], int]:
-    """A representative pop batch over an n-vertex graph: ``(answers,
-    directions, words)``.
-
-    The shape mirrors what the coordinator actually dispatches: 16
-    answers of 20 separators drawn from a shared pool of 60 (answers
-    of one region overlap heavily — they are maximal pairwise-parallel
-    families of the same graph) against a 40-separator V-snapshot.
-    Both the payload microbenchmark and the wire-format tests size
-    *this* batch, so the recorded shrink factor and the tested bound
-    always measure the same workload.
-    """
-    import random
-
-    rng = random.Random(seed)
-    words = (n + 63) // 64
-    pool = [rng.getrandbits(n) | 1 << rng.randrange(n) for __ in range(60)]
-    answers = [tuple(rng.sample(pool, 20)) for __ in range(16)]
-    directions = tuple(rng.sample(pool, 40))
-    return answers, directions, words
-
-
-def legacy_batch(
-    region_mask: int,
-    answers: list[tuple[int, ...]],
-    directions: tuple[int, ...],
-    words: int,
-) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """The pre-packed-wire batch structure, sized as it really pickled.
-
-    Every answer member is rebuilt as a *fresh* int object — pickle
-    dedups by object identity only, and the original coordinator
-    decoded each answer's masks separately, so equal masks across
-    answers never shared a pickle memo entry.  The direction tuple is
-    one shared object per batch, exactly as the old dispatch loop
-    passed it.
-    """
-    return (
-        region_mask,
-        [
-            (
-                tuple(
-                    int.from_bytes(m.to_bytes(words * 8, "little"), "little")
-                    for m in answer
-                ),
-                directions,
-            )
-            for answer in answers
-        ],
-    )

@@ -2,8 +2,9 @@
  *
  * The kernels mirror the numpy implementations in
  * repro/graph/bitset_np.py bit for bit; those stay the reference
- * oracles (pinned by tests/test_native_kernels.py and the --check
- * gates of the microbenchmarks).  What the C tier removes is the numpy
+ * oracles (pinned by tests/test_native_kernels.py, and end to end by
+ * the native parameters of tests/test_extend_kernels.py and
+ * tests/test_bitset_np.py).  What the C tier removes is the numpy
  * per-call dispatch and every intermediate array: each kernel is one
  * pass over the packed words with the loop fused end to end.
  */

@@ -13,14 +13,28 @@ import itertools
 import random
 from collections.abc import Iterator
 
+import pytest
+
 from repro.chordal.chordal_separators import minimal_separators_of_chordal
 from repro.chordal.triangulate import get_triangulator, mcs_m
 from repro.core.triangulation import Triangulation
+from repro.graph._native import native
 from repro.graph.components import components_without, connected_components
 from repro.graph.generators import gnp_random_graph, random_chordal_graph
 from repro.graph.graph import Graph
 from repro.sgr.enum_mis import enumerate_maximal_independent_sets
 from repro.sgr.separator_graph import MinimalSeparatorSGR
+
+#: Skips a test only when the compiled kernel tier cannot be built or
+#: loaded here.
+requires_native = pytest.mark.skipif(
+    not native.available(), reason="native extension not buildable here"
+)
+
+#: The packed graph-core tiers as pytest parameters.  ``native`` must
+#: skip rather than run when the extension is missing: a graph
+#: converted to it would silently get the numpy core instead.
+PACKED_TIERS = ("numpy", pytest.param("native", marks=requires_native))
 
 
 def small_random_graphs(count: int, max_nodes: int = 8, seed: int = 99) -> list[Graph]:
@@ -147,3 +161,52 @@ def reference_ranked(
         sgr, mode="UP", priority=lambda family: cost_fn(materialise(family))
     ):
         yield materialise(family)
+
+
+def reference_batch(
+    n: int, seed: int = 99
+) -> tuple[list[tuple[int, ...]], tuple[int, ...], int]:
+    """A representative pop batch over an n-vertex graph: ``(answers,
+    directions, words)``.
+
+    The shape mirrors what the coordinator actually dispatches: 16
+    answers of 20 separators drawn from a shared pool of 60 (answers
+    of one region overlap heavily — they are maximal pairwise-parallel
+    families of the same graph) against a 40-separator V-snapshot.
+    """
+    rng = random.Random(seed)
+    words = (n + 63) // 64
+    pool = [rng.getrandbits(n) | 1 << rng.randrange(n) for __ in range(60)]
+    answers = [tuple(rng.sample(pool, 20)) for __ in range(16)]
+    directions = tuple(rng.sample(pool, 40))
+    return answers, directions, words
+
+
+def legacy_batch(
+    region_mask: int,
+    answers: list[tuple[int, ...]],
+    directions: tuple[int, ...],
+    words: int,
+) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The pre-packed-wire batch structure, sized as it really pickled.
+
+    Every answer member is rebuilt as a *fresh* int object — pickle
+    dedups by object identity only, and the original coordinator
+    decoded each answer's masks separately, so equal masks across
+    answers never shared a pickle memo entry.  The direction tuple is
+    one shared object per batch, exactly as the old dispatch loop
+    passed it.
+    """
+    return (
+        region_mask,
+        [
+            (
+                tuple(
+                    int.from_bytes(m.to_bytes(words * 8, "little"), "little")
+                    for m in answer
+                ),
+                directions,
+            )
+            for answer in answers
+        ],
+    )

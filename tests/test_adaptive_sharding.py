@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from helpers import small_random_graphs
+from helpers import legacy_batch, reference_batch, small_random_graphs
 from repro.core.enumerate import enumerate_minimal_triangulations
 from repro.engine import EngineError, EnumerationEngine, EnumerationJob, wire
 from repro.engine.batching import AdaptiveBatcher
@@ -176,19 +176,17 @@ class TestWireCodec:
         assert len(batch.direction_refs) == 4
 
     def test_payload_shrinks_vs_pickled_ints(self):
-        # The acceptance-criterion shape at n = 2000 (the exact
-        # simulation microbench_parallel.py records — both sides use
-        # wire.reference_batch/legacy_batch): answers overlap heavily
-        # and the direction set is shared, so the interned packed
-        # format must undercut per-reference pickled big ints by at
-        # least 4x.
+        # A coordinator-shaped batch at n = 2000 (reference_batch):
+        # answers overlap heavily and the direction set is shared, so
+        # the interned packed format must undercut per-reference
+        # pickled big ints (legacy_batch) by at least 4x.
         import pickle
 
-        answers, directions, words = wire.reference_batch(2000)
+        answers, directions, words = reference_batch(2000)
         packed = wire.encode_batch(1, answers, directions, words)
         packed_bytes = len(pickle.dumps(packed))
         legacy_bytes = len(
-            pickle.dumps(wire.legacy_batch(1, answers, directions, words))
+            pickle.dumps(legacy_batch(1, answers, directions, words))
         )
         assert legacy_bytes >= 4 * packed_bytes
 

@@ -10,11 +10,12 @@ correctness (an evicted pair recomputes and never flips).
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from helpers import small_random_graphs
+from helpers import PACKED_TIERS, small_random_graphs
 from repro.chordal.minimal_separators import (
     are_crossing_batch_masks,
     are_crossing_masks,
@@ -255,6 +256,32 @@ class TestBatchOracleEquivalence:
                 sgr_numpy.has_edges_batch(v, seps) for v in seps
             ]
             assert matrix_indexed == matrix_numpy
+
+    @pytest.mark.parametrize("tier", ("indexed",) + PACKED_TIERS)
+    @pytest.mark.parametrize("n, p", [(30, 0.35), (200, 0.05)])
+    def test_batch_scalar_and_stateless_oracles_agree(self, tier, n, p):
+        # The first 8 separators probe the next 48.  The scalar oracle
+        # runs on a fresh SGR, so no pair is served from the batch
+        # oracle's edge cache.
+        graph = resolve_graph_backend(
+            gnp_random_graph(n, p, seed=12345), tier
+        )
+        masks = list(itertools.islice(minimal_separator_masks(graph), 56))
+        probes, candidates = masks[:8], masks[8:]
+        assert len(candidates) == 48
+        batch_sgr = MinimalSeparatorSGR(graph)
+        batch = [batch_sgr.has_edges_batch(v, candidates) for v in probes]
+        scalar_sgr = MinimalSeparatorSGR(graph)
+        scalar = [
+            [scalar_sgr.has_edge(v, u) for u in candidates] for v in probes
+        ]
+        stateless = [
+            are_crossing_batch_masks(graph.core, v, candidates)
+            for v in probes
+        ]
+        assert batch == scalar
+        assert stateless == scalar
+        assert 0 < sum(map(sum, scalar)) < len(probes) * len(candidates)
 
 
 class TestEnumerationEquivalence:

@@ -4,10 +4,11 @@ Every vectorized kernel introduced for the Extend pipeline (PR 4) must
 produce bit-identical results to the int-mask reference implementation
 it replaces, on the same random corpus the rest of the suite uses.
 The int-mask paths run on plain :class:`~repro.graph.core.IndexedGraph`
-cores; converting a graph to the ``numpy`` backend switches every
-dispatch point at once, so comparing whole-algorithm outputs across
-backends pins all kernels together, and the unit tests underneath pin
-each kernel in isolation.
+cores; converting a graph to a packed backend (``numpy`` or the
+compiled ``native`` tier) switches every dispatch point at once, so
+comparing whole-algorithm outputs across backends pins all kernels of
+that tier together, and the unit tests underneath pin each numpy
+kernel in isolation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ import random
 import numpy as np
 import pytest
 
-from helpers import small_chordal_graphs, small_random_graphs
+from helpers import (
+    requires_native,
+    small_chordal_graphs,
+    small_random_graphs,
+)
 from repro.chordal.chordal_separators import (
     chordal_separator_masks,
     minimal_separators_of_chordal,
@@ -51,33 +56,64 @@ from repro.graph.bitset_np import (
     word_count,
 )
 from repro.graph.core import IndexedGraph, MaxWeightBuckets
-from repro.graph.generators import cycle_graph, gnp_random_graph
+from repro.graph.generators import (
+    cycle_graph,
+    gnp_random_graph,
+    random_chordal_graph,
+)
 
 
-def both_backends(graph):
-    return (
-        resolve_graph_backend(graph, "indexed"),
-        resolve_graph_backend(graph, "numpy"),
-    )
+def near_chordal_graph(n: int, seed: int):
+    """A random chordal graph with 1% of its edges deleted.
+
+    The shape of the graphs Extend sees inside EnumMIS: ``g[φ]`` is
+    close to triangulated once a few separators are saturated.
+    """
+    graph = random_chordal_graph(n, 0.05, seed=seed)
+    edges = graph.edges()
+    rng = random.Random(seed)
+    for u, v in rng.sample(edges, max(1, len(edges) // 100)):
+        graph.remove_edge(u, v)
+    return graph
 
 
 CORPUS = small_random_graphs(10, max_nodes=12, seed=17) + [
     gnp_random_graph(40, 0.15, seed=3),
     gnp_random_graph(72, 0.07, seed=4),
     cycle_graph(50),
+    gnp_random_graph(48, 0.15, seed=21),
+    gnp_random_graph(96, 0.06, seed=22),
+    cycle_graph(64),
+    near_chordal_graph(128, seed=23),
 ]
 
 
-class TestTriangulatorEquivalence:
+class PackedTier:
+    """Pairs each graph's int-mask core with one packed tier.
+
+    The classes below run on ``numpy``; their ``Native`` subclasses at
+    the end of the module rerun every test on the compiled tier.
+    """
+
+    tier = "numpy"
+
+    def both_backends(self, graph):
+        return (
+            resolve_graph_backend(graph, "indexed"),
+            resolve_graph_backend(graph, self.tier),
+        )
+
+
+class TestTriangulatorEquivalence(PackedTier):
     @pytest.mark.parametrize("index", range(len(CORPUS)))
     def test_mcs_m_fill_and_order_match(self, index):
-        indexed, packed = both_backends(CORPUS[index])
+        indexed, packed = self.both_backends(CORPUS[index])
         assert mcs_m(indexed) == mcs_m(packed)
 
     @pytest.mark.parametrize("index", range(len(CORPUS)))
     def test_mcs_m_with_start_vertex_matches(self, index):
         graph = CORPUS[index]
-        indexed, packed = both_backends(graph)
+        indexed, packed = self.both_backends(graph)
         for first in graph.nodes()[:: max(1, graph.num_nodes // 3)]:
             assert mcs_m(indexed, first=first) == mcs_m(packed, first=first)
 
@@ -86,7 +122,7 @@ class TestTriangulatorEquivalence:
     )
     def test_lb_triang_heuristics_match(self, heuristic):
         for graph in CORPUS:
-            indexed, packed = both_backends(graph)
+            indexed, packed = self.both_backends(graph)
             assert lb_triang(indexed, heuristic=heuristic) == lb_triang(
                 packed, heuristic=heuristic
             )
@@ -96,23 +132,23 @@ class TestTriangulatorEquivalence:
         for graph in CORPUS:
             order = graph.nodes()
             rng.shuffle(order)
-            indexed, packed = both_backends(graph)
+            indexed, packed = self.both_backends(graph)
             assert lb_triang(indexed, order=order) == lb_triang(
                 packed, order=order
             )
 
     def test_elimination_orders_match(self):
         for graph in CORPUS:
-            indexed, packed = both_backends(graph)
+            indexed, packed = self.both_backends(graph)
             assert min_fill_order(indexed) == min_fill_order(packed)
             assert min_degree_order(indexed) == min_degree_order(packed)
 
 
-class TestPeoAndForestEquivalence:
+class TestPeoAndForestEquivalence(PackedTier):
     def test_peo_check_matches_on_random_and_mcs_orders(self):
         rng = random.Random(11)
         for graph in CORPUS:
-            indexed, packed = both_backends(graph)
+            indexed, packed = self.both_backends(graph)
             shuffled = graph.nodes()
             rng.shuffle(shuffled)
             mcs_order = list(reversed(maximum_cardinality_search(graph)))
@@ -123,12 +159,12 @@ class TestPeoAndForestEquivalence:
 
     def test_peo_or_none_matches_on_chordal_corpus(self):
         for graph in small_chordal_graphs(10, max_nodes=16, seed=23):
-            indexed, packed = both_backends(graph)
+            indexed, packed = self.both_backends(graph)
             assert peo_or_none(indexed) == peo_or_none(packed)
 
     def test_clique_forest_matches_on_chordal_corpus(self):
         for graph in small_chordal_graphs(10, max_nodes=16, seed=29):
-            indexed, packed = both_backends(graph)
+            indexed, packed = self.both_backends(graph)
             a, b = mcs_clique_forest(indexed), mcs_clique_forest(packed)
             assert a.cliques == b.cliques
             assert a.parent == b.parent
@@ -136,8 +172,11 @@ class TestPeoAndForestEquivalence:
             assert a.clique_of == b.clique_of
 
     def test_separator_extraction_matches(self):
-        for graph in small_chordal_graphs(10, max_nodes=16, seed=31):
-            indexed, packed = both_backends(graph)
+        corpus = small_chordal_graphs(10, max_nodes=16, seed=31) + [
+            random_chordal_graph(90, 0.15, seed=24)
+        ]
+        for graph in corpus:
+            indexed, packed = self.both_backends(graph)
             assert minimal_separators_of_chordal(
                 indexed
             ) == minimal_separators_of_chordal(packed)
@@ -146,10 +185,10 @@ class TestPeoAndForestEquivalence:
             assert masks_a == masks_b
 
 
-class TestExtendEquivalence:
+class TestExtendEquivalence(PackedTier):
     def test_extend_of_empty_family_matches(self):
         for graph in CORPUS:
-            indexed, packed = both_backends(graph)
+            indexed, packed = self.both_backends(graph)
             assert extend_parallel_set(indexed, ()) == extend_parallel_set(
                 packed, ()
             )
@@ -159,14 +198,14 @@ class TestExtendEquivalence:
             family = sorted(
                 extend_parallel_set(graph, ()), key=sorted
             )[: max(1, graph.num_nodes // 4)]
-            indexed, packed = both_backends(graph)
+            indexed, packed = self.both_backends(graph)
             assert extend_parallel_set(
                 indexed, family
             ) == extend_parallel_set(packed, family)
 
     def test_extend_per_triangulator_matches(self):
         for graph in CORPUS[:6]:
-            indexed, packed = both_backends(graph)
+            indexed, packed = self.both_backends(graph)
             for triangulator in ("mcs_m", "lb_triang", "min_fill"):
                 assert extend_parallel_set(
                     indexed, (), triangulator
@@ -300,3 +339,18 @@ class TestKernelUnits:
             scalar.bump_all(bump, scalar_weights)
             packed.bump_mask(bump)
             assert scalar_weights == packed.weights.tolist()
+
+
+@requires_native
+class TestTriangulatorEquivalenceNative(TestTriangulatorEquivalence):
+    tier = "native"
+
+
+@requires_native
+class TestPeoAndForestEquivalenceNative(TestPeoAndForestEquivalence):
+    tier = "native"
+
+
+@requires_native
+class TestExtendEquivalenceNative(TestExtendEquivalence):
+    tier = "native"

@@ -27,7 +27,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import small_random_graphs
+from helpers import requires_native, small_random_graphs
 from repro.chordal.minimal_separators import (
     BATCH_KERNEL_MIN,
     are_crossing_batch_masks,
@@ -50,10 +50,6 @@ from repro.graph.bitset_np import (
 )
 from repro.graph.core import IndexedGraph
 from repro.graph.generators import gnp_random_graph
-
-requires_native = pytest.mark.skipif(
-    not native.available(), reason="native extension not buildable here"
-)
 
 # Deliberately not a multiple of 64: every kernel must handle the
 # ragged top word exactly like the numpy tier does.
@@ -221,6 +217,37 @@ class TestKernelParity:
             )
             assert native.clique_present_sum(matrix, mask) == want
             assert bnp.clique_present_sum(matrix, mask) == want
+
+    @pytest.mark.parametrize("n", [2500, 4000])
+    def test_wide_matrices(self, rng, n):
+        # Widths where the native tier must pay off: 6 component rows
+        # against 256 remainder rows, a sparse adjacency of average
+        # degree 24, and a 400-member vertex mask.
+        words = word_count(n)
+        components = bnp.pack_masks(
+            [random_mask(rng, n) for __ in range(6)], words
+        )
+        remainders = bnp.pack_masks(
+            [random_mask(rng, n) for __ in range(256)], words
+        )
+        adjacency, __ = random_packed_graph(rng, n, avg_degree=24)
+        members = np.sort(rng.choice(n, size=400, replace=False))
+        mask = bnp.indices_to_mask(members, words)
+        assert np.array_equal(
+            native.crossing_batch(components, remainders),
+            bnp.crossing_batch(components, remainders),
+        )
+        for got, want in zip(
+            native.saturate_batch(adjacency, mask),
+            bnp.saturate_batch(adjacency, mask),
+        ):
+            assert np.array_equal(got, want)
+        assert np.array_equal(
+            native.popcount(adjacency), bnp.popcount(adjacency)
+        )
+        assert native.union_rows(adjacency, members) == bnp.union_rows(
+            adjacency, members
+        )
 
     def test_mcs_queue_parity(self, rng):
         ranks = [int(x) for x in rng.permutation(N)]
