@@ -27,11 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as _np
-
 from repro.errors import NotChordalError
-from repro.graph import bitset_np as _kernel
-from repro.graph.core import MaxWeightBuckets, iter_bits
+from repro.graph.core import iter_bits
 from repro.graph.graph import Graph, Node
 
 __all__ = [
@@ -98,10 +95,10 @@ def clique_forest_masks(
 
     The search runs on the bitmask core: cliques under construction and
     the visited set are masks, so the continuation and parent-clique
-    invariants are single integer comparisons.  On a numpy-backed core
-    the selection queue, the weight bumps and the last-visited argmax
-    run as packed-kernel reductions; the int-mask structures stay the
-    reference path.
+    invariants are single integer comparisons.  The selection queue
+    comes from the core
+    (:meth:`~repro.graph.core.IndexedGraph.selection_queue`), which
+    picks the kernel tier.
 
     Raises
     ------
@@ -114,21 +111,15 @@ def clique_forest_masks(
     if not core.alive:
         return [], [], [], []
 
-    ranks = graph.ranks()
-    # Unvisited vertices bucketed by weight (= number of visited
-    # neighbours); max-weight extraction and weight bumps are mask ops.
+    # The queue holds the unvisited vertices keyed by weight (= number
+    # of visited neighbours).
     unvisited = core.alive
-    matrix = _kernel.packed_view(core)
-    if matrix is not None:
-        ns = _kernel.kernels_for(core)
-        words = matrix.shape[1]
-        visit_time = _np.zeros(len(adj), dtype=_np.int64)
-        queue = ns.PackedMCSQueue(unvisited, ranks, words)
-    else:
-        weights = [0] * len(adj)
-        visit_time = [0] * len(adj)
-        queue = MaxWeightBuckets(unvisited)
-
+    queue = core.selection_queue(unvisited, graph.ranks())
+    # visit_order[k] is the k-th visited vertex and prefix[k] the mask
+    # of the first k, so the last-visited member of a visited set is a
+    # binary search over prefix masks instead of a per-member scan.
+    visit_order: list[int] = []
+    prefix = [0]
     visited = 0
     n_visited = 0
     clique_masks: list[int] = []
@@ -140,9 +131,7 @@ def clique_forest_masks(
     n = core.num_vertices
 
     while n_visited < n:
-        node = (
-            queue.pop_max() if matrix is not None else queue.pop_max(ranks)
-        )
+        node = queue.pop_max()
         bit_node = 1 << node
         unvisited &= ~bit_node
         visited_neighbors = adj[node] & visited
@@ -158,17 +147,14 @@ def clique_forest_masks(
         else:
             # New clique {node} ∪ M(node).
             if card > 0:
-                if matrix is not None and card >= ns.BATCH_MIN:
-                    members = ns.mask_to_indices(visited_neighbors, words)
-                    last_visited = int(
-                        members[_np.argmax(visit_time[members])]
-                    )
-                else:
-                    last_visited = max(
-                        iter_bits(visited_neighbors),
-                        key=visit_time.__getitem__,
-                    )
-                parent_index = clique_of_idx[last_visited]
+                lo, hi = 1, n_visited
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    if visited_neighbors & ~prefix[mid]:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                parent_index = clique_of_idx[visit_order[lo - 1]]
                 if visited_neighbors & ~clique_masks[parent_index]:
                     raise NotChordalError(
                         f"{graph.summary()} is not chordal "
@@ -182,14 +168,12 @@ def clique_forest_masks(
             clique_masks.append(visited_neighbors | 1 << node)
             current_clique = len(clique_masks) - 1
         clique_of_idx[node] = current_clique
-        visit_time[node] = n_visited
         n_visited += 1
         visited |= bit_node
+        visit_order.append(node)
+        prefix.append(visited)
         prev_card = card
-        if matrix is not None:
-            queue.bump_mask(adj[node] & unvisited)
-        else:
-            queue.bump_all(adj[node] & unvisited, weights)
+        queue.bump_mask(adj[node] & unvisited)
 
     return clique_masks, parent, separator_masks, clique_of_idx
 

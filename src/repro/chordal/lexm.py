@@ -19,7 +19,7 @@ label ≤ t by whole-mask frontier expansion.  A vertex first reached at
 threshold t has minimax path key t and qualifies iff its own label
 exceeds t; direct neighbours of v always qualify.  Each sweep round is
 a few wide integer operations, replacing the per-edge heap traversal
-of the minimax Dijkstra (kept as :func:`_lexm_reachable_heap`, the
+of the minimax Dijkstra (kept in ``tests/test_lexm.py`` as the
 verification oracle for the property corpus).  The only difference
 from MCS-M is that label values are tuples, so the buckets are
 rebuilt per step from a dict keyed by tuple instead of reusing the
@@ -29,8 +29,6 @@ Registered in the triangulator registry as ``"lex_m"``.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from repro.graph.core import iter_bits
 from repro.graph.graph import Graph, Node, edge_key, sort_edges
@@ -134,53 +132,3 @@ def _lexm_reachable_mask(
         if reached == avail:
             break
     return update_set
-
-
-def _lexm_reachable_heap(
-    adj: list[int],
-    labels: list[tuple[int, ...]],
-    unnumbered: int,
-    v: int,
-) -> list[int]:
-    """Reference minimax Dijkstra over lexicographic labels.
-
-    The pre-bucket-mask implementation, kept as the verification
-    oracle: ``key(u)`` is the minimum over v→u paths of the maximum
-    internal label (``None`` playing −∞ for direct edges); u qualifies
-    iff ``key(u) < label(u)``.
-    """
-    best: dict[int, tuple[int, ...] | None] = {}
-    counter = 0
-    heap: list[tuple[tuple[int, ...], int, int]] = []
-    not_v = ~(1 << v)
-    for u in iter_bits(adj[v] & unnumbered):
-        best[u] = None
-        heap.append(((), counter, u))
-        counter += 1
-    heapq.heapify(heap)
-    while heap:
-        key_tuple, __, u = heapq.heappop(heap)
-        current = best.get(u, ())
-        if current is not None and key_tuple != current:
-            continue
-        through = max(
-            key_tuple if current is not None else (),
-            labels[u],
-        )
-        for x in iter_bits(adj[u] & unnumbered & not_v):
-            existing = best.get(x, _MISSING)
-            if existing is _MISSING or (
-                existing is not None and through < existing
-            ):
-                best[x] = through
-                heapq.heappush(heap, (through, counter, x))
-                counter += 1
-    result = []
-    for u, key_value in best.items():
-        threshold = labels[u]
-        if key_value is None or key_value < threshold:
-            result.append(u)
-    return result
-
-
-_MISSING = object()

@@ -28,7 +28,6 @@ the label-based implementation they replace.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 
 from repro.errors import NotChordalError
@@ -67,30 +66,19 @@ def maximum_cardinality_search(graph: Graph, first: Node | None = None) -> list[
     adj = core.adj
     if first is not None and first not in graph:
         raise KeyError(first)
-    weights = [0] * len(adj)
+    unvisited = core.alive
+    # The core's selection queue breaks weight ties by label rank.
+    queue = core.selection_queue(unvisited, graph.ranks())
     if first is not None:
-        weights[graph.index_of(first)] = 1  # forces `first` to be picked first
-    ranks = graph.ranks()
-    visited = 0
-    order: list[int] = []
-    n = core.num_vertices
-    # A lazy max-heap over (-weight, rank, index); stale entries are
-    # skipped on pop.  The label rank makes tie-breaking deterministic.
-    heap: list[tuple[int, int, int]] = [
-        (-weights[i], ranks[i], i) for i in graph.sorted_indices()
-    ]
-    heapq.heapify(heap)
-    while len(order) < n:
-        weight, __, node = heapq.heappop(heap)
-        if visited >> node & 1 or -weight != weights[node]:
-            continue
-        visited |= 1 << node
-        order.append(node)
-        for neigh in iter_bits(adj[node] & ~visited):
-            weights[neigh] += 1
-            heapq.heappush(heap, (-weights[neigh], ranks[neigh], neigh))
+        queue.bump_mask(1 << graph.index_of(first))  # picked first
     label_of = graph.label_of
-    return [label_of(i) for i in order]
+    order: list[Node] = []
+    while unvisited:
+        node = queue.pop_max()
+        unvisited &= ~(1 << node)
+        order.append(label_of(node))
+        queue.bump_mask(adj[node] & unvisited)
+    return order
 
 
 def lex_bfs(graph: Graph) -> list[Node]:

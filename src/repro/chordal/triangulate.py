@@ -34,18 +34,8 @@ import numpy as _np
 
 from repro.chordal.peo import elimination_fill_in
 from repro.graph import bitset_np as _kernel
-from repro.graph.core import MaxWeightBuckets, iter_bits
+from repro.graph.core import iter_bits
 from repro.graph.graph import Graph, Node, edge_key, sort_edges
-
-
-def _packed_view(core):
-    """The core's packed adjacency matrix, or ``None`` on the int tier."""
-    return _kernel.packed_view(core)
-
-
-def _kernels_for(core):
-    """The kernel namespace serving ``core`` (numpy module or native)."""
-    return _kernel.kernels_for(core)
 
 __all__ = [
     "mcs_m",
@@ -58,10 +48,6 @@ __all__ = [
     "available_triangulators",
     "register_triangulator",
 ]
-
-
-def _key(node: Node) -> tuple[str, str]:
-    return (type(node).__name__, repr(node))
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +67,10 @@ def mcs_m(graph: Graph, first: Node | None = None) -> tuple[list[tuple[Node, Nod
     minimal triangulation and the returned ordering (eliminated-first
     first) is a minimal elimination ordering of it.
 
+    The selection queue comes from the graph core
+    (:meth:`~repro.graph.core.IndexedGraph.selection_queue`), so this
+    one loop serves every kernel tier with the same output.
+
     Parameters
     ----------
     first:
@@ -89,96 +79,35 @@ def mcs_m(graph: Graph, first: Node | None = None) -> tuple[list[tuple[Node, Nod
     """
     core = graph.core
     adj = core.adj
-    ranks = graph.ranks()
     unnumbered = core.alive
-    matrix = _packed_view(core)
-    label_of = graph.label_of
+    labels = graph.interner.labels_dense
     fill: list[tuple[Node, Node]] = []
     reverse_order: list[Node] = []
-
-    if matrix is not None:
-        # Packed tier: flat argmax selection queue, fancy-indexed
-        # weight bumps, and the threshold sweep routed through the
-        # word matrix.  MCS-M never mutates the graph, so the matrix
-        # stays valid for the whole run.  The int-mask branch below is
-        # the reference implementation this one is tested against.
-        ns = _kernels_for(core)
-        words = matrix.shape[1]
-        queue = ns.PackedMCSQueue(unnumbered, ranks, words)
-        if first is not None:
-            if first not in graph:
-                raise KeyError(first)
-            queue.bump_mask(1 << graph.index_of(first))
-        while unnumbered:
-            v = queue.pop_max()
-            unnumbered &= ~(1 << v)
-            reverse_order.append(label_of(v))
-            update_set = _mcs_m_update_mask_packed(
-                matrix, adj, queue.weights, unnumbered, v, ns
-            )
-            queue.bump_mask(update_set)
-            label_v = label_of(v)
-            rank_v = ranks[v]
-            m = update_set & ~adj[v]
-            # Canonical (sorted) edge tuples via the precomputed label
-            # ranks — same order edge_key produces, without a label
-            # comparison per fill edge.
-            if m.bit_count() >= ns.BATCH_MIN:
-                for u in ns.mask_to_indices(m, words):
-                    label_u = label_of(u)
-                    fill.append(
-                        (label_u, label_v)
-                        if ranks[u] < rank_v
-                        else (label_v, label_u)
-                    )
-            else:
-                while m:
-                    low = m & -m
-                    m ^= low
-                    u = low.bit_length() - 1
-                    label_u = label_of(u)
-                    fill.append(
-                        (label_u, label_v)
-                        if ranks[u] < rank_v
-                        else (label_v, label_u)
-                    )
-        reverse_order.reverse()
-        fill = sort_edges(fill)
-        return fill, reverse_order
-
-    weights = [0] * len(adj)
-    queue = MaxWeightBuckets(unnumbered)
+    queue = core.selection_queue(unnumbered, graph.ranks())
     if first is not None:
         if first not in graph:
             raise KeyError(first)
-        index = graph.index_of(first)
-        weights[index] = 1
-        queue.bump(index, 0)
+        queue.bump_mask(1 << graph.index_of(first))
 
     while unnumbered:
-        v = queue.pop_max(ranks)
+        v = queue.pop_max()
         unnumbered &= ~(1 << v)
-        reverse_order.append(label_of(v))
-        update_set = _mcs_m_update_mask(adj, queue.buckets, unnumbered, v)
-        queue.bump_all(update_set, weights)
-        label_v = label_of(v)
+        label_v = labels[v]
+        reverse_order.append(label_v)
+        update_set = _mcs_m_update_mask(core, queue, unnumbered, v)
+        queue.bump_mask(update_set)
         m = update_set & ~adj[v]
         while m:
             low = m & -m
             m ^= low
-            fill.append(edge_key(label_of(low.bit_length() - 1), label_v))
+            fill.append(edge_key(labels[low.bit_length() - 1], label_v))
 
     reverse_order.reverse()
     fill = sort_edges(fill)
     return fill, reverse_order
 
 
-def _mcs_m_update_mask(
-    adj: list[int],
-    buckets: dict[int, int],
-    unnumbered: int,
-    v: int,
-) -> int:
+def _mcs_m_update_mask(core, queue, unnumbered: int, v: int) -> int:
     """Return the MCS-M update set S for vertex ``v`` as a bitmask.
 
     ``u ∈ S`` iff there is a path from v to u through unnumbered
@@ -187,112 +116,50 @@ def _mcs_m_update_mask(
     maximum internal weight (−1 when a direct edge exists).
 
     Because MCS-M weights are small integers, the minimax Dijkstra
-    collapses into a *threshold sweep* over the caller's weight-bucket
-    masks: for ascending thresholds t, grow the set reachable through
-    internal vertices of weight ≤ t by whole-mask frontier expansion.
-    A vertex first reached at threshold t has ``key = t`` and qualifies
-    iff ``w > t``; direct neighbours (key −1) always qualify.  Each
-    sweep round costs a few wide integer operations, so the whole
-    update is O(levels · rounds) big-int ops instead of a per-edge heap
-    traversal.
-
-    This is the int-mask reference implementation;
-    :func:`_mcs_m_update_mask_packed` is the word-matrix port used on
-    numpy-backed cores.
+    collapses into a *threshold sweep* over the queue's weight levels
+    (``queue.levels``): for ascending thresholds t, grow the set
+    reachable through internal vertices of weight ≤ t by whole-mask
+    frontier expansion.  A vertex first reached at threshold t has
+    ``key = t`` and qualifies iff ``w > t``; direct neighbours (key −1)
+    always qualify.  Each sweep round costs a few wide integer
+    operations, so the whole update is O(levels · rounds) big-int ops
+    instead of a per-edge heap traversal.  Small frontiers are unioned
+    inline; wide ones go to the core, which reduces them on the packed
+    matrix when it has one.
     """
-    avail = unnumbered
-    reached = adj[v] & avail
+    adj = core.adj
+    reached = adj[v] & unnumbered
     if not reached:
         return 0
     update_set = reached  # key = −1 < w(u) for every unnumbered vertex
-    if reached == avail:
+    unreached = unnumbered ^ reached
+    if not unreached:
         return update_set
 
-    processed = 0
+    gather_min = core.MIN_GATHER
+    pending = reached  # reached, neighbourhood not yet swept
     weight_le = 0
-    for t in sorted(buckets):
-        bucket = buckets[t] & avail
-        if not bucket:
-            continue
-        weight_le |= bucket
-        while True:
-            frontier = reached & weight_le & ~processed
-            if not frontier:
-                break
-            processed |= frontier
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= adj[low.bit_length() - 1]
-                frontier ^= low
-            new = grown & avail & ~reached
-            if new:
-                reached |= new
-                update_set |= new & ~weight_le  # key = t < w(x)
-        if reached == avail:
-            break
-    return update_set
-
-
-def _mcs_m_update_mask_packed(
-    matrix,
-    adj: list[int],
-    weights,
-    unnumbered: int,
-    v: int,
-    ns=None,
-) -> int:
-    """The MCS-M update sweep on the packed word-matrix tier.
-
-    Same threshold sweep as :func:`_mcs_m_update_mask`, with the two
-    per-member costs vectorized: the weight levels are derived from the
-    flat weight array in one batched ``packbits``
-    (:func:`repro.graph.bitset_np.weight_level_rows` — there are no
-    bucket masks to maintain on this tier), and each wide frontier's
-    neighbourhood union is one row reduction over the packed adjacency
-    (:func:`repro.graph.bitset_np.union_rows`).  ``ns`` is the kernel
-    namespace to dispatch through (numpy module or the native tier).
-    """
-    if ns is None:
-        ns = _kernel
-    avail = unnumbered
-    reached = adj[v] & avail
-    if not reached:
-        return 0
-    update_set = reached  # key = −1 < w(u) for every unnumbered vertex
-    if reached == avail:
-        return update_set
-
-    words = matrix.shape[1]
-    avail_idx = ns.mask_to_indices(avail, words)
-    level_rows = ns.weight_level_rows(avail_idx, weights[avail_idx], words)
-    batch_min = ns.BATCH_MIN
-    union_rows = ns.union_rows
-    mask_to_indices = ns.mask_to_indices
-    processed = 0
-    weight_le = 0
-    for row in level_rows:
-        # Lazy level decode: sweeps usually saturate `reached` well
-        # before the last weight level.
-        weight_le |= int.from_bytes(row.tobytes(), "little")
-        while True:
-            frontier = reached & weight_le & ~processed
-            if not frontier:
-                break
-            processed |= frontier
-            if frontier.bit_count() >= batch_min:
-                grown = union_rows(matrix, mask_to_indices(frontier, words))
+    for level in queue.levels(unnumbered):
+        weight_le |= level
+        frontier = pending & weight_le
+        while frontier:
+            pending ^= frontier
+            if gather_min is not None and frontier.bit_count() >= gather_min:
+                grown = core.neighborhood_of_set(frontier)
             else:
                 grown = 0
                 while frontier:
                     low = frontier & -frontier
                     grown |= adj[low.bit_length() - 1]
                     frontier ^= low
-            new = grown & avail & ~reached
-            if new:
-                reached |= new
-                update_set |= new & ~weight_le  # key = t < w(x)
-        if reached == avail:
+            new = grown & unreached
+            if not new:
+                break
+            unreached ^= new
+            pending |= new
+            frontier = new & weight_le
+            update_set |= new ^ frontier  # key = t < w(x)
+        if not unreached:
             break
     return update_set
 
@@ -337,8 +204,8 @@ def lb_triang(
     if explicit is None and heuristic not in {"min_fill", "min_degree", "natural"}:
         raise ValueError(f"unknown LB-Triang heuristic {heuristic!r}")
     ranks = filled.ranks()
-    matrix = _packed_view(core)
-    ns = _kernels_for(core) if matrix is not None else None
+    matrix = _kernel.packed_view(core)
+    ns = _kernel.kernels_for(core) if matrix is not None else None
     ranks_arr = (
         _np.asarray(ranks, dtype=_np.int64) if matrix is not None else None
     )
@@ -408,9 +275,9 @@ def _pick_dynamic(
     """
     adj = core.adj
     if ns is None and ranks_arr is not None:
-        ns = _kernels_for(core)
+        ns = _kernel.kernels_for(core)
     if ranks_arr is not None and remaining.bit_count() >= ns.BATCH_MIN:
-        matrix = _packed_view(core)
+        matrix = _kernel.packed_view(core)
         idx = ns.mask_to_indices(remaining, matrix.shape[1])
         if heuristic == "natural":
             return int(idx[_np.argmin(ranks_arr[idx])])

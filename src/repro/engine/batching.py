@@ -28,7 +28,7 @@ worker could be running, whatever the target says.
 
 The batcher is also the coordinator's clock (``clock`` is injectable,
 so tests drive sizing decisions deterministically without wall-time
-sleeps).  It holds no reporting state of its own: the IPC/latency/byte
+sleeps).  It holds no reporting state of its own: the latency/byte
 accounting lives on the run's
 :class:`~repro.sgr.enum_mis.EnumMISStatistics`, incremented by the
 coordinator right where it feeds this cost model — one source of

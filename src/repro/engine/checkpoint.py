@@ -34,7 +34,7 @@ and re-emits only what the consumer never saw.  Statistics are stored
 once at the document level (every region folds into one shared
 :class:`~repro.sgr.enum_mis.EnumMISStatistics`); that includes the
 stage timers and wire accounting (``extend_time_ns``,
-``crossing_time_ns``, ``ipc_time_ns``, ``ipc_payload_bytes``,
+``crossing_time_ns``, ``ipc_payload_bytes``,
 ``batches_dispatched``, ``batch_roundtrip_ns``) — all plain integer
 counters, so a resumed run's report covers the whole enumeration, not
 just the post-resume half, and files from before a counter existed

@@ -43,7 +43,7 @@ Task sizing is delegated to an
 regions of one job): every completed batch reports its pair count,
 worker compute time and round-trip, and the next batch is sized to the
 job's target duration from the observed per-pair cost.  The same
-measurements are folded into the run statistics (``ipc_time_ns``,
+measurements are folded into the run statistics (``batch_roundtrip_ns``,
 ``ipc_payload_bytes``, ``batches_dispatched``), so the report and the
 policy can never disagree about what was observed.  Batches leave the
 process in the packed wire format of :mod:`repro.engine.wire`; an
@@ -293,8 +293,6 @@ class MISCoordinator:
         roundtrip = max(0, collected_ns - entry.submitted_ns)
         compute_ns = min(compute_ns, roundtrip)
         stats = self._stats
-        if not self._in_process:
-            stats.ipc_time_ns += roundtrip - compute_ns
         stats.ipc_payload_bytes += entry.sent_bytes + received
         stats.batches_dispatched += 1
         stats.batch_roundtrip_ns += roundtrip

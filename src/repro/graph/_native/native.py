@@ -567,7 +567,7 @@ def clique_present_sum(matrix: np.ndarray, mask: int) -> int:
 
 
 class NativeMCSQueue(_NumpyMCSQueue):
-    """PackedMCSQueue with argmax selection and bumps dispatched to C.
+    """PackedMCSQueue with selection, bumps and levels dispatched to C.
 
     Pop order is bit-identical to the numpy queue (first maximum of the
     same flat key array); the win is removing one numpy dispatch per
@@ -575,6 +575,9 @@ class NativeMCSQueue(_NumpyMCSQueue):
     """
 
     __slots__ = ("_key_ptr", "_weights_ptr")
+
+    _mask_to_indices = staticmethod(mask_to_indices)
+    _weight_level_rows = staticmethod(weight_level_rows)
 
     def __init__(self, initial_mask: int, ranks, words: int) -> None:
         super().__init__(initial_mask, ranks, words)
@@ -603,7 +606,8 @@ class NativeMCSQueue(_NumpyMCSQueue):
         )
 
 
-#: The namespace name the chordal layer constructs queues through.
+#: The namespace name :meth:`NumpyGraphCore.selection_queue` constructs
+#: queues through.
 PackedMCSQueue = NativeMCSQueue
 
 

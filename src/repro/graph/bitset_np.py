@@ -35,11 +35,13 @@ matrices* so those sweeps become single vectorized numpy expressions:
   missing pair of a would-be clique in one pass, :func:`is_peo_packed`
   verifies a perfect elimination ordering with matrix-level cumulative
   ORs, and :class:`PackedMCSQueue` (with :func:`weight_level_rows`)
-  replaces the per-bit bucket scans of the MCS-family searches with
-  argmax reductions over a flat key array.
-  :func:`packed_view` is how the chordal layer detects a numpy-backed
-  core and routes onto these kernels (the int-mask implementations
-  stay the reference oracles);
+  is the MCS selection queue of this tier: argmax reductions over a
+  flat key array instead of per-bit bucket scans.  The MCS-family
+  searches get it from :meth:`NumpyGraphCore.selection_queue` and run
+  the same loop as on the int tier.
+  :func:`packed_view` is how LB-Triang and the PEO check detect a
+  numpy-backed core and route onto these kernels (the int-mask
+  implementations stay the reference oracles);
 * :class:`NumpyGraphCore` is an :class:`~repro.graph.core.IndexedGraph`
   whose batch-heavy methods (neighbourhood-of-set, component
   expansion) run on a lazily maintained packed adjacency matrix —
@@ -56,12 +58,12 @@ on mutation, rebuilt on demand — so correctness never depends on them.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.graph.core import IndexedGraph, bit_list, iter_bits
+from repro.graph.core import IndexedGraph, MaxWeightBuckets, bit_list, iter_bits
 
 __all__ = [
     "WORD_BITS",
@@ -412,22 +414,27 @@ def weight_level_rows(
 
 
 class PackedMCSQueue:
-    """Max-(weight, min-rank) vertex selection for the packed tier.
+    """The MCS selection queue of the packed tier.
 
-    The int tier's :class:`~repro.graph.core.MaxWeightBuckets` keeps
-    per-weight bucket masks and scans the top bucket bit by bit; on
-    wide graphs both halves become per-member Python work.  This
-    structure keeps a flat int64 *key* array ``weight · stride − rank``
-    instead: popping the next MCS vertex is one ``argmax``, bumping a
-    whole update set is one fancy-indexed add, and no buckets exist to
-    maintain (the MCS-M sweep derives its levels per call via
-    :func:`weight_level_rows`).  Pop order is identical to the int
-    tier: maximum weight first, ties broken by minimum label rank.
+    Same interface and pop order as the int tier's
+    :class:`~repro.graph.core.MaxWeightBuckets` (maximum weight first,
+    ties broken by minimum label rank), without its per-member bucket
+    work: a flat int64 *key* array ``weight · stride − rank`` makes
+    popping the next vertex one ``argmax`` and bumping a whole update
+    set one fancy-indexed add.  No buckets are kept; :meth:`levels`
+    derives the weight levels on demand with one batched
+    :func:`weight_level_rows` call.  Graph cores hand these out through
+    :meth:`NumpyGraphCore.selection_queue`.
     """
 
     __slots__ = ("weights", "_key", "_stride", "_words")
 
     _POPPED = np.iinfo(np.int64).min
+
+    #: The kernels :meth:`levels` runs on (the native queue swaps in
+    #: its compiled twins).
+    _mask_to_indices = staticmethod(mask_to_indices)
+    _weight_level_rows = staticmethod(weight_level_rows)
 
     def __init__(self, initial_mask: int, ranks, words: int) -> None:
         ranks_arr = np.asarray(ranks, dtype=np.int64)
@@ -452,6 +459,17 @@ class PackedMCSQueue:
         idx = mask_to_indices(mask, self._words)
         self.weights[idx] += 1
         self._key[idx] += self._stride
+
+    def levels(self, avail: int) -> Iterator[int]:
+        """Yield the non-empty weight levels within ``avail``, ascending.
+
+        Rows are decoded to int masks lazily: the MCS-M sweep usually
+        stops well before the last level.
+        """
+        words = self._words
+        idx = self._mask_to_indices(avail, words)
+        for row in self._weight_level_rows(idx, self.weights[idx], words):
+            yield int.from_bytes(row.tobytes(), "little")
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +593,7 @@ class NumpyGraphCore(IndexedGraph):
 
     #: Minimum number of rows in a sweep before the packed matrix is
     #: used; below it the inherited int-mask loop is faster.
-    _MIN_GATHER = 16
+    MIN_GATHER = 16
 
     def __init__(self, num_vertices: int = 0) -> None:
         super().__init__(num_vertices)
@@ -632,11 +650,12 @@ class NumpyGraphCore(IndexedGraph):
 
         The width-adaptive gate of the packed Extend kernels: narrow
         graphs (disjoint paths and cycles) keep every sweep frontier at
-        ≤ 2 vertices, so :func:`packed_view` routes them back to the
-        int-mask reference path.  The verdict is cached until the next
-        mutation (``packed_view`` runs once per LB-Triang step, and a
-        wide graph whose low-index vertices happen to form a long
-        degree-2 tail would otherwise pay a near-full scan per call);
+        ≤ 2 vertices, so :func:`packed_view` and :meth:`selection_queue`
+        route them back to the int-mask kernels.  The verdict is cached
+        until the next mutation (``packed_view`` runs once per
+        LB-Triang step, and a wide graph whose low-index vertices
+        happen to form a long degree-2 tail would otherwise pay a
+        near-full scan per call);
         on a miss, any vertex of higher degree exits the scan
         immediately, so the compute is O(1) on typical wide graphs and
         O(n) only for graphs that are narrow or nearly so.
@@ -716,7 +735,7 @@ class NumpyGraphCore(IndexedGraph):
             # workers must never write into the coordinator's segment.
             packed = self._packed = packed.copy()
         kernels = self._kernel_namespace()
-        if mask.bit_count() < self._MIN_GATHER:
+        if mask.bit_count() < self.MIN_GATHER:
             added = super().saturate(mask)
             if added:
                 u_arr = np.fromiter(
@@ -739,10 +758,19 @@ class NumpyGraphCore(IndexedGraph):
         kernels.set_edge_bits(packed, u_arr, v_arr)
         return added
 
+    def selection_queue(self, initial_mask: int, ranks):
+        """The tier's :class:`PackedMCSQueue`; the int-tier buckets when
+        the graph is narrow (the same gate as :func:`packed_view`)."""
+        if self.is_narrow():
+            return MaxWeightBuckets(initial_mask, ranks)
+        return self._kernel_namespace().PackedMCSQueue(
+            initial_mask, ranks, word_count(len(self.adj))
+        )
+
     # -- batch-accelerated queries -------------------------------------
 
     def neighborhood_of_set(self, mask: int) -> int:
-        if mask.bit_count() < self._MIN_GATHER:
+        if mask.bit_count() < self.MIN_GATHER:
             return super().neighborhood_of_set(mask)
         kernels = self._kernel_namespace()
         matrix = self._matrix()
@@ -768,7 +796,7 @@ class NumpyGraphCore(IndexedGraph):
         if (
             matrix is None
             or matrix.shape[0] != len(self.adj)
-            or k < self._MIN_GATHER
+            or k < self.MIN_GATHER
         ):
             return super().missing_pair_count(mask)
         present = self._kernel_namespace().clique_present_sum(matrix, mask)
@@ -797,11 +825,11 @@ GRAPH_BACKENDS: dict[str, type[IndexedGraph]] = {
 def kernels_for(core) -> "object":
     """The kernel namespace serving a graph core.
 
-    The chordal layer and the separator graph call module-level kernels
-    (``crossing_batch``, ``weight_level_rows``, ``PackedMCSQueue``, …)
-    keyed only on the packed matrix; this is the per-core dispatch
-    point that lets :class:`NativeGraphCore` route the *same* call
-    sites onto the compiled tier.  Cores without an opinion (plain
+    The graph core, the chordal layer and the separator graph call
+    module-level kernels (``crossing_batch``, ``union_rows``,
+    ``PackedMCSQueue``, …) keyed only on the packed matrix; this is
+    the per-core dispatch point that lets :class:`NativeGraphCore`
+    route the *same* call sites onto the compiled tier.  Cores without an opinion (plain
     :class:`~repro.graph.core.IndexedGraph`, or a mock in tests) get
     this module — the numpy reference tier.
     """
@@ -863,10 +891,9 @@ def core_backend_name(core: IndexedGraph) -> str:
 def packed_view(core: IndexedGraph) -> np.ndarray | None:
     """The packed adjacency matrix of a numpy-backed core, else ``None``.
 
-    This is the dispatch point of the Extend-side kernels: the chordal
-    layer (MCS-M, LB-Triang, the PEO check, the clique-forest scan)
-    asks for a packed view and routes onto the word-matrix kernels
-    when one exists, keeping the int-mask implementations as the
+    This is the dispatch point of the Extend-side kernels: LB-Triang
+    and the PEO check ask for a packed view and route onto the
+    word-matrix kernels when one exists, keeping the int-mask implementations as the
     reference oracles for plain :class:`~repro.graph.core.IndexedGraph`
     cores.  The returned matrix is the core's live mirror — treat it
     as read-only and do not hold it across mutations.

@@ -187,29 +187,35 @@ class NodeInterner:
 
 
 class MaxWeightBuckets:
-    """A max-priority structure over small integer vertex weights.
+    """The MCS selection queue of the int-mask tier.
 
-    Vertices live in bucket masks keyed by weight; extracting the
-    max-weight vertex (ties broken by smallest label rank) and bumping
-    a weight by one are pure mask updates, replacing the lazy heaps of
-    the MCS-family searches.  ``buckets`` is exposed because the MCS-M
-    update sweep walks the weight levels directly.
+    ``buckets[w]`` is the mask of queued vertices of weight ``w``, so
+    popping the max-weight vertex (ties broken by smallest label rank)
+    and bumping a whole update set are pure mask updates, and the
+    bucket list is already the ascending level order :meth:`levels`
+    walks.  The interface is shared with the packed tier's
+    :class:`~repro.graph.bitset_np.PackedMCSQueue`: :meth:`pop_max`,
+    :meth:`bump_mask`, :attr:`weights` and :meth:`levels`.  Graph cores
+    hand these out through :meth:`IndexedGraph.selection_queue`.
     """
 
-    __slots__ = ("buckets", "max_weight")
+    __slots__ = ("buckets", "weights", "max_weight", "_ranks")
 
-    def __init__(self, initial_mask: int) -> None:
-        self.buckets: dict[int, int] = {0: initial_mask} if initial_mask else {}
+    def __init__(self, initial_mask: int, ranks: list[int]) -> None:
+        self.buckets: list[int] = [initial_mask]
+        self.weights = [0] * len(ranks)
         self.max_weight = 0
+        self._ranks = ranks
 
-    def pop_max(self, ranks: list[int]) -> int:
+    def pop_max(self) -> int:
         """Remove and return the min-rank vertex of the highest bucket."""
         w = self.max_weight
         buckets = self.buckets
-        while not buckets.get(w, 0):
+        while not buckets[w]:
             w -= 1
         self.max_weight = w
         candidates = buckets[w]
+        ranks = self._ranks
         best = -1
         best_rank = -1
         m = candidates
@@ -222,36 +228,33 @@ class MaxWeightBuckets:
         buckets[w] = candidates & ~(1 << best)
         return best
 
-    def bump(self, index: int, old_weight: int) -> None:
-        """Move ``index`` from ``old_weight`` to ``old_weight + 1``."""
-        bit = 1 << index
+    def bump_mask(self, mask: int) -> None:
+        """Add one to the weight of every member of ``mask``."""
         buckets = self.buckets
-        buckets[old_weight] &= ~bit
-        new_weight = old_weight + 1
-        buckets[new_weight] = buckets.get(new_weight, 0) | bit
-        if new_weight > self.max_weight:
-            self.max_weight = new_weight
-
-    def bump_all(self, mask: int, weights: list[int]) -> None:
-        """Increment ``weights`` and re-bucket every vertex of ``mask``.
-
-        One call per search step instead of one per member keeps the
-        method-call overhead out of the MCS hot loops.
-        """
-        buckets = self.buckets
+        weights = self.weights
         max_weight = self.max_weight
         while mask:
             low = mask & -mask
             i = low.bit_length() - 1
             mask ^= low
             w = weights[i]
-            weights[i] = w + 1
             buckets[w] &= ~low
-            new_weight = w + 1
-            buckets[new_weight] = buckets.get(new_weight, 0) | low
-            if new_weight > max_weight:
-                max_weight = new_weight
+            w += 1
+            weights[i] = w
+            if w < len(buckets):
+                buckets[w] |= low
+            else:
+                buckets.append(low)
+            if w > max_weight:
+                max_weight = w
         self.max_weight = max_weight
+
+    def levels(self, avail: int) -> Iterator[int]:
+        """Yield the non-empty weight levels within ``avail``, ascending."""
+        for level in self.buckets:
+            level &= avail
+            if level:
+                yield level
 
 
 class IndexedGraph:
@@ -269,6 +272,11 @@ class IndexedGraph:
     """
 
     __slots__ = ("adj", "alive", "num_edges")
+
+    #: Frontier size from which :meth:`neighborhood_of_set` gathers in
+    #: one batched kernel call, or ``None`` when it never does (here:
+    #: the union is the same per-row loop a caller would run inline).
+    MIN_GATHER: int | None = None
 
     def __init__(self, num_vertices: int = 0) -> None:
         self.adj: list[int] = [0] * num_vertices
@@ -430,6 +438,17 @@ class IndexedGraph:
         for i in iter_bits(mask):
             total += (adj[i] & mask).bit_count()
         return total // 2
+
+    def selection_queue(
+        self, initial_mask: int, ranks: list[int]
+    ) -> MaxWeightBuckets:
+        """The MCS selection queue over ``initial_mask``, all weights 0.
+
+        Every MCS-family search (MCS-M, the clique-forest scan, plain
+        MCS) takes its queue from the core, so the kernel tier picks
+        the queue and the searches stay one loop each.
+        """
+        return MaxWeightBuckets(initial_mask, ranks)
 
     # ------------------------------------------------------------------
     # Connectivity

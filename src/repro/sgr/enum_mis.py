@@ -58,23 +58,16 @@ class EnumMISStatistics:
     :func:`enumerate_maximal_independent_sets`, which updates it in
     place while running.
 
-    Besides the event counters, three *stage timers* break the run down
+    Besides the event counters, two *stage timers* break the run down
     into its pipeline stages, in integer nanoseconds: ``extend_time_ns``
-    (the ``Extend`` triangulation), ``crossing_time_ns`` (the direction
-    edge-oracle sweeps) and ``ipc_time_ns`` (everything a task batch
-    spends off-CPU between the sharded coordinator and its workers —
-    pickling, transport, and queueing behind other in-flight batches;
-    0 for in-process execution).  ``ipc_time_ns`` sums per-batch
-    round-trip − compute over batches that are deliberately pipelined
-    several deep per worker, so concurrent waits overlap and the total
-    can exceed the run's wall clock — it is a queueing-theory quantity
-    (mean off-CPU latency × batch count), not a share of elapsed time.
-    The serial pipeline and the sharded workers fill the same fields,
-    so serial-vs-sharded comparisons share a vocabulary, and the
-    sharded coordinator's adaptive batcher feeds on the same
-    measurements it reports.  ``ipc_payload_bytes`` /
-    ``batches_dispatched`` / ``batch_roundtrip_ns`` size the wire
-    traffic behind ``ipc_time_ns``.
+    (the ``Extend`` triangulation) and ``crossing_time_ns`` (the
+    direction edge-oracle sweeps).  The serial pipeline and the sharded
+    workers fill the same fields, so serial-vs-sharded comparisons
+    share a vocabulary, and the sharded coordinator's adaptive batcher
+    feeds on the same measurements it reports.  ``ipc_payload_bytes`` /
+    ``batches_dispatched`` / ``batch_roundtrip_ns`` size the traffic
+    between the coordinator and its workers; per-batch latency is
+    ``batch_roundtrip_ns / batches_dispatched``.
     """
 
     extend_calls: int = 0
@@ -95,7 +88,6 @@ class EnumMISStatistics:
     # Stage timers (ns) and sharded-engine wire accounting.
     extend_time_ns: int = 0
     crossing_time_ns: int = 0
-    ipc_time_ns: int = 0
     ipc_payload_bytes: int = 0
     batches_dispatched: int = 0
     batch_roundtrip_ns: int = 0
@@ -137,7 +129,6 @@ class EnumMISStatistics:
         "extend_memo_evictions",
         "extend_time_ns",
         "crossing_time_ns",
-        "ipc_time_ns",
         "ipc_payload_bytes",
         "batches_dispatched",
         "batch_roundtrip_ns",

@@ -449,16 +449,11 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
             return [crossing(mask_v, id_mask[i]) for i in ids]
         components = self._components_packed(mask_v)
         matrix = self._mask_matrix
-        ns = _kernel.kernels_for(self._graph.core)
-        if hasattr(ns, "crossing_batch_gather"):
-            # Every shipped tier exposes the gathered sweep (parity is
-            # machine-checked by `repro analyze`): the native kernel
-            # fuses gather+ANDN+test in one C pass, the numpy twin
-            # materialises the ``matrix[ids] & ~row_v`` remainders.
-            # The hasattr guard keeps bare mock namespaces working.
-            return ns.crossing_batch_gather(components, matrix, ids, id_v)
-        remainders = matrix[ids] & ~matrix[id_v]
-        return ns.crossing_batch(components, remainders).tolist()
+        # The native kernel fuses gather+ANDN+test in one C pass; the
+        # numpy twin materialises the ``matrix[ids] & ~row_v`` remainders.
+        return _kernel.kernels_for(self._graph.core).crossing_batch_gather(
+            components, matrix, ids, id_v
+        )
 
     def _crossing(self, mask_u: int, mask_v: int) -> bool:
         remainder = mask_v & ~mask_u

@@ -467,7 +467,7 @@ class TestStageTimers:
         list(enumerate_minimal_triangulations(g, stats=stats))
         assert stats.extend_time_ns > 0
         assert stats.crossing_time_ns > 0
-        assert stats.ipc_time_ns == 0
+        assert stats.ipc_payload_bytes == 0
         assert stats.batches_dispatched == 0
 
     def test_inline_coordinator_reports_no_ipc(self, tmp_path):
@@ -479,7 +479,7 @@ class TestStageTimers:
         )
         assert result.stats.batches_dispatched > 0
         assert result.stats.batch_roundtrip_ns > 0
-        assert result.stats.ipc_time_ns == 0
+        assert result.stats.ipc_payload_bytes == 0
 
     def test_sharded_run_reports_same_fields(self):
         g = gnp_random_graph(12, 0.35, seed=11)
@@ -501,7 +501,7 @@ class TestStageTimers:
 
     def test_timers_merge_and_round_trip(self):
         a = EnumMISStatistics(
-            extend_time_ns=100, crossing_time_ns=7, ipc_time_ns=3,
+            extend_time_ns=100, crossing_time_ns=7,
             ipc_payload_bytes=512, batches_dispatched=2,
             batch_roundtrip_ns=40,
         )
@@ -512,6 +512,18 @@ class TestStageTimers:
         restored = EnumMISStatistics()
         restored.restore(a.snapshot())
         assert restored.snapshot() == a.snapshot()
+
+    def test_restore_ignores_retired_ipc_time_counter(self):
+        # Checkpoints and wire stats from before the counter was dropped
+        # still carry ``ipc_time_ns``; restoring them must neither fail
+        # nor resurrect the field.
+        old = EnumMISStatistics(extend_time_ns=5, batches_dispatched=2)
+        snapshot = dict(old.snapshot(), ipc_time_ns=123)
+        restored = EnumMISStatistics()
+        restored.restore(snapshot)
+        assert restored.snapshot() == old.snapshot()
+        assert "ipc_time_ns" not in restored.snapshot()
+        assert not hasattr(restored, "ipc_time_ns")
 
     def test_timers_survive_checkpoint_resume(self, tmp_path):
         g = gnp_random_graph(13, 0.3, seed=21)

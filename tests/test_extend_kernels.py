@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    PACKED_TIERS,
     requires_native,
     small_chordal_graphs,
     small_random_graphs,
@@ -42,6 +43,7 @@ from repro.chordal.triangulate import (
 from repro.core.extend import extend_parallel_set
 from repro.graph import resolve_graph_backend
 from repro.graph.bitset_np import (
+    GRAPH_BACKENDS,
     NumpyGraphCore,
     PackedMCSQueue,
     frontier_sweep,
@@ -49,7 +51,6 @@ from repro.graph.bitset_np import (
     is_peo_packed,
     mask_to_indices,
     pack_masks,
-    saturate_batch,
     set_edge_bits,
     union_rows,
     weight_level_rows,
@@ -88,6 +89,20 @@ CORPUS = small_random_graphs(10, max_nodes=12, seed=17) + [
 ]
 
 
+#: Mixed-type labels: ``edge_key`` compares 1 < 3.5 natively, while the
+#: label ranks fall back to sorting by (type name, repr).
+MIXED_LABELS = [1, 1.5, 2, 2.5, 3, 3.5, 4, "a", "b"]
+
+
+def mixed_label_corpus():
+    """Gnp(9, 0.35, seed s) for s = 0–299, relabelled with MIXED_LABELS."""
+    corpus = []
+    for seed in range(300):
+        graph = gnp_random_graph(9, 0.35, seed=seed)
+        corpus.append(graph.relabeled(dict(zip(graph.nodes(), MIXED_LABELS))))
+    return corpus
+
+
 class PackedTier:
     """Pairs each graph's int-mask core with one packed tier.
 
@@ -116,6 +131,30 @@ class TestTriangulatorEquivalence(PackedTier):
         indexed, packed = self.both_backends(graph)
         for first in graph.nodes()[:: max(1, graph.num_nodes // 3)]:
             assert mcs_m(indexed, first=first) == mcs_m(packed, first=first)
+
+    def test_mcs_m_hands_wide_frontiers_to_the_core(self, monkeypatch):
+        # The corpus graphs are too small for sweep frontiers of
+        # MIN_GATHER vertices; this one has them, and a row dropped
+        # from their union changes its fill.
+        indexed, packed = self.both_backends(gnp_random_graph(200, 0.05, seed=1))
+        core_class = type(packed.core)
+        gather = core_class.neighborhood_of_set
+        widths = []
+
+        def spy(core, mask):
+            widths.append(mask.bit_count())
+            return gather(core, mask)
+
+        monkeypatch.setattr(core_class, "neighborhood_of_set", spy)
+        assert mcs_m(indexed) == mcs_m(packed)
+        assert widths and min(widths) >= core_class.MIN_GATHER
+
+    def test_mcs_m_with_mixed_labels_matches(self):
+        # Fill edges are oriented by edge_key on every tier, not by the
+        # label ranks (which disagree with it on mixed label types).
+        for graph in mixed_label_corpus():
+            indexed, packed = self.both_backends(graph)
+            assert mcs_m(indexed) == mcs_m(packed)
 
     @pytest.mark.parametrize(
         "heuristic", ["min_fill", "min_degree", "natural"]
@@ -157,13 +196,27 @@ class TestPeoAndForestEquivalence(PackedTier):
                     indexed, order
                 ) == is_perfect_elimination_ordering(packed, order)
 
+    def test_mcs_visit_order_matches(self):
+        for graph in CORPUS + mixed_label_corpus()[:30]:
+            indexed, packed = self.both_backends(graph)
+            assert maximum_cardinality_search(
+                indexed
+            ) == maximum_cardinality_search(packed)
+            for first in graph.nodes()[:: max(1, graph.num_nodes // 3)]:
+                assert maximum_cardinality_search(
+                    indexed, first=first
+                ) == maximum_cardinality_search(packed, first=first)
+
     def test_peo_or_none_matches_on_chordal_corpus(self):
         for graph in small_chordal_graphs(10, max_nodes=16, seed=23):
             indexed, packed = self.both_backends(graph)
             assert peo_or_none(indexed) == peo_or_none(packed)
 
     def test_clique_forest_matches_on_chordal_corpus(self):
-        for graph in small_chordal_graphs(10, max_nodes=16, seed=29):
+        corpus = small_chordal_graphs(10, max_nodes=16, seed=29) + [
+            random_chordal_graph(90, 0.15, seed=24)
+        ]
+        for graph in corpus:
             indexed, packed = self.both_backends(graph)
             a, b = mcs_clique_forest(indexed), mcs_clique_forest(packed)
             assert a.cliques == b.cliques
@@ -320,25 +373,55 @@ class TestKernelUnits:
             assert mask == expected
 
     def test_packed_queue_pops_in_bucket_order(self):
-        rng = random.Random(29)
-        n = 120
-        words = word_count(n)
-        alive = (1 << n) - 1
-        ranks = list(range(n))
-        rng.shuffle(ranks)
-        scalar_weights = [0] * n
-        scalar = MaxWeightBuckets(alive)
-        packed = PackedMCSQueue(alive, ranks, words)
-        remaining = alive
-        for __ in range(n):
-            a = scalar.pop_max(ranks)
-            b = packed.pop_max()
-            assert a == b
-            remaining &= ~(1 << a)
-            bump = rng.getrandbits(n) & remaining
-            scalar.bump_all(bump, scalar_weights)
-            packed.bump_mask(bump)
-            assert scalar_weights == packed.weights.tolist()
+        check_queues_agree("numpy")
+
+    @requires_native
+    def test_native_queue_pops_in_bucket_order(self):
+        check_queues_agree("native")
+
+    @pytest.mark.parametrize("tier", ("indexed",) + PACKED_TIERS)
+    def test_selection_queue_follows_the_core(self, tier):
+        # Narrow graphs keep the int-tier buckets on every core.
+        wide = resolve_graph_backend(gnp_random_graph(40, 0.3, seed=1), tier)
+        narrow = resolve_graph_backend(cycle_graph(40), tier)
+        for graph in (wide, narrow):
+            queue = graph.core.selection_queue(graph.core.alive, graph.ranks())
+            packed = tier != "indexed" and graph is wide
+            assert isinstance(queue, PackedMCSQueue) == packed
+            assert isinstance(queue, MaxWeightBuckets) == (not packed)
+
+
+def check_queues_agree(tier):
+    """The int-tier buckets and ``tier``'s packed queue, step by step.
+
+    Both queues come from graph cores (a wide random graph), so the
+    packed one is the kernel namespace's own class.  After every pop
+    and random bump they must agree on the popped vertex, the weights
+    and the ascending weight levels of the remaining vertices.
+    """
+    rng = random.Random(29)
+    n = 120
+    graph = gnp_random_graph(n, 0.1, seed=29)
+    ranks = list(range(n))
+    rng.shuffle(ranks)
+    alive = graph.core.alive
+    scalar = graph.core.selection_queue(alive, ranks)
+    packed_core = GRAPH_BACKENDS[tier].from_indexed(graph.core)
+    packed = packed_core.selection_queue(alive, ranks)
+    assert isinstance(scalar, MaxWeightBuckets)
+    assert isinstance(packed, PackedMCSQueue)
+    remaining = alive
+    for __ in range(n):
+        a = scalar.pop_max()
+        b = packed.pop_max()
+        assert a == b
+        remaining &= ~(1 << a)
+        bump = rng.getrandbits(n) & remaining
+        scalar.bump_mask(bump)
+        packed.bump_mask(bump)
+        assert scalar.weights == packed.weights.tolist()
+        for avail in (remaining, remaining & rng.getrandbits(n)):
+            assert list(scalar.levels(avail)) == list(packed.levels(avail))
 
 
 @requires_native

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import heapq
+
 from helpers import small_chordal_graphs, small_random_graphs
 from repro.chordal.lexm import lex_m
 from repro.chordal.peo import is_perfect_elimination_ordering
 from repro.chordal.sandwich import is_minimal_triangulation
 from repro.chordal.triangulate import get_triangulator
+from repro.graph.core import iter_bits
 from repro.graph.generators import cycle_graph, grid_graph, path_graph
 from repro.graph.graph import Graph
+
+_MISSING = object()
 
 
 def filled_with(graph: Graph, fill) -> Graph:
@@ -50,9 +55,55 @@ class TestLexM:
         assert fill == [] and order == [1]
 
 
+def _lexm_reachable_heap(
+    adj: list[int],
+    labels: list[tuple[int, ...]],
+    unnumbered: int,
+    v: int,
+) -> list[int]:
+    """Reference minimax Dijkstra over lexicographic labels.
+
+    The pre-bucket-mask implementation, kept as the verification
+    oracle: ``key(u)`` is the minimum over v→u paths of the maximum
+    internal label (``None`` playing −∞ for direct edges); u qualifies
+    iff ``key(u) < label(u)``.
+    """
+    best: dict[int, tuple[int, ...] | None] = {}
+    counter = 0
+    heap: list[tuple[tuple[int, ...], int, int]] = []
+    not_v = ~(1 << v)
+    for u in iter_bits(adj[v] & unnumbered):
+        best[u] = None
+        heap.append(((), counter, u))
+        counter += 1
+    heapq.heapify(heap)
+    while heap:
+        key_tuple, __, u = heapq.heappop(heap)
+        current = best.get(u, ())
+        if current is not None and key_tuple != current:
+            continue
+        through = max(
+            key_tuple if current is not None else (),
+            labels[u],
+        )
+        for x in iter_bits(adj[u] & unnumbered & not_v):
+            existing = best.get(x, _MISSING)
+            if existing is _MISSING or (
+                existing is not None and through < existing
+            ):
+                best[x] = through
+                heapq.heappush(heap, (through, counter, x))
+                counter += 1
+    result = []
+    for u, key_value in best.items():
+        threshold = labels[u]
+        if key_value is None or key_value < threshold:
+            result.append(u)
+    return result
+
+
 def _lex_m_reference(graph: Graph):
     """The pre-bucket-mask LEX-M: same numbering loop, heap reachability."""
-    from repro.chordal.lexm import _lexm_reachable_heap
     from repro.graph.graph import edge_key, sort_edges
 
     core = graph.core
@@ -98,10 +149,7 @@ class TestBucketMaskEquivalence:
     def test_reachable_sets_match_on_random_label_states(self):
         import random
 
-        from repro.chordal.lexm import (
-            _lexm_reachable_heap,
-            _lexm_reachable_mask,
-        )
+        from repro.chordal.lexm import _lexm_reachable_mask
         from repro.graph.core import bit_list
         from repro.graph.generators import gnp_random_graph
 
