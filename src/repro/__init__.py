@@ -35,6 +35,7 @@ from repro.chordal.triangulate import (
     Triangulator,
     available_triangulators,
     get_triangulator,
+    minimal_triangulation_via,
     register_triangulator,
 )
 from repro.core.enumerate import (
@@ -42,7 +43,7 @@ from repro.core.enumerate import (
     enumerate_minimal_triangulations,
     minimal_triangulation,
 )
-from repro.core.extend import extend_parallel_set, minimal_triangulation_via
+from repro.core.extend import extend_parallel_set
 from repro.core.ranked import (
     best_triangulation,
     enumerate_minimal_triangulations_prioritized,

@@ -23,8 +23,9 @@ own toolbox.  By Theorem 4.4 every clique minimal separator of g is a
 minimal separator of *every* minimal triangulation h, and a minimal
 separator of h that is a clique of g is a clique minimal separator of g
 (Theorem 4.1).  The minimal separators of h are the edge labels of its
-clique forest, so one MCS-M run (giving h) and one clique-forest scan
-of h give everything:
+clique forest, and MCS-M builds that forest while it computes h
+(MCS-M+; :func:`~repro.chordal.triangulate.mcs_m_forest`), so one
+MCS-M pass gives everything:
 
 * an edge whose label is a clique of g is *cut* — its label is a clique
   minimal separator;
@@ -35,13 +36,12 @@ of h give everything:
 
 A disconnected graph needs no special case: its clique forest has one
 root per component, and roots are never merged.  The cost is one MCS-M
-plus one clique-forest scan, then a mask clique test per forest edge.
+pass, then a mask clique test per forest edge.
 """
 
 from __future__ import annotations
 
-from repro.chordal.cliques import clique_forest_masks
-from repro.chordal.triangulate import mcs_m
+from repro.chordal.triangulate import mcs_m_forest
 from repro.graph.core import iter_bits
 from repro.graph.graph import Graph, Node
 
@@ -75,10 +75,7 @@ def atoms(graph: Graph) -> list[frozenset[Node]]:
 
 def _decompose(graph: Graph) -> tuple[list[int], set[int]]:
     """``(atom masks, clique minimal separator masks)`` in one pass."""
-    fill, __ = mcs_m(graph)
-    triangulated = graph.copy()
-    triangulated.add_edges(fill)
-    cliques, parent, separators, __ = clique_forest_masks(triangulated)
+    cliques, parent, separators = mcs_m_forest(graph)
     adj = graph.core.adj
     # A parent clique precedes its children in the MCS scan, so one
     # forward sweep assigns every clique to the top clique of its atom.

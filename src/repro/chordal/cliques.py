@@ -17,10 +17,11 @@ Galinier–Habib–Paul:
 The invariants above hold for every MCS execution on a chordal graph;
 they are asserted at runtime and a violation raises
 :class:`~repro.errors.NotChordalError`, so feeding a non-chordal graph
-fails loudly rather than silently producing garbage.  The test suite
-cross-checks the cliques against a Bron–Kerbosch oracle and the
-separators against the brute-force definition on hundreds of random
-chordal graphs.
+fails loudly rather than silently producing garbage.  MCS-M runs the
+same loop (:func:`search_clique_forest`) and so builds the clique
+forest of the triangulation it computes.  The test suite cross-checks
+the cliques against a Bron–Kerbosch oracle and the separators against
+the brute-force definition on hundreds of random chordal graphs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from repro.graph.graph import Graph, Node
 
 __all__ = [
     "CliqueForest",
+    "MaskForest",
     "clique_forest_masks",
+    "search_clique_forest",
     "mcs_clique_forest",
     "maximal_cliques",
     "tree_width",
@@ -82,100 +85,125 @@ class CliqueForest:
         return max(len(clique) for clique in self.cliques) - 1
 
 
-def clique_forest_masks(
-    graph: Graph,
-) -> tuple[list[int], list[int | None], list[int | None], list[int]]:
-    """The mask-level MCS clique-forest scan.
+#: The mask clique forest ``(clique masks, parent, separator masks)``:
+#: ``parent[i]`` and ``separators[i]`` are ``None`` for a root clique.
+MaskForest = tuple[list[int], list[int | None], list[int | None]]
 
-    Returns ``(clique_masks, parent, separator_masks, clique_of_idx)``
-    — the label-free core of :func:`mcs_clique_forest`, which the
-    ``Extend`` pipeline consumes directly (it only needs separator
-    masks, so skipping the label translation of every clique is a
-    measurable win per call).
 
-    The search runs on the bitmask core: cliques under construction and
-    the visited set are masks, so the continuation and parent-clique
-    invariants are single integer comparisons.  The selection queue
-    comes from the core
-    (:meth:`~repro.graph.core.IndexedGraph.selection_queue`), which
-    picks the kernel tier.
+def search_clique_forest(graph: Graph, update=None, first: int | None = None):
+    """One maximum cardinality search that builds a clique forest.
+
+    Returns ``(fill, order, clique_masks, parent, separator_masks,
+    clique_of_idx)`` for the chordal graph h that the search numbers.
+    With ``update=None`` this is plain MCS and h is ``graph``.  MCS-M
+    passes ``update(core, queue, unnumbered, v)``, its update set when
+    v is numbered; members that are not neighbours of v are fill edges
+    of h, and ``fill[u]`` collects u's fill neighbours numbered before
+    u.  ``order`` is the visit order and ``first`` an optional vertex
+    index visited first.
+
+    Either way the visit order is an MCS ordering of h (Berry, Blair,
+    Heggernes & Peyton, Algorithmica 39, 2004), so the loop builds h's
+    clique forest from ``M(v) = (adj[v] & numbered) | fill[v]``, v's
+    numbered h-neighbours, as described above.  Cliques and the visited
+    set are masks, so both invariants are single integer comparisons;
+    the selection queue comes from the core, which picks the kernel
+    tier.
 
     Raises
     ------
     NotChordalError
-        If the construction invariants fail, which happens exactly when
-        ``graph`` is not chordal.
+        If an invariant fails: ``graph`` is not chordal (plain MCS), or
+        the update sets do not describe a chordal h.
     """
     core = graph.core
     adj = core.adj
-    if not core.alive:
-        return [], [], [], []
-
-    # The queue holds the unvisited vertices keyed by weight (= number
-    # of visited neighbours).
-    unvisited = core.alive
-    queue = core.selection_queue(unvisited, graph.ranks())
-    # visit_order[k] is the k-th visited vertex and prefix[k] the mask
-    # of the first k, so the last-visited member of a visited set is a
-    # binary search over prefix masks instead of a per-member scan.
-    visit_order: list[int] = []
+    unnumbered = core.alive
+    queue = core.selection_queue(unnumbered, graph.ranks())
+    if first is not None:
+        queue.bump_mask(1 << first)
+    fill = [0] * len(adj)
+    # order[k] is the k-th visited vertex and prefix[k] the mask of the
+    # first k, so the last-visited member of a visited set is a binary
+    # search over prefix masks instead of a per-member scan.
+    order: list[int] = []
     prefix = [0]
-    visited = 0
-    n_visited = 0
+    numbered = 0
     clique_masks: list[int] = []
     parent: list[int | None] = []
     separator_masks: list[int | None] = []
     clique_of_idx = [0] * len(adj)
     current_clique = -1
     prev_card = -1
-    n = core.num_vertices
 
-    while n_visited < n:
-        node = queue.pop_max()
-        bit_node = 1 << node
-        unvisited &= ~bit_node
-        visited_neighbors = adj[node] & visited
-        card = visited_neighbors.bit_count()
+    while unnumbered:
+        v = queue.pop_max()
+        bit = 1 << v
+        unnumbered ^= bit
+        madj = adj[v] & numbered | fill[v]
+        card = madj.bit_count()
         if card == prev_card + 1 and current_clique >= 0:
-            # Continuation: node extends the clique under construction.
-            if visited_neighbors != clique_masks[current_clique]:
-                raise NotChordalError(
-                    f"{graph.summary()} is not chordal "
-                    "(MCS clique-continuation invariant failed)"
-                )
-            clique_masks[current_clique] |= 1 << node
+            # Continuation: v extends the clique under construction.
+            if madj != clique_masks[current_clique]:
+                raise _not_chordal(graph, update, "clique-continuation")
+            clique_masks[current_clique] |= bit
         else:
-            # New clique {node} ∪ M(node).
+            # New clique {v} ∪ M(v).
             if card > 0:
-                lo, hi = 1, n_visited
+                lo, hi = 1, len(order)
                 while lo < hi:
                     mid = (lo + hi) >> 1
-                    if visited_neighbors & ~prefix[mid]:
+                    if madj & ~prefix[mid]:
                         lo = mid + 1
                     else:
                         hi = mid
-                parent_index = clique_of_idx[visit_order[lo - 1]]
-                if visited_neighbors & ~clique_masks[parent_index]:
-                    raise NotChordalError(
-                        f"{graph.summary()} is not chordal "
-                        "(MCS parent-clique invariant failed)"
-                    )
+                parent_index = clique_of_idx[order[lo - 1]]
+                if madj & ~clique_masks[parent_index]:
+                    raise _not_chordal(graph, update, "parent-clique")
                 parent.append(parent_index)
-                separator_masks.append(visited_neighbors)
+                separator_masks.append(madj)
             else:
                 parent.append(None)
                 separator_masks.append(None)
-            clique_masks.append(visited_neighbors | 1 << node)
+            clique_masks.append(madj | bit)
             current_clique = len(clique_masks) - 1
-        clique_of_idx[node] = current_clique
-        n_visited += 1
-        visited |= bit_node
-        visit_order.append(node)
-        prefix.append(visited)
+        clique_of_idx[v] = current_clique
+        numbered |= bit
+        order.append(v)
+        prefix.append(numbered)
         prev_card = card
-        queue.bump_mask(adj[node] & unvisited)
+        if update is None:
+            queue.bump_mask(adj[v] & unnumbered)
+            continue
+        reached = update(core, queue, unnumbered, v)
+        queue.bump_mask(reached)
+        # Only fill edges need the per-bit loop.
+        m = reached & ~adj[v]
+        while m:
+            low = m & -m
+            m ^= low
+            fill[low.bit_length() - 1] |= bit
 
-    return clique_masks, parent, separator_masks, clique_of_idx
+    return fill, order, clique_masks, parent, separator_masks, clique_of_idx
+
+
+def _not_chordal(graph: Graph, update, invariant: str) -> NotChordalError:
+    what = "" if update is None else "the triangulation of "
+    return NotChordalError(
+        f"{what}{graph.summary()} is not chordal (MCS {invariant} invariant failed)"
+    )
+
+
+def clique_forest_masks(
+    graph: Graph,
+) -> tuple[list[int], list[int | None], list[int | None], list[int]]:
+    """The mask-level clique-forest scan: one plain MCS of ``graph``.
+
+    Returns ``(clique_masks, parent, separator_masks, clique_of_idx)``,
+    the label-free core of :func:`mcs_clique_forest`.  Raises
+    :class:`NotChordalError` exactly when ``graph`` is not chordal.
+    """
+    return search_clique_forest(graph)[2:]
 
 
 def mcs_clique_forest(graph: Graph) -> CliqueForest:

@@ -21,8 +21,8 @@ elimination-game baselines:
 
 All functions leave the input graph untouched and return the fill as a
 sorted list of canonical edges; :class:`Triangulator` packages a
-heuristic with its minimality guarantee for use by
-:mod:`repro.core.extend`.
+heuristic with its minimality guarantee and the clique forest of a
+minimal triangulation for use by :mod:`repro.core.extend`.
 """
 
 from __future__ import annotations
@@ -32,13 +32,20 @@ from dataclasses import dataclass
 
 import numpy as _np
 
+from repro.chordal.cliques import (
+    MaskForest,
+    clique_forest_masks,
+    search_clique_forest,
+)
 from repro.chordal.peo import elimination_fill_in
+from repro.chordal.sandwich import minimal_triangulation_sandwich
 from repro.graph import bitset_np as _kernel
 from repro.graph.core import iter_bits
 from repro.graph.graph import Graph, Node, edge_key, sort_edges
 
 __all__ = [
     "mcs_m",
+    "mcs_m_forest",
     "lb_triang",
     "min_fill_order",
     "min_degree_order",
@@ -47,6 +54,7 @@ __all__ = [
     "get_triangulator",
     "available_triangulators",
     "register_triangulator",
+    "minimal_triangulation_via",
 ]
 
 
@@ -67,9 +75,11 @@ def mcs_m(graph: Graph, first: Node | None = None) -> tuple[list[tuple[Node, Nod
     minimal triangulation and the returned ordering (eliminated-first
     first) is a minimal elimination ordering of it.
 
-    The selection queue comes from the graph core
-    (:meth:`~repro.graph.core.IndexedGraph.selection_queue`), so this
-    one loop serves every kernel tier with the same output.
+    This is a label-level view of the one MCS-M loop,
+    :func:`~repro.chordal.cliques.search_clique_forest`, which also
+    builds the triangulation's clique forest (:func:`mcs_m_forest`).
+    Its selection queue comes from the graph core, so every kernel tier
+    gives the same output.
 
     Parameters
     ----------
@@ -77,34 +87,34 @@ def mcs_m(graph: Graph, first: Node | None = None) -> tuple[list[tuple[Node, Nod
         Optional vertex forced to receive the highest number (be chosen
         first); varying it diversifies the produced triangulation.
     """
-    core = graph.core
-    adj = core.adj
-    unnumbered = core.alive
+    if first is not None and first not in graph:
+        raise KeyError(first)
+    fill_masks, order, *__ = search_clique_forest(
+        graph,
+        _mcs_m_update_mask,
+        None if first is None else graph.index_of(first),
+    )
     labels = graph.interner.labels_dense
-    fill: list[tuple[Node, Node]] = []
-    reverse_order: list[Node] = []
-    queue = core.selection_queue(unnumbered, graph.ranks())
-    if first is not None:
-        if first not in graph:
-            raise KeyError(first)
-        queue.bump_mask(1 << graph.index_of(first))
+    fill = [
+        edge_key(labels[u], labels[v])
+        for v, mask in enumerate(fill_masks)
+        for u in iter_bits(mask)
+    ]
+    return sort_edges(fill), [labels[v] for v in reversed(order)]
 
-    while unnumbered:
-        v = queue.pop_max()
-        unnumbered &= ~(1 << v)
-        label_v = labels[v]
-        reverse_order.append(label_v)
-        update_set = _mcs_m_update_mask(core, queue, unnumbered, v)
-        queue.bump_mask(update_set)
-        m = update_set & ~adj[v]
-        while m:
-            low = m & -m
-            m ^= low
-            fill.append(edge_key(labels[low.bit_length() - 1], label_v))
 
-    reverse_order.reverse()
-    fill = sort_edges(fill)
-    return fill, reverse_order
+def mcs_m_forest(graph: Graph) -> MaskForest:
+    """The mask clique forest of the MCS-M triangulation h of ``graph``.
+
+    Built during the MCS-M run itself (MCS-M+, Berry, Pogorelcnik &
+    Simonet, Algorithms 3(2), 2010): h is never materialised and never
+    scanned a second time.  A violated forest invariant raises
+    :class:`~repro.errors.NotChordalError`.
+    """
+    __, __, cliques, parent, separators, __ = search_clique_forest(
+        graph, _mcs_m_update_mask
+    )
+    return cliques, parent, separators
 
 
 def _mcs_m_update_mask(core, queue, unnumbered: int, v: int) -> int:
@@ -396,11 +406,19 @@ class Triangulator:
     of it; ``guarantees_minimal`` tells ``Extend`` whether the sandwich
     step can be skipped (it is skipped for MCS-M and LB-Triang, exactly
     as in the paper's experiments).
+
+    Every heuristic also yields the mask clique forest of a *minimal*
+    triangulation of its input (:meth:`clique_forest`), which is what
+    ``Extend`` consumes.  A heuristic that builds the forest during its
+    own run passes it as ``forest`` (MCS-M does); every other one gets
+    the default: its fill, the sandwich step when it is not minimal,
+    then a clique-forest scan of the result.
     """
 
     name: str
     fill: Callable[[Graph], list[tuple[Node, Node]]]
     guarantees_minimal: bool
+    forest: Callable[[Graph], MaskForest] | None = None
 
     def triangulate(self, graph: Graph) -> tuple[Graph, list[tuple[Node, Node]]]:
         """Return ``(filled graph, fill edges)`` for ``graph``."""
@@ -408,6 +426,31 @@ class Triangulator:
         filled = graph.copy()
         filled.add_edges(fill_edges)
         return filled, fill_edges
+
+    def clique_forest(self, graph: Graph) -> MaskForest:
+        """The mask clique forest of a minimal triangulation of ``graph``."""
+        if self.forest is not None:
+            return self.forest(graph)
+        cliques, parent, separators, __ = clique_forest_masks(
+            minimal_triangulation_via(graph, self)
+        )
+        return cliques, parent, separators
+
+
+def minimal_triangulation_via(
+    graph: Graph, triangulator: str | Triangulator
+) -> Graph:
+    """Return a minimal triangulation of ``graph`` using ``triangulator``.
+
+    Runs the heuristic and, when it does not guarantee minimality,
+    applies the sandwich step.  This is steps 1–2 of ``Extend`` for
+    φ = ∅, as a label-level graph.
+    """
+    method = get_triangulator(triangulator)
+    filled, __ = method.triangulate(graph)
+    if not method.guarantees_minimal:
+        filled, __ = minimal_triangulation_sandwich(graph, filled)
+    return filled
 
 
 _REGISTRY: dict[str, Triangulator] = {}
@@ -435,7 +478,7 @@ def available_triangulators() -> list[str]:
 
 
 register_triangulator(
-    Triangulator("mcs_m", lambda g: mcs_m(g)[0], guarantees_minimal=True)
+    Triangulator("mcs_m", lambda g: mcs_m(g)[0], True, forest=mcs_m_forest)
 )
 register_triangulator(
     Triangulator("lb_triang", lambda g: lb_triang(g), guarantees_minimal=True)

@@ -1,5 +1,6 @@
 """The paper's primary contribution: minimal-triangulation enumeration."""
 
+from repro.chordal.triangulate import minimal_triangulation_via
 from repro.core.bounds import (
     clique_lower_bound,
     degeneracy_lower_bound,
@@ -12,7 +13,7 @@ from repro.core.enumerate import (
     enumerate_minimal_triangulations,
     minimal_triangulation,
 )
-from repro.core.extend import extend_parallel_set, minimal_triangulation_via
+from repro.core.extend import extend_parallel_set
 from repro.core.ranked import (
     anytime_min_fill,
     anytime_treewidth,

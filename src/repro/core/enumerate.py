@@ -27,8 +27,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from repro.chordal.triangulate import Triangulator, get_triangulator
-from repro.core.extend import minimal_triangulation_via
+from repro.chordal.triangulate import (
+    Triangulator,
+    get_triangulator,
+    minimal_triangulation_via,
+)
 from repro.core.triangulation import Triangulation
 from repro.graph.bitset_np import core_backend_name
 # Unused here, but perfbench/spans.py wraps this module's name.

@@ -9,7 +9,11 @@ of g into a *maximal* such set:
 3. if the heuristic does not guarantee minimality, shrink the result to
    a minimal triangulation of ``g[φ]`` (``MinTriSandwich``);
 4. return the minimal separators of the resulting chordal graph h
-   (``ExtractMinSeps``, linear time via the clique forest).
+   (``ExtractMinSeps``), read off h's clique forest.  Steps 2–3 yield
+   that forest (:meth:`~repro.chordal.triangulate.Triangulator.clique_forest`):
+   MCS-M builds it during its own run, so h is never materialised as a
+   graph and never scanned a second time; other heuristics fall back
+   to one clique-forest scan of h.
 
 Correctness (paper Lemma 4.6) rests on Heggernes' theorem: a minimal
 triangulation of ``g[φ]`` is a minimal triangulation of g, its minimal
@@ -27,36 +31,31 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.chordal.chordal_separators import chordal_separator_masks
-from repro.chordal.sandwich import minimal_triangulation_sandwich
+from repro.chordal.chordal_separators import forest_separator_masks
+from repro.chordal.cliques import MaskForest
 from repro.chordal.triangulate import Triangulator, get_triangulator
 from repro.graph.graph import Graph, Node
 
-__all__ = ["extend_parallel_set", "minimal_triangulation_via"]
+__all__ = ["extend_parallel_set"]
 
 Separator = frozenset[Node]
 
-# ExtractMinSeps is called through this module-level name because the
-# benchmark's span tracer (perfbench/spans.py) times the
-# ``clique_forest`` layer by wrapping
-# ``repro.core.extend.minimal_separators_of_chordal``.
-minimal_separators_of_chordal = chordal_separator_masks
 
-
-def minimal_triangulation_via(
+def _triangulated_forest(
     graph: Graph, triangulator: str | Triangulator
-) -> Graph:
-    """Return a minimal triangulation of ``graph`` using ``triangulator``.
+) -> MaskForest:
+    """Steps 2–3: the mask clique forest of a minimal triangulation h."""
+    return get_triangulator(triangulator).clique_forest(graph)
 
-    Runs the heuristic and, when it does not guarantee minimality,
-    applies the sandwich step.  This is steps 1–2 of ``Extend`` for
-    φ = ∅ and is also useful standalone.
-    """
-    method = get_triangulator(triangulator)
-    filled, __ = method.triangulate(graph)
-    if not method.guarantees_minimal:
-        filled, __ = minimal_triangulation_sandwich(graph, filled)
-    return filled
+
+# Extend's two steps are called through these module-level names
+# because the benchmark's span tracer (perfbench/spans.py) wraps them:
+# its ``triangulate`` span covers building h's clique forest and its
+# ``clique_forest`` span covers only the MinSep read-off.  The public
+# label-level ``minimal_triangulation_via`` lives in
+# repro.chordal.triangulate.
+minimal_triangulation_via = _triangulated_forest
+minimal_separators_of_chordal = forest_separator_masks
 
 
 def extend_separator_masks(
@@ -70,16 +69,16 @@ def extend_separator_masks(
     triangulation h of ``g[φ]``, as vertex masks of ``graph``.  The
     input is trusted, as in the paper.
     """
-    # Saturate g[φ] on a scratch copy that keeps the graph-core
-    # backend, so a numpy-backed input runs the whole pipeline —
-    # saturation, the heuristic, the clique-forest scan — on the
-    # packed kernels.
-    saturated = graph.copy()
-    core = saturated.core
+    # Saturate g[φ] on a copy of the graph core, which keeps its
+    # backend, so a numpy-backed input runs the whole pipeline on the
+    # packed kernels; the labels are shared, not copied.
+    core = graph.core.copy()
     for mask in separator_masks:
         core.saturate(mask)
-    triangulated = minimal_triangulation_via(saturated, triangulator)
-    return minimal_separators_of_chordal(triangulated)
+    __, parent, separators = minimal_triangulation_via(
+        graph.with_core(core), triangulator
+    )
+    return minimal_separators_of_chordal(parent, separators)
 
 
 def extend_parallel_set(

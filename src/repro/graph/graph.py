@@ -231,6 +231,18 @@ class Graph:
         g._ranks = self._ranks
         return g
 
+    def with_core(self, core: IndexedGraph) -> "Graph":
+        """A graph over ``core`` sharing this graph's labels.
+
+        ``core`` must have the same vertex set.  The interner and the
+        label order are shared, not copied, so the result is a
+        working copy: edges may change on it, nodes must not.
+        """
+        g = Graph._from_parts(core, self._interner)
+        g._ranks = self.ranks()
+        g._sorted_idx = self._sorted_idx
+        return g
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

@@ -189,10 +189,17 @@ class TestOnePassOracle:
         # The package re-exports the function under the module's name.
         atoms_module = importlib.import_module("repro.chordal.atoms")
         calls = []
-        real = atoms_module.mcs_m
+        real = atoms_module.mcs_m_forest
         monkeypatch.setattr(
-            atoms_module, "mcs_m", lambda g: calls.append(g) or real(g)
+            atoms_module, "mcs_m_forest", lambda g: calls.append(g) or real(g)
         )
+        # The forest comes from the MCS-M run: no second scan of h.
+        for module in ("repro.chordal.cliques", "repro.chordal.triangulate"):
+            monkeypatch.setattr(
+                importlib.import_module(module),
+                "clique_forest_masks",
+                lambda g: pytest.fail("clique_forest_masks called"),
+            )
         result = atoms(promedas_like(120, 190, seed=310))
         assert len(result) > 100
         assert len(calls) == 1

@@ -28,19 +28,22 @@ from repro.chordal.chordal_separators import (
     chordal_separator_masks,
     minimal_separators_of_chordal,
 )
-from repro.chordal.cliques import mcs_clique_forest
+from repro.chordal.cliques import clique_forest_masks, mcs_clique_forest
 from repro.chordal.peo import (
     is_perfect_elimination_ordering,
     maximum_cardinality_search,
     peo_or_none,
 )
 from repro.chordal.triangulate import (
+    available_triangulators,
+    get_triangulator,
     lb_triang,
     mcs_m,
     min_degree_order,
     min_fill_order,
+    minimal_triangulation_via,
 )
-from repro.core.extend import extend_parallel_set
+from repro.core.extend import extend_parallel_set, extend_separator_masks
 from repro.graph import resolve_graph_backend
 from repro.graph.bitset_np import (
     GRAPH_BACKENDS,
@@ -101,6 +104,37 @@ def mixed_label_corpus():
         graph = gnp_random_graph(9, 0.35, seed=seed)
         corpus.append(graph.relabeled(dict(zip(graph.nodes(), MIXED_LABELS))))
     return corpus
+
+
+def disconnected_corpus():
+    """Two random graphs side by side, plus 0–2 isolated vertices."""
+    corpus = []
+    pairs = zip(
+        small_random_graphs(12, max_nodes=9, seed=41),
+        small_random_graphs(12, max_nodes=9, seed=43),
+    )
+    for index, (a, b) in enumerate(pairs):
+        graph = a.copy()
+        graph.add_nodes(("b", node) for node in b.nodes())
+        for u, v in b.edges():
+            graph.add_edge(("b", u), ("b", v))
+        graph.add_nodes(("isolated", k) for k in range(index % 3))
+        corpus.append(graph)
+    return corpus
+
+
+def forest_corpus(name):
+    """The inputs of the clique-forest oracles for triangulator ``name``.
+
+    The kernel corpus, a disconnected corpus (forests with several
+    roots) and part of the mixed-label corpus.  The sandwich step of
+    the heuristics that are not minimal is quadratic in their fill, so
+    those get the graphs of at most 32 vertices.
+    """
+    corpus = CORPUS + disconnected_corpus() + mixed_label_corpus()[:60]
+    if get_triangulator(name).guarantees_minimal:
+        return corpus
+    return [graph for graph in corpus if graph.num_nodes <= 32]
 
 
 class PackedTier:
@@ -237,6 +271,21 @@ class TestPeoAndForestEquivalence(PackedTier):
             masks_b = chordal_separator_masks(packed)
             assert masks_a == masks_b
 
+    @pytest.mark.parametrize("name", available_triangulators())
+    def test_triangulator_forest_matches_scan_of_h(self, name):
+        # The forest a triangulator hands Extend (MCS-M: built in its
+        # own run) has the cliques and separators of a clique-forest
+        # scan of the label-built minimal triangulation h.
+        method = get_triangulator(name)
+        for graph in forest_corpus(name):
+            for tiered in self.both_backends(graph):
+                cliques, parent, separators = method.clique_forest(tiered)
+                h = minimal_triangulation_via(tiered, name)
+                h_cliques, h_parent, h_separators, __ = clique_forest_masks(h)
+                assert sorted(cliques) == sorted(h_cliques)
+                assert set(separators) == set(h_separators)
+                assert parent.count(None) == h_parent.count(None)
+
 
 class TestExtendEquivalence(PackedTier):
     def test_extend_of_empty_family_matches(self):
@@ -263,6 +312,22 @@ class TestExtendEquivalence(PackedTier):
                 assert extend_parallel_set(
                     indexed, (), triangulator
                 ) == extend_parallel_set(packed, (), triangulator)
+
+    @pytest.mark.parametrize("name", available_triangulators())
+    def test_extend_matches_separators_of_h(self, name):
+        # Extend is MinSep(h) for h the minimal triangulation of g[φ],
+        # for φ empty and for part of a maximal family.
+        for graph in forest_corpus(name):
+            for tiered in self.both_backends(graph):
+                h = minimal_triangulation_via(tiered, name)
+                family = extend_separator_masks(tiered, (), name)
+                assert family == chordal_separator_masks(h)
+                part = sorted(family)[: max(1, len(family) // 3)]
+                saturated = tiered.saturated(map(tiered.label_set, part))
+                h = minimal_triangulation_via(saturated, name)
+                assert extend_separator_masks(
+                    tiered, part, name
+                ) == chordal_separator_masks(h)
 
 
 class TestKernelUnits:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from helpers import small_random_graphs
@@ -14,8 +16,14 @@ from repro.chordal.minimal_separators import (
     minimal_separator_masks,
 )
 from repro.chordal.sandwich import is_minimal_triangulation
-from repro.core.extend import extend_parallel_set, minimal_triangulation_via
-from repro.graph.generators import cycle_graph, grid_graph, path_graph
+from repro.core import extend_parallel_set, minimal_triangulation_via
+from repro.core.extend import extend_separator_masks
+from repro.graph.generators import (
+    cycle_graph,
+    gnp_random_graph,
+    grid_graph,
+    path_graph,
+)
 from repro.graph.graph import Graph
 from repro.sgr.enum_mis import enumerate_maximal_independent_sets
 from repro.sgr.separator_graph import MinimalSeparatorSGR
@@ -119,6 +127,28 @@ class TestExtend:
         g = path_graph(5)
         family = extend_parallel_set(g, [])
         assert set(family) == all_minimal_separators(g)
+
+
+class TestOnePassExtend:
+    def test_mcs_m_extend_builds_no_graph_and_scans_once(self, monkeypatch):
+        # MCS-M hands Extend h's clique forest from its own run: no
+        # graph copy, no label fill and no second clique-forest scan.
+        g = gnp_random_graph(20, 0.3, seed=5)
+        expected = extend_separator_masks(g, ())
+        part = sorted(expected)[:2]
+        expected_part = extend_separator_masks(g, part)
+
+        def fail(*args, **kwargs):
+            pytest.fail("Extend left the one-pass path")
+
+        monkeypatch.setattr(Graph, "copy", fail)
+        monkeypatch.setattr(Graph, "add_edges", fail)
+        for module in ("repro.chordal.cliques", "repro.chordal.triangulate"):
+            monkeypatch.setattr(
+                importlib.import_module(module), "clique_forest_masks", fail
+            )
+        assert extend_separator_masks(g, ()) == expected
+        assert extend_separator_masks(g, part) == expected_part
 
 
 class TestMinimalTriangulationVia:

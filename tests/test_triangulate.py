@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from helpers import small_chordal_graphs, small_random_graphs
@@ -14,13 +16,16 @@ from repro.chordal.triangulate import (
     get_triangulator,
     lb_triang,
     mcs_m,
+    mcs_m_forest,
     min_degree_order,
     min_fill_order,
     register_triangulator,
 )
+from repro.core.extend import extend_separator_masks
+from repro.errors import NotChordalError
 from repro.graph.generators import (
-    complete_graph,
     cycle_graph,
+    gnp_random_graph,
     grid_graph,
     path_graph,
 )
@@ -72,6 +77,44 @@ class TestMcsM:
         g = grid_graph(4, 4)
         fill, __ = mcs_m(g)
         assert is_minimal_triangulation(g, filled_with(g, fill))
+
+
+class TestBrokenFillFailsLoudly:
+    """MCS-M builds h's clique forest in its own loop, under both MCS
+    forest invariants.  An update set that misses one fill vertex makes
+    h non-chordal, and the forest must raise instead of returning wrong
+    separators.  On the cycles the clique-continuation check fires; on
+    the two Gnp(12, 0.3) graphs only the parent-clique check does."""
+
+    @pytest.fixture
+    def drop_one_fill_vertex(self, monkeypatch):
+        module = importlib.import_module("repro.chordal.triangulate")
+        real = module._mcs_m_update_mask
+
+        def broken(core, queue, unnumbered, v):
+            update = real(core, queue, unnumbered, v)
+            fill = update & ~core.adj[v]
+            return update ^ (fill & -fill)
+
+        monkeypatch.setattr(module, "_mcs_m_update_mask", broken)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            cycle_graph(4),
+            cycle_graph(5),
+            gnp_random_graph(12, 0.3, seed=0),
+            gnp_random_graph(12, 0.3, seed=4),
+        ],
+        ids=["C4", "C5", "gnp12-s0", "gnp12-s4"],
+    )
+    def test_raises(self, drop_one_fill_vertex, graph):
+        with pytest.raises(NotChordalError):
+            mcs_m_forest(graph)
+        with pytest.raises(NotChordalError):
+            extend_separator_masks(graph, ())
+        with pytest.raises(NotChordalError):
+            mcs_m(graph)
 
 
 class TestLbTriang:
