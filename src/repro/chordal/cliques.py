@@ -36,6 +36,7 @@ __all__ = [
     "CliqueForest",
     "MaskForest",
     "clique_forest_masks",
+    "label_clique_forest",
     "search_clique_forest",
     "mcs_clique_forest",
     "maximal_cliques",
@@ -206,15 +207,17 @@ def clique_forest_masks(
     return search_clique_forest(graph)[2:]
 
 
-def mcs_clique_forest(graph: Graph) -> CliqueForest:
-    """Build the clique forest of a chordal ``graph`` via one MCS pass.
+def label_clique_forest(
+    graph: Graph,
+    forest: tuple[list[int], list[int | None], list[int | None], list[int]],
+) -> CliqueForest:
+    """The label-level :class:`CliqueForest` of a mask clique forest.
 
-    A label-level view over :func:`clique_forest_masks`; raises
-    :class:`NotChordalError` exactly when the graph is not chordal.
+    ``forest`` is ``(clique_masks, parent, separator_masks,
+    clique_of_idx)`` over ``graph``'s vertex indices, as returned by
+    :func:`clique_forest_masks`.
     """
-    clique_masks, parent, separator_masks, clique_of_idx = (
-        clique_forest_masks(graph)
-    )
+    clique_masks, parent, separator_masks, clique_of_idx = forest
     if not clique_masks:
         return CliqueForest((), (), (), {})
     label_set = graph.label_set
@@ -228,6 +231,15 @@ def mcs_clique_forest(graph: Graph) -> CliqueForest:
         ),
         {label_of(i): clique_of_idx[i] for i in iter_bits(graph.core.alive)},
     )
+
+
+def mcs_clique_forest(graph: Graph) -> CliqueForest:
+    """Build the clique forest of a chordal ``graph`` via one MCS pass.
+
+    A label-level view over :func:`clique_forest_masks`; raises
+    :class:`NotChordalError` exactly when the graph is not chordal.
+    """
+    return label_clique_forest(graph, clique_forest_masks(graph))
 
 
 def maximal_cliques(graph: Graph) -> list[frozenset[Node]]:

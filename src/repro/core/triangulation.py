@@ -8,6 +8,14 @@ experiments track:
   one (equals the width of the corresponding tree decompositions);
 * **fill** — the number of added edges.
 
+An answer holds h = g + fill as one bitmask core over the base graph's
+vertex indices: the engine keeps the core it saturated the answer's
+separators on (:meth:`Triangulation.from_separator_masks`), and an
+answer built from fill edges builds it on first use.  ``width`` is one
+mask-level MCS of that core (the clique forest of Blair & Peyton,
+1993); only the int is cached.  The label graph :attr:`graph` is built
+only when asked for.
+
 The object also exposes the minimal-separator family that identifies
 the triangulation under the Parra–Scheffler bijection, and a
 ``tree_decomposition()`` convenience producing the canonical proper
@@ -16,10 +24,17 @@ tree decomposition (the clique tree).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
 
-from repro.chordal.cliques import CliqueForest, mcs_clique_forest
+from repro.chordal.chordal_separators import forest_separator_masks
+from repro.chordal.cliques import (
+    CliqueForest,
+    clique_forest_masks,
+    label_clique_forest,
+)
 from repro.chordal.sandwich import is_minimal_triangulation
+from repro.graph.core import IndexedGraph
 from repro.graph.graph import Graph, Node, edge_key, sort_edges
 
 __all__ = ["Triangulation"]
@@ -39,11 +54,32 @@ class Triangulation:
     identifies the triangulation of a fixed base graph.
     """
 
-    __slots__ = ("_base", "_fill", "__dict__")
+    __slots__ = ("_base", "_fill", "_core", "__dict__")
 
     def __init__(self, base: Graph, fill_edges: tuple[tuple[Node, Node], ...]) -> None:
         self._base = base
         self._fill = tuple(sort_edges(edge_key(u, v) for u, v in fill_edges))
+        # h's core over the base's vertex indices; built on first use.
+        self._core: IndexedGraph | None = None
+
+    @classmethod
+    def from_separator_masks(
+        cls, base: Graph, masks: Iterable[int]
+    ) -> "Triangulation":
+        """``g[φ]``: saturate the separator masks φ on a copy of g's core.
+
+        The saturated core is kept as h's core, so the quality measures
+        never rebuild it.
+        """
+        core = base.core.copy()
+        label_of = base.label_of
+        fill: list[tuple[Node, Node]] = []
+        for mask in masks:
+            for u, v in core.saturate(mask):
+                fill.append((label_of(u), label_of(v)))
+        answer = cls(base, tuple(fill))
+        answer._core = core
+        return answer
 
     @classmethod
     def from_chordal_supergraph(cls, base: Graph, chordal: Graph) -> "Triangulation":
@@ -69,22 +105,38 @@ class Triangulation:
         """The *fill* quality measure: number of added edges."""
         return len(self._fill)
 
+    def _chordal(self) -> Graph:
+        """h over the base's labels: a read-only view of h's core."""
+        core = self._core
+        if core is None:
+            core = self._base.core.copy()
+            index_of = self._base.index_of
+            for u, v in self._fill:
+                core.add_edge(index_of(u), index_of(v))
+            self._core = core
+        return self._base.with_core(core)
+
     @cached_property
     def graph(self) -> Graph:
-        """The chordal graph h = g + fill."""
-        filled = self._base.copy()
-        filled.add_edges(self._fill)
-        return filled
+        """The chordal graph h = g + fill, independent of the base."""
+        return self._chordal().copy()
+
+    @cached_property
+    def _forest(
+        self,
+    ) -> tuple[list[int], list[int | None], list[int | None], list[int]]:
+        return clique_forest_masks(self._chordal())
 
     @cached_property
     def clique_forest(self) -> CliqueForest:
         """The clique forest of h (cliques, parents, separators)."""
-        return mcs_clique_forest(self.graph)
+        return label_clique_forest(self._base, self._forest)
 
-    @property
+    @cached_property
     def width(self) -> int:
         """The *width* quality measure: max clique size of h minus one."""
-        return self.clique_forest.width
+        cliques = clique_forest_masks(self._chordal())[0]
+        return max((clique.bit_count() for clique in cliques), default=0) - 1
 
     @cached_property
     def minimal_separators(self) -> frozenset[frozenset[Node]]:
@@ -93,9 +145,12 @@ class Triangulation:
         Under the Parra–Scheffler bijection this family identifies the
         triangulation: ``h = g[MinSep(h)]``.
         """
-        from repro.chordal.chordal_separators import minimal_separators_of_chordal
-
-        return frozenset(minimal_separators_of_chordal(self.graph))
+        __, parent, separator_masks, __ = self._forest
+        label_set = self._base.label_set
+        return frozenset(
+            label_set(mask)
+            for mask in forest_separator_masks(parent, separator_masks)
+        )
 
     def is_minimal(self) -> bool:
         """Check minimality from first principles (RTL single-edge test).

@@ -18,8 +18,11 @@ every backend:
 3. *Ranking.*  A job with ``cost`` drains each queue best-first; the
    priority materialises an answer and scores it.  The scored
    Triangulation is not kept: the queue holds only separator masks.
-4. *Materialisation* (:func:`_materialise`): ``g[φ]`` by saturating the
-   answer's separator masks on a scratch bitmask core.
+4. *Materialisation*
+   (:meth:`~repro.core.triangulation.Triangulation.from_separator_masks`):
+   ``g[φ]`` by saturating the answer's separator masks on a copy of
+   g's bitmask core, which the Triangulation keeps as h's core for its
+   ``width`` read.
 5. *Product.*  Several regions are recombined through the resumable
    lazy fair product (:func:`_product_stream`).
 6. *Checkpoint sink.*  Checkpointing covers multi-region jobs too:
@@ -79,19 +82,6 @@ def _resolve_regions(job: EnumerationJob) -> list[frozenset]:
 
         return list(atoms(graph))
     return list(connected_components(graph))
-
-
-def _materialise(
-    region: Graph, answer: Answer
-) -> Triangulation:
-    """``g[φ]`` from separator masks — the fill at yield time."""
-    scratch = region.core.copy()
-    label_of = region.label_of
-    fill: list[tuple[Node, Node]] = []
-    for separator_mask in answer:
-        for u, v in scratch.saturate(separator_mask):
-            fill.append((label_of(u), label_of(v)))
-    return Triangulation(region, tuple(fill))
 
 
 class _DocumentSink:
@@ -190,13 +180,13 @@ def coordinated_stream(
     )
     # The priority scores a Triangulation and drops it; the yield
     # materialises the answer again.  Keeping the scored one would keep
-    # its cached graph and clique forest alive for as long as the
-    # answer stays queued, and Q grows with every pop in UP mode.
+    # its copy of the graph core alive for as long as the answer stays
+    # queued, and Q grows with every pop in UP mode.
     priority = None
     if cost_fn is not None and not multi_region:
 
         def priority(answer: Answer) -> object:
-            return cost_fn(_materialise(graph, answer))
+            return cost_fn(Triangulation.from_separator_masks(graph, answer))
 
     if runner_factory is None:
         runner = sink = document = None
@@ -218,7 +208,7 @@ def coordinated_stream(
                 )
             else:
                 for answer in streams[0]:
-                    yield _materialise(graph, answer)
+                    yield Triangulation.from_separator_masks(graph, answer)
         finally:
             for stream in streams:
                 stream.close()
@@ -377,7 +367,9 @@ def _product_stream(
             memo = fills[index]
             part = memo.get(answer)
             if part is None:
-                part = _materialise(region_graphs[index], answer).fill_edges
+                part = Triangulation.from_separator_masks(
+                    region_graphs[index], answer
+                ).fill_edges
                 memo[answer] = part
             fill.extend(part)
         return Triangulation(graph, tuple(fill))

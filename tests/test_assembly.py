@@ -103,9 +103,11 @@ class TestProductOrder:
 
     def _product(self, monkeypatch, lengths: list[int]) -> list:
         monkeypatch.setattr(
-            sharded,
-            "_materialise",
-            lambda region, answer: SimpleNamespace(fill_edges=answer),
+            Triangulation,
+            "from_separator_masks",
+            classmethod(
+                lambda cls, region, answer: SimpleNamespace(fill_edges=answer)
+            ),
         )
         streams = [
             iter([self._element(r, i) for i in range(length)])
@@ -224,9 +226,9 @@ class TestRankedSequence:
 class TestRankedQueueHoldsMasks:
     """A ranked job keeps no Triangulation alive for its queued answers.
 
-    The priority scores a Triangulation whose cached graph and clique
-    forest are a copy of the whole graph; the queue must hold separator
-    masks only, so memory does not grow by a graph per queued answer.
+    The priority scores a Triangulation, which holds a copy of the
+    whole graph core; the queue must hold separator masks only, so
+    memory does not grow by a graph core per queued answer.
     """
 
     @staticmethod

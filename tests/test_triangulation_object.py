@@ -2,9 +2,58 @@
 
 from __future__ import annotations
 
+import itertools
+
+import pytest
+
+from helpers import PACKED_TIERS, small_random_graphs
+from repro.chordal import cliques
 from repro.chordal.chordal_separators import minimal_separators_of_chordal
+from repro.chordal.cliques import mcs_clique_forest
+from repro.core import triangulation as triangulation_module
+from repro.core.enumerate import enumerate_minimal_triangulations
 from repro.core.triangulation import Triangulation
-from repro.graph.generators import cycle_graph, path_graph
+from repro.engine import EnumerationEngine, EnumerationJob
+from repro.graph import resolve_graph_backend
+from repro.graph.bitset_np import core_backend_name
+from repro.graph.generators import cycle_graph, gnp_random_graph, path_graph
+from repro.graph.graph import Graph
+from repro.workloads.pgm import promedas_like
+
+TIERS = ("indexed",) + PACKED_TIERS
+
+
+def _label_oracle(t: Triangulation, graph: bool = True) -> None:
+    """Every measure and view of ``t`` equals its label-level recomputation.
+
+    ``width`` is read first, so answers built from fill edges build
+    their core on that read.  ``graph=False`` skips ``t.graph``, for
+    answers whose label graph a caller has mutated.
+    """
+    filled = t.base.copy()
+    filled.add_edges(t.fill_edges)
+    forest = mcs_clique_forest(filled)
+    assert t.width == forest.width
+    assert t.fill == len(t.fill_edges) == len(filled.edge_set() - t.base.edge_set())
+    if graph:
+        assert t.graph.edge_set() == filled.edge_set()
+        assert t.graph.node_set() == filled.node_set()
+    assert t.clique_forest == forest
+    assert t.minimal_separators == frozenset(minimal_separators_of_chordal(filled))
+
+
+def _disconnected_corpus() -> list[Graph]:
+    """Two shifted copies of small random graphs, isolated nodes kept."""
+    corpus = []
+    for g in small_random_graphs(6, max_nodes=6, seed=77):
+        shifted = [(u + 100, v + 100) for u, v in g.edges()]
+        corpus.append(
+            Graph(
+                nodes=[*g.nodes(), *(u + 100 for u in g.nodes())],
+                edges=[*g.edges(), *shifted],
+            )
+        )
+    return corpus
 
 
 class TestConstruction:
@@ -60,6 +109,124 @@ class TestMeasures:
         g = cycle_graph(4)
         assert Triangulation(g, ((0, 2),)).is_minimal()
         assert not Triangulation(g, ((0, 2), (1, 3))).is_minimal()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestMaskCoreOracle:
+    """Answers read width and their views off h's mask core, on every tier."""
+
+    @staticmethod
+    def _check(answers, tier: str, limit: int | None = None) -> int:
+        count = 0
+        for t in itertools.islice(answers, limit):
+            assert core_backend_name(t.base.core) == tier
+            _label_oracle(t)
+            # The public constructor builds the same answer lazily.
+            _label_oracle(Triangulation(t.base, t.fill_edges))
+            count += 1
+        return count
+
+    def test_serial_property_corpus(self, tier):
+        for g in small_random_graphs(12, max_nodes=8, seed=1919):
+            answers = enumerate_minimal_triangulations(g, graph_backend=tier)
+            assert self._check(answers, tier) >= 1
+
+    def test_serial_disconnected_corpus(self, tier):
+        for g in _disconnected_corpus():
+            answers = enumerate_minimal_triangulations(g, graph_backend=tier)
+            assert self._check(answers, tier, limit=30) >= 1
+
+    def test_serial_atoms(self, tier):
+        graph = promedas_like(40, 60, seed=0)
+        job = EnumerationJob(graph, decompose="atoms", graph_backend=tier, max_results=40)
+        assert self._check(EnumerationEngine("serial").stream(job), tier) == 40
+
+    def test_sharded(self, tier):
+        engine = EnumerationEngine("sharded", workers=2)
+        jobs = [
+            EnumerationJob(gnp_random_graph(9, 0.4, seed=2), graph_backend=tier),
+            EnumerationJob(_disconnected_corpus()[1], graph_backend=tier, max_results=30),
+            EnumerationJob(
+                promedas_like(20, 30, seed=2),
+                decompose="atoms",
+                graph_backend=tier,
+                max_results=30,
+            ),
+        ]
+        for job in jobs:
+            assert self._check(engine.stream(job), tier) >= 1
+
+    def test_public_constructor(self, tier):
+        for g in small_random_graphs(8, max_nodes=8, seed=2323) + [path_graph(5)]:
+            base = resolve_graph_backend(g, tier)
+            complete = base.copy()
+            complete.saturate(base.nodes())
+            minimal = next(enumerate_minimal_triangulations(base)).graph
+            # Any chordal supergraph works, minimal or not.
+            answers = [
+                Triangulation.from_chordal_supergraph(base, minimal),
+                Triangulation.from_chordal_supergraph(base, complete),
+            ]
+            assert self._check(answers, tier) == 2
+        base = resolve_graph_backend(path_graph(5), tier)
+        assert self._check([Triangulation(base, ())], tier) == 1
+
+
+class TestMaskCoreIsolation:
+    """An answer's core is its own: no label graph on the width path,
+    and its label graph shares nothing with the base or a sibling."""
+
+    @staticmethod
+    def _engine_answers() -> list[Triangulation]:
+        graph = promedas_like(40, 60, seed=0)
+        answers = []
+        for decompose in ("components", "atoms"):
+            job = EnumerationJob(graph, decompose=decompose, max_results=15)
+            answers.extend(EnumerationEngine("serial").stream(job))
+        return answers
+
+    def test_width_and_fill_build_no_label_graph(self, monkeypatch):
+        answers = self._engine_answers()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a label graph was built on the width path")
+
+        monkeypatch.setattr(Graph, "copy", refuse)
+        monkeypatch.setattr(Graph, "add_edges", refuse)
+        monkeypatch.setattr(cliques, "mcs_clique_forest", refuse)
+        monkeypatch.setattr(triangulation_module, "mcs_clique_forest", refuse, raising=False)
+        measures = [(t.width, t.fill) for t in answers]
+        monkeypatch.undo()
+        assert len(measures) == 30
+        for t, (width, fill) in zip(answers, measures):
+            assert "graph" not in t.__dict__
+            assert (width, fill) == (mcs_clique_forest(t.graph).width, len(t.fill_edges))
+
+    @pytest.mark.parametrize("source", ["engine", "constructor"])
+    def test_mutating_graph_leaves_answers_alone(self, source):
+        g = gnp_random_graph(10, 0.4, seed=3)
+        first, sibling = itertools.islice(enumerate_minimal_triangulations(g), 2)
+        if source == "constructor":
+            first = Triangulation(g, first.fill_edges)
+            sibling = Triangulation(g, sibling.fill_edges)
+        base_nodes, base_edges = g.node_set(), g.edge_set()
+        fills = first.fill_edges, sibling.fill_edges
+        h = first.graph
+        u, v = next(
+            (u, v)
+            for u, v in itertools.combinations(sorted(g.nodes()), 2)
+            if not h.has_edge(u, v)
+        )
+        h.add_edge(u, v)
+        h.add_edge("fresh", u)
+        h.remove_node(v)
+        assert first.base is g and sibling.base is g
+        assert g.node_set() == base_nodes and g.edge_set() == base_edges
+        assert "fresh" not in g and g.mask_of(base_nodes) == g.core.alive
+        assert (first.fill_edges, sibling.fill_edges) == fills
+        _label_oracle(first, graph=False)
+        _label_oracle(sibling)
+        assert first.graph is h and "fresh" in h and v not in h
 
 
 class TestEqualityAndRepr:
