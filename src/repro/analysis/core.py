@@ -37,7 +37,7 @@ __all__ = [
 
 #: Bumped when rules are added/changed so perf recordings and reports
 #: can note which invariant battery a tree passed.
-ANALYZER_VERSION = "1.0"
+ANALYZER_VERSION = "1.1"
 
 #: ``# repro: allow[rule-id]`` (comma-separated ids allowed).
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\-* ]+)\]")

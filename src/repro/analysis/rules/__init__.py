@@ -5,7 +5,6 @@ from repro.analysis.rules import (  # noqa: F401
     job_threading,
     kernel_parity,
     protocol_dispatch,
-    shm_ownership,
     stats_registry,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "job_threading",
     "kernel_parity",
     "protocol_dispatch",
-    "shm_ownership",
     "stats_registry",
 ]

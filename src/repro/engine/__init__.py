@@ -8,8 +8,8 @@ registered backend:
 
 * ``serial``  — the single-process reference pipeline;
 * ``sharded`` — the answer queue Q partitioned across a
-  multiprocessing worker pool: the graph ships once per job as a
-  shared-memory packed adjacency segment, separator sets travel in the
+  multiprocessing worker pool: the graph ships once per worker as an
+  inline packed adjacency matrix, separator sets travel in the
   interned packed wire format of :mod:`repro.engine.wire`, batches are
   sized to the job's ``batch_target_ms`` by the cost-driven
   :class:`~repro.engine.batching.AdaptiveBatcher`, each worker keeps a

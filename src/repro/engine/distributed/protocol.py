@@ -384,16 +384,10 @@ _GRAPH_HEADER_LEN = struct.Struct("!I")
 def encode_graph_payload(payload: GraphPayload) -> bytes:
     """Serialise a :class:`~repro.engine.pool.GraphPayload` for the wire.
 
-    Only packed payloads ship (the distributed backend requires numpy
-    on both ends); the triangulator must be a registry name — custom
-    heuristic *instances* would need pickling, which the socket
-    protocol deliberately never does.
+    The triangulator must be a registry name — custom heuristic
+    *instances* would need pickling, which the socket protocol
+    deliberately never does.
     """
-    if payload.packed is None:
-        raise EngineError(
-            "distributed execution requires a packed graph payload "
-            "(numpy must be installed on the coordinator)"
-        )
     if not isinstance(payload.triangulator, str):
         raise EngineError(
             "distributed execution requires a registry-named "
@@ -440,6 +434,10 @@ def decode_graph_payload(data: bytes) -> "GraphPayload":
         raise WireDecodeError(f"malformed graph header: {exc}") from exc
     if alive < 0 or rows < 0 or words < 1 or num_edges < 0:
         raise WireDecodeError("graph header fields out of range")
+    if alive >> rows:
+        raise WireDecodeError(
+            f"graph header alive mask names vertices beyond its {rows} rows"
+        )
     if len(labels) != rows:
         raise WireDecodeError(
             f"graph header names {len(labels)} labels for {rows} rows"

@@ -66,13 +66,12 @@ class EnumerationEngine:
 
         The stream stops after ``job.max_results`` answers or once
         ``job.time_budget`` seconds have elapsed (checked after each
-        answer).  Closing the stream releases backend resources — the
-        worker pool *and* the shared-memory graph segment a sharded run
-        mapped for its workers — and, for checkpointed jobs, persists
+        answer).  Closing the stream releases backend resources — a
+        sharded run's worker pool — and, for checkpointed jobs, persists
         the final (Q, P, V) state (stage timers included) so an
         interrupted consumer can resume with ``job.resume=True``.
         Always close the stream (or drain it): an abandoned sharded
-        stream holds its segment until garbage collection.
+        stream holds its worker pool until garbage collection.
         """
         job.validate()
         if stats is None:

@@ -6,19 +6,15 @@ The coordinator ships a *graph payload* once per worker and then
 streams *task batches*.
 
 The payload (:class:`GraphPayload`) carries the graph as its packed
-``uint64`` adjacency word matrix (dense label list + alive mask + the
-triangulator spec + the graph-core backend name ride along, so the
-rebuilt graph has **identical** vertex indices and runs on the same
-core class the coordinator selected).  For a worker pool the matrix
-lives in a ``multiprocessing.shared_memory`` segment
-(:class:`~repro.graph.bitset_np.SharedPackedBuffer`): the pickle
-channel moves only the segment name and shape, every worker maps the
-same physical pages read-only, and a numpy-backed worker adopts the
-mapping directly as its core's packed mirror — zero copies of the
-adjacency anywhere.  The runner that created the segment owns its
-lifetime and unlinks it on close, interrupt and crash-unwind paths;
-workers only ever map it (see ``SharedPackedBuffer`` for the
-resource-tracker discipline).
+``uint64`` adjacency word matrix, inline as bytes (dense label list +
+alive mask + the triangulator spec + the graph-core backend name ride
+along, so the rebuilt graph has **identical** vertex indices and runs
+on the same core class the coordinator selected).  Every transport
+ships the same payload: the pool hands it to its worker initializer,
+the inline runner to its one worker state, and the socket fleet sends
+it as the graph frame of :mod:`repro.engine.distributed.protocol`.
+Every worker rebuilds its graph from it through one function,
+:func:`_rebuild_graph`.
 
 Task batches for a pool travel in the packed wire format of
 :mod:`repro.engine.wire` — per-batch interned mask tables with
@@ -59,7 +55,7 @@ import os
 import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
@@ -104,9 +100,8 @@ BatchResult = tuple[list[tuple[int, ...]], EnumMISStatistics, int]
 class GraphPayload:
     """Everything a worker needs to rebuild the coordinator's graph.
 
-    Exactly one of the adjacency carriers is set: ``shm_name`` (packed
-    matrix in a shared-memory segment — the pool path) or ``packed``
-    (the same matrix inline as bytes — in-process runners, tests).
+    ``packed`` is the ``(rows, words)`` little-endian ``uint64``
+    adjacency matrix as bytes.
     """
 
     labels: tuple[Hashable, ...]
@@ -116,8 +111,7 @@ class GraphPayload:
     backend: str
     rows: int
     words: int
-    shm_name: str | None = None
-    packed: bytes | None = None
+    packed: bytes
 
 
 def default_worker_count() -> int:
@@ -156,12 +150,7 @@ def triangulator_spec(
 def make_payload(
     graph: Graph, triangulator: str | Triangulator
 ) -> GraphPayload:
-    """Snapshot ``graph`` for worker-side reconstruction.
-
-    The returned payload carries the packed adjacency inline;
-    :class:`PoolRunner` promotes it to a shared-memory segment before
-    the pickle channel ever sees it.
-    """
+    """Snapshot ``graph`` for worker-side reconstruction."""
     core = graph.core
     words = bitset_np.word_count(len(core.adj))
     packed = bitset_np.pack_masks(core.adj, words)
@@ -196,25 +185,21 @@ def _warn_degraded(requested: str, actual: str) -> None:
         )
 
 
-def _rebuild_graph(
-    payload: GraphPayload,
-) -> tuple[Graph, "object | None"]:
+def _rebuild_graph(payload: GraphPayload) -> Graph:
     """Reconstruct the coordinator's graph from a payload.
 
-    Returns ``(graph, shared_buffer)``; the buffer (when the payload
-    named a shared segment) must stay referenced for the graph's
-    lifetime — its mapping backs the core's packed mirror.
+    The int rows are bulk-unpacked from the matrix; a numpy or native
+    core builds its packed mirror lazily on first use, as every
+    ``copy()`` does.
     """
-    buffer = None
-    if payload.shm_name is not None:
-        buffer = bitset_np.SharedPackedBuffer.attach(
-            payload.shm_name, payload.rows, payload.words
+    core = IndexedGraph.__new__(IndexedGraph)
+    core.adj = bitset_np.unpack_rows(
+        np.frombuffer(payload.packed, dtype=np.dtype("<u8")).reshape(
+            payload.rows, payload.words
         )
-        matrix = buffer.matrix
-    else:
-        matrix = np.frombuffer(
-            payload.packed, dtype=np.dtype("<u8")
-        ).reshape(payload.rows, payload.words)
+    )
+    core.alive = payload.alive
+    core.num_edges = payload.num_edges
     if payload.backend != "indexed":
         # Resolve the coordinator's backend name in *this* process: a
         # worker without a usable compiled extension rebuilds a native
@@ -225,14 +210,9 @@ def _rebuild_graph(
         if payload.backend == "native" and not core_cls.runtime_available():
             core_cls = bitset_np.NumpyGraphCore
             _warn_degraded(payload.backend, "numpy")
-        core = core_cls.from_packed(matrix, payload.alive, payload.num_edges)
-    else:
-        core = IndexedGraph.__new__(IndexedGraph)
-        core.adj = bitset_np.unpack_rows(matrix)
-        core.alive = payload.alive
-        core.num_edges = payload.num_edges
+        core = core_cls._adopt(core)
     interner = NodeInterner.from_dense(list(payload.labels), payload.alive)
-    return Graph._from_parts(core, interner), buffer
+    return Graph._from_parts(core, interner)
 
 
 class WorkerState:
@@ -252,7 +232,7 @@ class WorkerState:
     def __init__(
         self, payload: GraphPayload, limits: BatchLimits | None = None
     ) -> None:
-        self.graph, self._buffer = _rebuild_graph(payload)
+        self.graph = _rebuild_graph(payload)
         self.triangulator = get_triangulator(payload.triangulator)
         self.kernel_tier = bitset_np.core_backend_name(self.graph.core)
         self._watchdog = (
@@ -462,13 +442,11 @@ class InlineRunner:
 class PoolRunner:
     """Runner backed by a ``ProcessPoolExecutor`` of warm workers.
 
-    Owns the shared-memory graph segment: the inline payload is
-    promoted to a :class:`~repro.graph.bitset_np.SharedPackedBuffer`
-    before the pool starts, and the segment is unlinked exactly once in
-    :meth:`close` — which the coordinator assembly calls on normal
-    exhaustion, generator close, ``KeyboardInterrupt`` and worker-crash
-    unwind alike.  A worker killed outside Python leaves only its own
-    mapping behind, which the kernel reclaims with the process.
+    Each worker's initializer receives the graph payload as it is and
+    rebuilds the graph once.  :meth:`close` shuts the pool down and
+    waits for its workers to exit; the coordinator assembly calls it on
+    normal exhaustion, generator close, ``KeyboardInterrupt`` and
+    worker-crash unwind alike.
     """
 
     def __init__(
@@ -481,17 +459,10 @@ class PoolRunner:
             raise EngineError("sharded execution needs at least 1 worker")
         self.workers = workers
         self._limits = limits
-        matrix = np.frombuffer(
-            payload.packed, dtype=np.dtype("<u8")
-        ).reshape(payload.rows, payload.words)
-        self._buffer = bitset_np.SharedPackedBuffer.create(matrix)
-        self._payload = replace(
-            payload, packed=None, shm_name=self._buffer.name
-        )
+        self._payload = payload
         try:
             self._executor = self._spawn()
         except Exception as exc:  # pragma: no cover - platform-specific
-            self._release_buffer()
             raise EngineError(
                 f"could not start worker pool ({exc}); custom "
                 "triangulators must be picklable to shard"
@@ -510,8 +481,8 @@ class PoolRunner:
         ``BrokenProcessPool`` condemns the whole executor even though
         only one process died; the coordinator's quarantine policy
         calls this, then re-drives the in-flight batches through its
-        retry/split/quarantine ladder.  The shared-memory graph
-        segment is untouched — the fresh workers re-attach to it.
+        retry/split/quarantine ladder.  The fresh workers rebuild the
+        graph from the same payload.
 
         Idempotent per break: one dead worker fails *every* in-flight
         future with ``BrokenProcessPool`` at once, and each failure
@@ -526,16 +497,8 @@ class PoolRunner:
             pass
         self._executor = self._spawn()
 
-    def _release_buffer(self) -> None:
-        buffer, self._buffer = self._buffer, None
-        if buffer is not None:
-            buffer.unlink()
-
     def submit(self, batch) -> "Future":
         return self._executor.submit(_run_batch, batch)
 
     def close(self) -> None:
-        try:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-        finally:
-            self._release_buffer()
+        self._executor.shutdown(wait=True, cancel_futures=True)

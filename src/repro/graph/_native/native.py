@@ -30,9 +30,8 @@ and call the same names either way.  Every kernel takes raw buffer
 pointers from the existing numpy arrays (``ffi.from_buffer`` — zero
 copies, read-only buffers accepted), so :class:`NativeGraphCore` is a
 thin subclass of :class:`~repro.graph.bitset_np.NumpyGraphCore`: the
-packed mirror, the ``SharedPackedBuffer`` zero-copy plumbing and the
-width-adaptive ``packed_view`` gate are inherited unchanged, only the
-kernel dispatch differs.
+lazily built packed mirror and the width-adaptive ``packed_view``
+gate are inherited unchanged, only the kernel dispatch differs.
 """
 
 from __future__ import annotations
@@ -615,8 +614,7 @@ class NativeGraphCore(NumpyGraphCore):
     """A :class:`~repro.graph.bitset_np.NumpyGraphCore` on C kernels.
 
     Everything structural is inherited — the int-mask source of truth,
-    the lazily maintained packed mirror, ``from_packed`` zero-copy
-    adoption of shared-memory segments, the width-adaptive
+    the lazily maintained packed mirror, the width-adaptive
     ``is_narrow`` gate.  The only difference is the kernel namespace
     the batch methods (and, through
     :func:`repro.graph.bitset_np.kernels_for`, the chordal layer and

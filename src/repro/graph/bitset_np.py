@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -89,7 +88,6 @@ __all__ = [
     "weight_level_rows",
     "PackedMCSQueue",
     "packed_view",
-    "SharedPackedBuffer",
     "NumpyGraphCore",
     "select_core_class",
     "core_backend_name",
@@ -472,111 +470,6 @@ class PackedMCSQueue:
             yield int.from_bytes(row.tobytes(), "little")
 
 
-# ----------------------------------------------------------------------
-# Shared-memory packed buffers (zero-copy worker payloads)
-# ----------------------------------------------------------------------
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker ownership.
-
-    Ownership is explicit here: the creator unlinks, attachers only
-    close.  On Python ≥ 3.13 ``track=False`` keeps an attach from
-    registering with the resource tracker at all.  Before 3.13 every
-    attach registers — but our attachers are exclusively
-    ``multiprocessing`` children of the creator, which share the
-    creator's tracker process, so the re-registration is idempotent
-    (the tracker keeps a set) and the creator's ``unlink`` removes the
-    single entry.  Explicitly unregistering from a worker would be
-    *wrong* with a shared tracker: it would erase the creator's
-    registration and forfeit the kill-backstop (the tracker unlinking
-    the segment if the creator dies before ``unlink``).
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no ``track`` parameter
-        return shared_memory.SharedMemory(name=name)
-
-
-class SharedPackedBuffer:
-    """One packed ``uint64`` matrix in a ``multiprocessing`` shared segment.
-
-    The zero-copy transport of the sharded engine's graph payload: the
-    coordinator :meth:`create`\\ s the segment once (copying the packed
-    adjacency in), ships only the segment *name* plus the matrix shape
-    through the pickle channel, and each worker :meth:`attach`\\ es and
-    maps :attr:`matrix` as a read-only view — no per-worker unpickle of
-    n big-int masks, no per-worker copy of the adjacency.
-
-    Lifecycle is explicitly single-owner: the creating process calls
-    :meth:`unlink` exactly once (the pool runner does so on close,
-    interrupt and crash-unwind paths), attached processes only ever
-    :meth:`close` their mapping.  Attaching never registers with the
-    resource tracker (see :func:`_attach_segment`), so a worker killed
-    mid-task leaves nothing behind for the tracker to double-free; a
-    coordinator killed before ``unlink`` is backstopped by its own
-    tracker, which still knows about the created segment.
-    """
-
-    __slots__ = ("_segment", "matrix", "owner", "name")
-
-    def __init__(
-        self,
-        segment: shared_memory.SharedMemory,
-        rows: int,
-        words: int,
-        owner: bool,
-    ) -> None:
-        self._segment = segment
-        self.owner = owner
-        self.name = segment.name
-        matrix = np.frombuffer(
-            segment.buf, dtype=_WORD_DTYPE, count=rows * words
-        ).reshape(rows, words)
-        # Writes belong to the creator, before sharing; a stray write
-        # from an attached process would corrupt every other worker.
-        matrix.flags.writeable = False
-        self.matrix = matrix
-
-    @classmethod
-    def create(cls, packed: np.ndarray) -> "SharedPackedBuffer":
-        """Allocate a segment and copy ``packed`` into it (owner side)."""
-        packed = np.ascontiguousarray(packed, dtype=_WORD_DTYPE)
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(1, packed.nbytes)
-        )
-        view = np.frombuffer(
-            segment.buf, dtype=_WORD_DTYPE, count=packed.size
-        ).reshape(packed.shape)
-        view[:] = packed
-        return cls(segment, packed.shape[0], packed.shape[1], owner=True)
-
-    @classmethod
-    def attach(cls, name: str, rows: int, words: int) -> "SharedPackedBuffer":
-        """Map an existing segment read-only (worker side)."""
-        return cls(_attach_segment(name), rows, words, owner=False)
-
-    def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        # The numpy view exports a pointer into the mapping; release
-        # ours first, and tolerate views still held elsewhere (the
-        # mapping then lives until those are collected — ``unlink``
-        # below does not depend on the mapping being closed).
-        self.matrix = None
-        try:
-            self._segment.close()
-        except BufferError:  # pragma: no cover - caller kept a view
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment system-wide (owner side, exactly once)."""
-        self.close()
-        try:
-            self._segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
 class NumpyGraphCore(IndexedGraph):
     """An ``IndexedGraph`` with a packed adjacency matrix for batch ops.
 
@@ -620,28 +513,6 @@ class NumpyGraphCore(IndexedGraph):
         clone.alive = core.alive
         clone.num_edges = core.num_edges
         clone._packed = None
-        clone._narrow = None
-        return clone
-
-    @classmethod
-    def from_packed(
-        cls, packed: np.ndarray, alive: int, num_edges: int
-    ) -> "NumpyGraphCore":
-        """Build a core over an already-packed adjacency matrix.
-
-        The int-mask ``adj`` rows are bulk-unpacked from the matrix and
-        ``packed`` itself — typically a read-only view over a
-        :class:`SharedPackedBuffer` — is adopted as the live mirror, so
-        a sharded worker starts with its batch matrix warm and shares
-        the underlying pages with every other worker.  A read-only
-        mirror is safe: the one in-place mutation path
-        (:meth:`saturate`) detaches onto a private copy first.
-        """
-        clone = cls.__new__(cls)
-        clone.adj = unpack_rows(packed)
-        clone.alive = alive
-        clone.num_edges = num_edges
-        clone._packed = packed
         clone._narrow = None
         return clone
 
@@ -730,9 +601,9 @@ class NumpyGraphCore(IndexedGraph):
         if packed is None:
             return super().saturate(mask)
         if not packed.flags.writeable:
-            # Shared (or otherwise read-only) mirror: detach onto a
-            # private copy before the first in-place fill — sharded
-            # workers must never write into the coordinator's segment.
+            # ``pack_masks`` returns a read-only view over ``bytes``,
+            # so every mirror ``_matrix`` builds is read-only: detach
+            # onto a writable copy before the first in-place fill.
             packed = self._packed = packed.copy()
         kernels = self._kernel_namespace()
         if mask.bit_count() < self.MIN_GATHER:

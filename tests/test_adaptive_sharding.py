@@ -1,9 +1,9 @@
 """Tests for the sharded engine's data plane and scheduler (ISSUE 5).
 
 Covers the adaptive cost-driven batcher (deterministic injected clock,
-no wall-time dependence), the packed batch wire codec, the
-shared-memory graph payload and its lifecycle (graceful close,
-interrupt, killed worker), the stage timers, and the correctness
+no wall-time dependence), the packed batch wire codec, the graph
+payload, the worker pool's lifecycle (graceful close, interrupt,
+killed worker), the stage timers, and the correctness
 smoke that runs the scheduler at an aggressively tiny batch target
 against the serial reference — the batch policy may never trade
 answers for throughput.
@@ -11,6 +11,7 @@ answers for throughput.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import signal
@@ -27,7 +28,7 @@ from repro.engine.pool import (
     PoolRunner,
     make_payload,
 )
-from repro.graph.bitset_np import SharedPackedBuffer, word_count
+from repro.graph.bitset_np import word_count
 from repro.graph.generators import gnp_random_graph
 from repro.sgr.enum_mis import EnumMISStatistics
 
@@ -215,80 +216,65 @@ class TestGraphPayload:
         from repro.graph.bitset_np import NumpyGraphCore, convert_graph
 
         g = convert_graph(gnp_random_graph(25, 0.4, seed=6), "numpy")
-        runner = InlineRunner(make_payload(g, "mcs_m"))
-        core = runner._state.graph.core
+        payload = make_payload(g, "mcs_m")
+        core = InlineRunner(payload)._state.graph.core
         assert isinstance(core, NumpyGraphCore)
-        assert core._packed is not None
-        assert not core._packed.flags.writeable
         assert core.adj == g.core.adj
-
-    def test_readonly_mirror_detaches_on_saturate(self):
-        from repro.graph.bitset_np import NumpyGraphCore, convert_graph
-
-        g = convert_graph(gnp_random_graph(25, 0.25, seed=6), "numpy")
-        runner = InlineRunner(make_payload(g, "mcs_m"))
-        core = runner._state.graph.core
-        shared = core._packed
-        mask = core.alive
-        core.saturate(mask)
-        # The mirror was copied before mutation, the original untouched.
-        assert core._packed is not shared
-        oracle = NumpyGraphCore.from_indexed(g.core)
-        oracle.saturate(mask)
-        assert core.adj == oracle.adj
+        # The worker builds its mirror lazily, and it is the payload's.
+        assert core._packed is None
+        assert core._matrix().tobytes() == payload.packed
 
 
-class TestSharedMemoryLifecycle:
-    def _segments(self) -> set[str]:
-        try:
-            return {
-                name
-                for name in os.listdir("/dev/shm")
-                if name.startswith("psm_")
-            }
-        except FileNotFoundError:  # pragma: no cover - non-Linux
-            pytest.skip("/dev/shm not available")
+class TestPoolRunnerLifecycle:
+    """Every exit path of a sharded run leaves no worker process alive."""
 
-    def test_buffer_create_attach_unlink(self):
-        import numpy as np
+    @staticmethod
+    def _children() -> set[int]:
+        return {p.pid for p in multiprocessing.active_children()}
 
-        matrix = np.arange(12, dtype=np.uint64).reshape(3, 4)
-        owner = SharedPackedBuffer.create(matrix)
-        attached = SharedPackedBuffer.attach(owner.name, 3, 4)
-        assert (attached.matrix == matrix).all()
-        assert not attached.matrix.flags.writeable
-        attached.close()
-        owner.unlink()
-        with pytest.raises(FileNotFoundError):
-            SharedPackedBuffer.attach(owner.name, 3, 4)
+    def _assert_workers_exited(self, before: set[int]) -> None:
+        left = self._children() - before
+        assert not left, f"worker processes still alive: {sorted(left)}"
 
-    def test_pool_runner_unlinks_on_close(self):
+    @staticmethod
+    def _warm(runner: PoolRunner, g) -> wire.PackedBatch:
+        """Run one batch, so the workers are up; return that batch."""
+        seed = tuple(sorted(g.mask_of(s) for s in serial_seed_family(g)))
+        batch = wire.encode_batch(
+            g.core.alive, [seed], (), word_count(len(g.core.adj))
+        )
+        runner.submit(batch).result()
+        return batch
+
+    def test_pool_runner_close_joins_workers(self):
         g = gnp_random_graph(14, 0.4, seed=8)
-        before = self._segments()
+        before = self._children()
         runner = PoolRunner(make_payload(g, "mcs_m"), workers=2)
-        created = self._segments() - before
-        assert len(created) == 1
+        self._warm(runner, g)
+        workers = set(runner._executor._processes)
+        assert workers and workers <= self._children() - before
         runner.close()
-        assert self._segments() <= before
+        self._assert_workers_exited(before)
 
-    def test_stream_close_unlinks_segment(self):
+    def test_stream_close_joins_workers(self):
         # The consumer walking away mid-stream (the generator-close
-        # path KeyboardInterrupt handling funnels into) must release
-        # the segment.
+        # path KeyboardInterrupt handling funnels into) must shut the
+        # pool down.
         g = gnp_random_graph(13, 0.35, seed=9)
-        before = self._segments()
+        before = self._children()
         stream = EnumerationEngine("sharded", workers=2).stream(
             EnumerationJob(g)
         )
         for index, __ in enumerate(stream):
             if index >= 3:
                 break
+        assert self._children() - before
         stream.close()
-        assert self._segments() <= before
+        self._assert_workers_exited(before)
 
-    def test_keyboard_interrupt_unlinks_segment(self):
+    def test_keyboard_interrupt_joins_workers(self):
         g = gnp_random_graph(13, 0.35, seed=9)
-        before = self._segments()
+        before = self._children()
         stream = EnumerationEngine("sharded", workers=2).stream(
             EnumerationJob(g)
         )
@@ -299,20 +285,15 @@ class TestSharedMemoryLifecycle:
                         raise KeyboardInterrupt
             finally:
                 stream.close()
-        assert self._segments() <= before
+        self._assert_workers_exited(before)
 
-    def test_killed_worker_leaves_no_segment(self):
+    def test_killed_worker_leaves_no_worker(self):
         from concurrent.futures.process import BrokenProcessPool
 
         g = gnp_random_graph(14, 0.4, seed=8)
-        before = self._segments()
+        before = self._children()
         runner = PoolRunner(make_payload(g, "mcs_m"), workers=2)
-        # Ensure the workers are up (initializer ran) before the kill.
-        seed = tuple(sorted(g.mask_of(s) for s in serial_seed_family(g)))
-        batch = wire.encode_batch(
-            g.core.alive, [seed], (), word_count(len(g.core.adj))
-        )
-        runner.submit(batch).result()
+        batch = self._warm(runner, g)
         victim = next(iter(runner._executor._processes.values()))
         os.kill(victim.pid, signal.SIGKILL)
         with pytest.raises(BrokenProcessPool):
@@ -320,45 +301,45 @@ class TestSharedMemoryLifecycle:
             while time.monotonic() < deadline:
                 runner.submit(batch).result()
         runner.close()
-        assert self._segments() <= before
+        self._assert_workers_exited(before)
 
-    def test_cooperative_abort_leaves_no_segment(self, monkeypatch):
+    def test_cooperative_abort_leaves_no_worker(self, monkeypatch):
         # A batch aborted mid-saturate by the worker watchdog / poison
-        # injection must not leak the graph segment: the worker frees
-        # its scratch state and survives, the run completes through
-        # quarantine salvage, and close() unlinks as usual.
+        # injection: the worker frees its scratch state and survives,
+        # the run completes through quarantine salvage, and close()
+        # shuts the pool down as usual.
         from repro.chordal.minimal_separators import minimal_separator_masks
 
         g = gnp_random_graph(12, 0.35, seed=11)
         poison = next(iter(minimal_separator_masks(g)))
         monkeypatch.setenv("REPRO_CHAOS_POISON", str(poison))
         monkeypatch.setenv("REPRO_CHAOS_POISON_MODE", "fail")
-        before = self._segments()
+        before = self._children()
         with pytest.warns(RuntimeWarning, match="quarantin"):
             result = EnumerationEngine("sharded", workers=2).run(
                 EnumerationJob(g, max_batch_retries=0)
             )
         assert result.stats.batches_quarantined >= 1
-        assert self._segments() <= before
+        self._assert_workers_exited(before)
 
-    def test_worker_kill_and_restart_leave_no_segment(self, monkeypatch):
+    def test_worker_kill_and_restart_leave_no_worker(self, monkeypatch):
         # The hard-death flavour: the poisoned batch SIGKILLs its
         # worker (os._exit), the pool breaks, the coordinator restarts
-        # it and quarantines the batch — across all of which exactly
-        # one segment may exist, and none after close.
+        # it and quarantines the batch — and after close neither the
+        # broken pool's workers nor the fresh ones are left.
         from repro.chordal.minimal_separators import minimal_separator_masks
 
         g = gnp_random_graph(12, 0.35, seed=11)
         poison = next(iter(minimal_separator_masks(g)))
         monkeypatch.setenv("REPRO_CHAOS_POISON", str(poison))
         monkeypatch.setenv("REPRO_CHAOS_POISON_MODE", "kill")
-        before = self._segments()
+        before = self._children()
         with pytest.warns(RuntimeWarning, match="quarantin"):
             result = EnumerationEngine("sharded", workers=2).run(
                 EnumerationJob(g, max_batch_retries=0)
             )
         assert result.stats.batches_quarantined >= 1
-        assert self._segments() <= before
+        self._assert_workers_exited(before)
 
 
 def serial_seed_family(graph):

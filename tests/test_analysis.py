@@ -47,12 +47,11 @@ class TestFramework:
         assert [rule.id for rule in rules] == sorted(
             rule.id for rule in rules
         )
-        assert {rule.id for rule in rules} >= {
+        assert {rule.id for rule in rules} == {
             "async-blocking",
             "job-threading",
             "kernel-parity",
             "protocol-dispatch",
-            "shm-ownership",
             "stats-registry",
         }
         assert all(rule.summary for rule in rules)
@@ -263,62 +262,6 @@ class TestAsyncBlockingRule:
             },
         )
         assert findings_for(tmp_path, "async-blocking") == []
-
-
-class TestShmOwnershipRule:
-    def test_unowned_create_fires(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "mod.py": """\
-                from repro.engine.pool import SharedPackedBuffer
-
-                def leak(matrix):
-                    return SharedPackedBuffer.create(matrix)
-                """
-            },
-        )
-        findings = findings_for(tmp_path, "shm-ownership")
-        assert len(findings) == 1
-        assert "has no owner" in findings[0].message
-
-    def test_try_finally_owner_is_fine(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "mod.py": """\
-                from repro.engine.pool import SharedPackedBuffer
-
-                def scoped(matrix):
-                    buffer = None
-                    try:
-                        buffer = SharedPackedBuffer.create(matrix)
-                        return buffer.digest()
-                    finally:
-                        if buffer is not None:
-                            buffer.unlink()
-                """
-            },
-        )
-        assert findings_for(tmp_path, "shm-ownership") == []
-
-    def test_class_owner_is_fine(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "mod.py": """\
-                from repro.engine.pool import SharedPackedBuffer
-
-                class Owner:
-                    def __init__(self, matrix):
-                        self._buffer = SharedPackedBuffer.create(matrix)
-
-                    def close(self):
-                        self._buffer.unlink()
-                """
-            },
-        )
-        assert findings_for(tmp_path, "shm-ownership") == []
 
 
 class TestKernelParityRule:

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from helpers import PACKED_TIERS, small_random_graphs
+from helpers import PACKED_TIERS, requires_native, small_random_graphs
 from repro.chordal.minimal_separators import (
     are_crossing_batch_masks,
     are_crossing_masks,
@@ -162,6 +162,28 @@ class TestNumpyGraphCore:
         sub = core.subgraph(core.alive)
         assert sub.adj == core.adj and sub.alive == core.alive
 
+    @pytest.mark.parametrize("tier", PACKED_TIERS)
+    def test_readonly_mirror_detaches_on_saturate(self, tier):
+        # ``pack_masks`` views ``bytes``, so every mirror ``_matrix``
+        # builds is read-only; ``saturate`` must fill a writable copy.
+        # (numpy's ``ufunc.at`` writes through the read-only flag, so
+        # the old mirror's bytes are checked, not only an exception.)
+        g = gnp_random_graph(40, 0.25, seed=6)
+        core = convert_graph(g, tier).core
+        mirror = core._matrix()
+        assert not mirror.flags.writeable
+        before = mirror.tobytes()
+        mask = sum(1 << v for v in range(NumpyGraphCore.MIN_GATHER + 4))
+        oracle = g.core.copy()
+        added = oracle.saturate(mask)
+        assert added
+        assert sorted(core.saturate(mask)) == sorted(added)
+        assert mirror.tobytes() == before
+        assert core.adj == oracle.adj
+        assert core._matrix().tobytes() == (
+            pack_masks(oracle.adj, word_count(len(oracle.adj))).tobytes()
+        )
+
 
 class TestBackendSelection:
     def test_auto_threshold(self):
@@ -300,7 +322,8 @@ class TestEnumerationEquivalence:
                 }
                 assert indexed == numpy_backend
 
-    def test_engine_backends_with_numpy_core(self):
+    @staticmethod
+    def _engine_backends_agree_on(tier: str) -> None:
         from repro.engine import EnumerationEngine, EnumerationJob
 
         g = gnp_random_graph(13, 0.35, seed=29)
@@ -311,17 +334,24 @@ class TestEnumerationEquivalence:
         forced = {
             t.fill_edges
             for t in EnumerationEngine("serial").stream(
-                EnumerationJob(g, graph_backend="numpy")
+                EnumerationJob(g, graph_backend=tier)
             )
         }
-        sharded = {
-            t.fill_edges
-            for t in EnumerationEngine("sharded", workers=2).stream(
-                EnumerationJob(g, graph_backend="numpy")
-            )
-        }
+        result = EnumerationEngine("sharded", workers=2).run(
+            EnumerationJob(g, graph_backend=tier)
+        )
+        sharded = {t.fill_edges for t in result.triangulations}
         assert reference == forced == sharded
         assert reference
+        # Every batch ran on the requested tier, in the workers too.
+        assert set(result.stats.kernel_tiers) == {tier}
+
+    def test_engine_backends_with_numpy_core(self):
+        self._engine_backends_agree_on("numpy")
+
+    @requires_native
+    def test_engine_backends_with_native_core(self):
+        self._engine_backends_agree_on("native")
 
     def test_job_rejects_unknown_graph_backend(self):
         from repro.engine import EngineError, EnumerationJob

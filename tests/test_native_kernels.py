@@ -8,7 +8,7 @@ Three layers of pinning:
 * ``NativeGraphCore`` against ``NumpyGraphCore`` end to end —
   identical enumerated triangulation sets in both printing modes on
   the property corpus, identical sharded-worker rebuilds from packed
-  payloads (inline and shared-memory);
+  payloads;
 * the degradation story — auto-selection and explicit ``"native"``
   requests fall back to the numpy core on a monkeypatched load
   failure, and corrupt or stale build artefacts trigger a clean
@@ -42,7 +42,6 @@ from repro.graph.bitset_np import (
     GRAPH_BACKENDS,
     NUMPY_THRESHOLD,
     NumpyGraphCore,
-    SharedPackedBuffer,
     convert_graph,
     kernels_for,
     select_core_class,
@@ -380,49 +379,13 @@ class TestWorkerRebuild:
     @requires_native
     def test_inline_rebuild_on_native_core(self):
         g = convert_graph(gnp_random_graph(25, 0.4, seed=6), "native")
-        runner = InlineRunner(make_payload(g, "mcs_m"))
-        core = runner._state.graph.core
+        payload = make_payload(g, "mcs_m")
+        core = InlineRunner(payload)._state.graph.core
         assert type(core) is GRAPH_BACKENDS["native"]
         assert core.adj == g.core.adj
-        assert core._packed is not None
-
-    @requires_native
-    def test_shared_memory_rebuild_on_native_core(self):
-        g = convert_graph(gnp_random_graph(30, 0.3, seed=8), "native")
-        payload = make_payload(g, "mcs_m")
-        matrix = np.frombuffer(payload.packed, dtype=np.dtype("<u8")).reshape(
-            payload.rows, payload.words
-        )
-        try:
-            owner = SharedPackedBuffer.create(matrix)
-        except (FileNotFoundError, OSError):
-            pytest.skip("shared memory not available")
-        try:
-            shm_payload = type(payload)(
-                labels=payload.labels,
-                alive=payload.alive,
-                num_edges=payload.num_edges,
-                triangulator=payload.triangulator,
-                backend=payload.backend,
-                rows=payload.rows,
-                words=payload.words,
-                shm_name=owner.name,
-            )
-            rebuilt, buffer = _rebuild_graph(shm_payload)
-            try:
-                core = rebuilt.core
-                assert type(core) is GRAPH_BACKENDS["native"]
-                assert core.adj == g.core.adj
-                # Zero-copy: the mirror is the shared mapping itself.
-                assert core._packed is buffer.matrix
-                assert not core._packed.flags.writeable
-            finally:
-                if buffer is not None:
-                    core = None
-                    rebuilt = None
-                    buffer.close()
-        finally:
-            owner.unlink()
+        # The worker builds its mirror lazily, and it is the payload's.
+        assert core._packed is None
+        assert core._matrix().tobytes() == payload.packed
 
     def test_native_payload_rebuilds_on_numpy_without_extension(
         self, native_load_failure
@@ -441,7 +404,7 @@ class TestWorkerRebuild:
             words=payload.words,
             packed=payload.packed,
         )
-        rebuilt, __ = _rebuild_graph(payload)
+        rebuilt = _rebuild_graph(payload)
         assert type(rebuilt.core) is NumpyGraphCore
         assert rebuilt.core.adj == g.core.adj
 

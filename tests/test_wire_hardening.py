@@ -4,18 +4,27 @@ The distributed runner feeds :mod:`repro.engine.wire` bytes straight
 off a TCP socket, so every decoder must treat its input as hostile:
 truncation, bit flips, and adversarial length words raise
 :class:`WireDecodeError` (a :class:`repro.engine.EngineError`), never
-IndexError/ValueError surprises or multi-gigabyte allocations.
+IndexError/ValueError surprises or multi-gigabyte allocations.  The
+graph frame of :mod:`repro.engine.distributed.protocol`, which a socket
+worker rebuilds its graph from, is held to the same rule.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import struct
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
 from repro.engine.base import EngineError
+from repro.engine.distributed.protocol import (
+    decode_graph_payload,
+    encode_graph_payload,
+)
+from repro.engine.pool import GraphPayload, WorkerState, make_payload
 from repro.engine.wire import (
     MAX_WIRE_FIELD_BYTES,
     PackedBatch,
@@ -32,6 +41,7 @@ from repro.engine.wire import (
     validate_batch,
     validate_result,
 )
+from repro.graph.generators import gnp_random_graph
 from repro.sgr.enum_mis import EnumMISStatistics
 
 
@@ -219,3 +229,58 @@ class TestValidation:
 
     def test_wire_error_is_engine_error(self):
         assert issubclass(WireDecodeError, EngineError)
+
+
+
+class TestGraphFrame:
+    """The graph frame a socket worker rebuilds its graph from."""
+
+    GRAPH = gnp_random_graph(10, 0.4, seed=1)
+
+    def _frame(self) -> tuple[GraphPayload, bytes]:
+        payload = make_payload(self.GRAPH, "mcs_m")
+        return payload, encode_graph_payload(payload)
+
+    @staticmethod
+    def _reframe(frame: bytes, packed: bytes | None = None, **fields) -> bytes:
+        """Re-encode ``frame`` with header ``fields`` and/or ``packed``."""
+        (length,) = struct.unpack_from("!I", frame)
+        header = json.loads(frame[4 : 4 + length])
+        header.update(fields)
+        body = json.dumps(header, separators=(",", ":")).encode()
+        if packed is None:
+            packed = frame[4 + length :]
+        return struct.pack("!I", len(body)) + body + packed
+
+    def test_round_trip(self):
+        payload, frame = self._frame()
+        assert decode_graph_payload(frame) == payload
+        rebuilt = WorkerState(decode_graph_payload(frame)).graph
+        assert rebuilt.core.adj == self.GRAPH.core.adj
+        assert set(rebuilt.edge_set()) == set(self.GRAPH.edge_set())
+
+    def test_alive_bits_beyond_rows_rejected(self):
+        # Accepted, this frame would build a worker whose first batch
+        # indexes past the adjacency rows.
+        payload, frame = self._frame()
+        bad = self._reframe(frame, alive=payload.alive | 1 << 13)
+        with pytest.raises(WireDecodeError, match="alive"):
+            decode_graph_payload(bad)
+
+    def test_truncated_header_rejected(self):
+        __, frame = self._frame()
+        for cut in (0, 3, 4, 20):
+            with pytest.raises(WireDecodeError):
+                decode_graph_payload(frame[:cut])
+
+    def test_labels_rows_mismatch_rejected(self):
+        payload, frame = self._frame()
+        bad = self._reframe(frame, rows=payload.rows + 1)
+        with pytest.raises(WireDecodeError, match="labels"):
+            decode_graph_payload(bad)
+
+    def test_packed_length_mismatch_rejected(self):
+        payload, frame = self._frame()
+        for packed in (payload.packed[:-8], payload.packed + bytes(8)):
+            with pytest.raises(WireDecodeError, match="packed adjacency"):
+                decode_graph_payload(self._reframe(frame, packed=packed))
