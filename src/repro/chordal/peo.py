@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import NotChordalError
-from repro.graph import bitset_np as _kernel
 from repro.graph.core import iter_bits
 from repro.graph.graph import Graph, Node, edge_key
 
@@ -132,17 +131,10 @@ def is_perfect_elimination_ordering(graph: Graph, order: Sequence[Node]) -> bool
     PEO iff for every ``v``, ``madj(v) \\ {p(v)} ⊆ madj(p(v))``.  This
     avoids the quadratic all-pairs clique check.
 
-    On a numpy-backed core the whole test runs as packed word-matrix
-    reductions (:func:`repro.graph.bitset_np.is_peo_packed`); the
-    int-mask path below stays the reference oracle.
+    One int-mask loop on every kernel tier: ``madj`` rows are masks and
+    the clique condition is one mask-subset test per vertex.
     """
     indices = _order_indices(graph, order)
-    if len(indices) >= _kernel.BATCH_MIN:
-        matrix = _kernel.packed_view(graph.core)
-        if matrix is not None:
-            return _kernel.kernels_for(graph.core).is_peo_packed(
-                matrix, indices
-            )
     adj = graph.core.adj
     position = [0] * len(adj)
     for pos, index in enumerate(indices):

@@ -27,10 +27,9 @@ minimal triangulation for use by :mod:`repro.core.extend`.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-
-import numpy as _np
 
 from repro.chordal.cliques import (
     MaskForest,
@@ -39,8 +38,7 @@ from repro.chordal.cliques import (
 )
 from repro.chordal.peo import elimination_fill_in
 from repro.chordal.sandwich import minimal_triangulation_sandwich
-from repro.graph import bitset_np as _kernel
-from repro.graph.core import iter_bits
+from repro.graph.core import IndexedGraph, iter_bits
 from repro.graph.graph import Graph, Node, edge_key, sort_edges
 
 __all__ = [
@@ -179,6 +177,14 @@ def _mcs_m_update_mask(core, queue, unnumbered: int, v: int) -> int:
 # ----------------------------------------------------------------------
 
 
+#: LB-Triang's dynamic pick scores (lower is picked first).
+_LB_SCORES: dict[str, Callable[[IndexedGraph, int], int]] = {
+    "min_fill": lambda core, v: core.missing_pair_count(core.adj[v]),
+    "min_degree": lambda core, v: core.adj[v].bit_count(),
+    "natural": lambda core, v: 0,
+}
+
+
 def lb_triang(
     graph: Graph,
     order: Sequence[Node] | None = None,
@@ -199,6 +205,14 @@ def lb_triang(
     of ``H \\ N_H[v]`` (H is the evolving filled graph), which makes v
     LB-simplicial; by Berry et al.'s confluence theorem the final H is
     a minimal triangulation for every ordering.
+
+    This is one int-mask loop on every kernel tier; a packed core only
+    speeds up the primitives it calls (component sweeps, saturation).
+    The dynamic pick is the lexicographic minimum of (score, label
+    rank) over the unprocessed vertices, kept in a lazy-deletion heap:
+    a step re-scores only the vertices whose score it can change — the
+    endpoints of the added edges and, for min-fill, their common
+    neighbours — and pushes a new entry when the score moved.
     """
     filled = graph.copy()
     core = filled.core
@@ -211,25 +225,14 @@ def lb_triang(
         if len(order_list) != graph.num_nodes or set(order_list) != graph.node_set():
             raise ValueError("order must be a permutation of the node set")
         explicit = [filled.index_of(node) for node in order_list]
-    if explicit is None and heuristic not in {"min_fill", "min_degree", "natural"}:
-        raise ValueError(f"unknown LB-Triang heuristic {heuristic!r}")
-    ranks = filled.ranks()
-    matrix = _kernel.packed_view(core)
-    ns = _kernel.kernels_for(core) if matrix is not None else None
-    ranks_arr = (
-        _np.asarray(ranks, dtype=_np.int64) if matrix is not None else None
-    )
-    # Fill-deficiency cache for the dynamic min-fill heuristic: an entry
-    # goes stale only when the node's neighbourhood or the edges inside
-    # it change, i.e. for the endpoints of an added edge and for their
-    # common neighbours.  The packed tier keeps it as a flat int64
-    # array (−1 = stale) so the per-step selection scan is one lexsort
-    # instead of one dict probe per remaining vertex.
-    deficiency: dict[int, int] | object = (
-        _np.full(len(adj), -1, dtype=_np.int64)
-        if matrix is not None
-        else {}
-    )
+    if explicit is None:
+        if heuristic not in _LB_SCORES:
+            raise ValueError(f"unknown LB-Triang heuristic {heuristic!r}")
+        ranks = filled.ranks()
+        score_of = _LB_SCORES[heuristic]
+        scores = {v: score_of(core, v) for v in iter_bits(remaining)}
+        heap = [(score, ranks[v], v) for v, score in scores.items()]
+        heapq.heapify(heap)
     fill: list[tuple[Node, Node]] = []
     step = 0
     while remaining:
@@ -237,9 +240,10 @@ def lb_triang(
             v = explicit[step]
             step += 1
         else:
-            v = _pick_dynamic(
-                core, remaining, heuristic, deficiency, ranks, ranks_arr, ns
-            )
+            while True:
+                score, __, v = heapq.heappop(heap)
+                if remaining >> v & 1 and scores[v] == score:
+                    break
         remaining &= ~(1 << v)
         closed = adj[v] | 1 << v
         added_this_step: list[tuple[int, int]] = []
@@ -248,85 +252,18 @@ def lb_triang(
             added_this_step.extend(core.saturate(separator))
         for a, b in added_this_step:
             fill.append(edge_key(label_of(a), label_of(b)))
-        if explicit is None and heuristic == "min_fill" and added_this_step:
-            if matrix is not None:
-                stale = 0
-                for a, b in added_this_step:
-                    stale |= 1 << a | 1 << b | (adj[a] & adj[b])
-                deficiency[ns.mask_to_indices(stale, matrix.shape[1])] = -1
-            else:
-                for a, b in added_this_step:
-                    deficiency.pop(a, None)
-                    deficiency.pop(b, None)
-                    for common in iter_bits(adj[a] & adj[b]):
-                        deficiency.pop(common, None)
+        if explicit is None and heuristic != "natural" and added_this_step:
+            touched = 0
+            for a, b in added_this_step:
+                touched |= 1 << a | 1 << b
+                if heuristic == "min_fill":
+                    touched |= adj[a] & adj[b]
+            for u in iter_bits(touched & remaining):
+                score = score_of(core, u)
+                if score != scores[u]:
+                    scores[u] = score
+                    heapq.heappush(heap, (score, ranks[u], u))
     return sort_edges(fill)
-
-
-def _pick_dynamic(
-    core,
-    remaining: int,
-    heuristic: str,
-    deficiency,
-    ranks: list[int],
-    ranks_arr=None,
-    ns=None,
-) -> int:
-    """The next LB-Triang vertex: lexicographic min of (score, rank).
-
-    Equivalent to the historical first-strict-improvement scan in
-    label-rank order, but iterating only the *remaining* vertices
-    (instead of probing every slot against the mask each step) and,
-    on a numpy-backed core (``ranks_arr`` given) with a wide remainder,
-    resolving the pick with one vectorized score gather + lexsort
-    through ``ns``, the core's kernel namespace.
-    ``deficiency`` is the min-fill cache — a dict on the int tier, a
-    flat −1-is-stale int64 array on the packed tier.
-    """
-    adj = core.adj
-    if ns is None and ranks_arr is not None:
-        ns = _kernel.kernels_for(core)
-    if ranks_arr is not None and remaining.bit_count() >= ns.BATCH_MIN:
-        matrix = _kernel.packed_view(core)
-        idx = ns.mask_to_indices(remaining, matrix.shape[1])
-        if heuristic == "natural":
-            return int(idx[_np.argmin(ranks_arr[idx])])
-        if heuristic == "min_degree":
-            scores = ns.popcount(matrix[idx])
-        else:
-            stale = idx[deficiency[idx] < 0]
-            for i in stale:
-                # Per stale vertex, but the pair count itself runs on
-                # the packed rows inside the core.
-                deficiency[i] = core.missing_pair_count(adj[i])
-            scores = deficiency[idx]
-        return int(idx[_np.lexsort((ranks_arr[idx], scores))[0]])
-    packed_cache = ranks_arr is not None
-    best = -1
-    best_score = -1
-    best_rank = -1
-    for i in iter_bits(remaining):
-        if heuristic == "natural":
-            score = 0
-        elif heuristic == "min_degree":
-            score = adj[i].bit_count()
-        elif packed_cache:
-            score = int(deficiency[i])
-            if score < 0:
-                score = core.missing_pair_count(adj[i])
-                deficiency[i] = score
-        else:
-            score = deficiency.get(i)
-            if score is None:
-                score = core.missing_pair_count(adj[i])
-                deficiency[i] = score
-        rank = ranks[i]
-        if best < 0 or score < best_score or (
-            score == best_score and rank < best_rank
-        ):
-            best, best_score, best_rank = i, score, rank
-    assert best >= 0
-    return best
 
 
 # ----------------------------------------------------------------------

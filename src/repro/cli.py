@@ -263,13 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "indexed", "numpy", "native"),
         help="graph-core representation: int bitmasks, packed numpy "
         "word matrices, compiled C kernels over the same matrices, or "
-        "by size (default: auto — packed tier above the size "
-        "threshold, native preferred when its extension builds).  The "
-        "choice also selects the Extend kernels: on the packed tiers "
-        "every --triangulator heuristic (MCS-M, LB-Triang, the PEO "
-        "check, the clique-forest separator extraction) runs on "
-        "word-matrix sweeps; on the indexed core the int-mask "
-        "reference paths run instead.  'native' degrades to numpy "
+        "by size (default: auto — packed tier at or above the size "
+        "threshold, native preferred when its extension builds).  "
+        "Every --triangulator heuristic (MCS-M, LB-Triang) and the PEO "
+        "check run the same int-mask loop on every tier; a packed core "
+        "speeds up the primitives they call on large graphs (the MCS "
+        "selection queue, wide-frontier unions, component sweeps, "
+        "saturation) and the separator-crossing oracle.  The answers "
+        "are the same on every tier.  'native' degrades to numpy "
         "when no C compiler is available (see 'repro kernels')",
     )
     enum.add_argument(
@@ -745,7 +746,7 @@ def _command_kernels(args: argparse.Namespace) -> int:
     else:
         print(f"native tier      : unavailable ({info['reason']})")
     active = "native" if info["available"] else "numpy"
-    print(f"active tier      : {active} (auto above "
+    print(f"active tier      : {active} (auto at or above "
           f"{bitset_np.NUMPY_THRESHOLD} nodes; force with --graph-backend)")
     print("kernels:")
     for name, tier in sorted(info["kernels"].items()):

@@ -1,5 +1,12 @@
 /* Native word-matrix kernels — see kernels.h for the layout contract.
  *
+ * Only the primitives the graph core and the separator layer call on
+ * large graphs live here: the MCS selection queue (argmax, bump, weight
+ * levels), wide-frontier unions, component sweeps, the crossing
+ * kernels, mask-to-index conversion and in-place saturation fill.  The
+ * algorithms above them (MCS-M, MCS, LB-Triang, the PEO check) are one
+ * int-mask loop on every tier.
+ *
  * The kernels mirror the numpy implementations in
  * repro/graph/bitset_np.py bit for bit; those stay the reference
  * oracles (pinned by tests/test_native_kernels.py, and end to end by
@@ -15,18 +22,6 @@
 #include "kernels.h"
 
 int repro_kernels_abi_version(void) { return REPRO_KERNELS_ABI_VERSION; }
-
-void popcount_rows(const uint64_t *rows, int64_t m, int64_t words,
-                   int64_t *out) {
-    for (int64_t i = 0; i < m; i++) {
-        const uint64_t *row = rows + i * words;
-        int64_t total = 0;
-        for (int64_t w = 0; w < words; w++) {
-            total += __builtin_popcountll(row[w]);
-        }
-        out[i] = total;
-    }
-}
 
 void crossing_batch(const uint64_t *components, int64_t k,
                     const uint64_t *remainders, int64_t m, int64_t words,
@@ -113,50 +108,6 @@ int frontier_sweep(const uint64_t *matrix, int64_t words,
     return 0;
 }
 
-/* Shared missing-pair walk: counts pairs, and fills u_out/v_out when
- * given.  Keeping bits strictly above u drops both the diagonal and
- * the reversed orientation, matching the numpy kernel's order. */
-static int64_t saturate_pairs(const uint64_t *matrix, int64_t words,
-                              const uint64_t *mask_row, const int64_t *idx,
-                              int64_t k, int64_t *u_out, int64_t *v_out) {
-    int64_t count = 0;
-    for (int64_t i = 0; i < k; i++) {
-        int64_t u = idx[i];
-        const uint64_t *row = matrix + u * words;
-        int64_t w0 = u >> 6;
-        for (int64_t w = w0; w < words; w++) {
-            uint64_t missing = mask_row[w] & ~row[w];
-            if (w == w0) {
-                /* Drop bits 0..(u % 64): unsigned wrap makes the mask
-                 * all-ones at shift 63, exactly what is needed. */
-                missing &= ~((2ULL << (u & 63)) - 1ULL);
-            }
-            while (missing) {
-                int64_t v = (w << 6) + __builtin_ctzll(missing);
-                missing &= missing - 1;
-                if (u_out != NULL) {
-                    u_out[count] = u;
-                    v_out[count] = v;
-                }
-                count++;
-            }
-        }
-    }
-    return count;
-}
-
-int64_t saturate_count(const uint64_t *matrix, int64_t words,
-                       const uint64_t *mask_row, const int64_t *idx,
-                       int64_t k) {
-    return saturate_pairs(matrix, words, mask_row, idx, k, NULL, NULL);
-}
-
-void saturate_fill(const uint64_t *matrix, int64_t words,
-                   const uint64_t *mask_row, const int64_t *idx, int64_t k,
-                   int64_t *u_out, int64_t *v_out) {
-    saturate_pairs(matrix, words, mask_row, idx, k, u_out, v_out);
-}
-
 void set_edge_bits(uint64_t *matrix, int64_t words, const int64_t *u_arr,
                    const int64_t *v_arr, int64_t m) {
     for (int64_t i = 0; i < m; i++) {
@@ -165,72 +116,6 @@ void set_edge_bits(uint64_t *matrix, int64_t words, const int64_t *u_arr,
         matrix[u * words + (v >> 6)] |= 1ULL << (v & 63);
         matrix[v * words + (u >> 6)] |= 1ULL << (u & 63);
     }
-}
-
-int is_peo_packed(const uint64_t *matrix, int64_t words,
-                  const int64_t *order, int64_t k, int64_t n_slots) {
-    if (k == 0) {
-        return 1;
-    }
-    uint64_t *madj = calloc((size_t)(k * words), 8);
-    uint64_t *later = calloc((size_t)words, 8);
-    int64_t *pos = malloc((size_t)n_slots * 8);
-    if (madj == NULL || later == NULL || pos == NULL) {
-        free(madj);
-        free(later);
-        free(pos);
-        return -1;
-    }
-    for (int64_t i = 0; i < k; i++) {
-        pos[order[i]] = i;
-    }
-    /* madj rows back to front: row i = adj(order[i]) restricted to
-     * vertices ordered after i. */
-    for (int64_t i = k - 1; i >= 0; i--) {
-        int64_t v = order[i];
-        const uint64_t *row = matrix + v * words;
-        uint64_t *mrow = madj + i * words;
-        for (int64_t w = 0; w < words; w++) {
-            mrow[w] = row[w] & later[w];
-        }
-        later[v >> 6] |= 1ULL << (v & 63);
-    }
-    int ok = 1;
-    for (int64_t i = 0; i < k && ok; i++) {
-        const uint64_t *mrow = madj + i * words;
-        /* Parent: the earliest-ordered member of madj (min position). */
-        int64_t parent = -1;
-        int64_t parent_pos = k;
-        for (int64_t w = 0; w < words; w++) {
-            uint64_t bits = mrow[w];
-            while (bits) {
-                int64_t v = (w << 6) + __builtin_ctzll(bits);
-                bits &= bits - 1;
-                if (pos[v] < parent_pos) {
-                    parent_pos = pos[v];
-                    parent = v;
-                }
-            }
-        }
-        if (parent < 0) {
-            continue;
-        }
-        const uint64_t *prow = madj + parent_pos * words;
-        for (int64_t w = 0; w < words; w++) {
-            uint64_t violation = mrow[w] & ~prow[w];
-            if (w == (parent >> 6)) {
-                violation &= ~(1ULL << (parent & 63));
-            }
-            if (violation) {
-                ok = 0;
-                break;
-            }
-        }
-    }
-    free(madj);
-    free(later);
-    free(pos);
-    return ok;
 }
 
 static int compare_i64(const void *a, const void *b) {
@@ -311,21 +196,4 @@ int64_t mask_row_indices(const uint64_t *mask_row, int64_t words,
         }
     }
     return count;
-}
-
-int64_t masked_rows_popcount(const uint64_t *matrix, int64_t words,
-                             const uint64_t *mask_row) {
-    int64_t total = 0;
-    for (int64_t w = 0; w < words; w++) {
-        uint64_t bits = mask_row[w];
-        while (bits) {
-            int64_t u = (w << 6) + __builtin_ctzll(bits);
-            bits &= bits - 1;
-            const uint64_t *row = matrix + u * words;
-            for (int64_t x = 0; x < words; x++) {
-                total += __builtin_popcountll(row[x] & mask_row[x]);
-            }
-        }
-    }
-    return total;
 }

@@ -20,13 +20,9 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNELS_ABI_VERSION 1
+#define REPRO_KERNELS_ABI_VERSION 2
 
 int repro_kernels_abi_version(void);
-
-/* Per-row popcounts of an (m, words) matrix into out[m]. */
-void popcount_rows(const uint64_t *rows, int64_t m, int64_t words,
-                   int64_t *out);
 
 /* Batched separator crossing: out[i] = 1 iff remainder row i intersects
  * at least two of the k component rows.  Early-exits per remainder once
@@ -56,27 +52,9 @@ void union_rows(const uint64_t *matrix, int64_t words,
 int frontier_sweep(const uint64_t *matrix, int64_t words,
                    uint64_t *component, const uint64_t *available);
 
-/* Missing pairs (u, v) with u < v inside the clique candidate
- * `mask_row`, whose k member indices are idx[] (ascending).  Pair
- * order matches the numpy kernel: u-major in idx order, v ascending.
- * saturate_count only counts; saturate_fill writes u_out/v_out, which
- * must hold saturate_count() entries. */
-int64_t saturate_count(const uint64_t *matrix, int64_t words,
-                       const uint64_t *mask_row, const int64_t *idx,
-                       int64_t k);
-void saturate_fill(const uint64_t *matrix, int64_t words,
-                   const uint64_t *mask_row, const int64_t *idx, int64_t k,
-                   int64_t *u_out, int64_t *v_out);
-
 /* Set the (u, v) and (v, u) bits of a packed adjacency in place. */
 void set_edge_bits(uint64_t *matrix, int64_t words, const int64_t *u_arr,
                    const int64_t *v_arr, int64_t m);
-
-/* Rose–Tarjan–Lueker PEO test over the packed adjacency.  order[] holds
- * k vertex indices; n_slots bounds every vertex index (words * 64).
- * Returns 1 (PEO), 0 (not) or -1 (scratch alloc failure). */
-int is_peo_packed(const uint64_t *matrix, int64_t words,
-                  const int64_t *order, int64_t k, int64_t n_slots);
 
 /* Group m (index, weight) pairs into packed byte rows by ascending
  * distinct weight — the native twin of bitset_np.weight_level_rows.
@@ -98,10 +76,5 @@ void queue_bump_mask(int64_t *key, int64_t *weights,
  * hold the row's popcount).  Returns the count written. */
 int64_t mask_row_indices(const uint64_t *mask_row, int64_t words,
                          int64_t *out);
-
-/* Sum over set bits u of mask_row of popcount(matrix[u] & mask_row) —
- * the number of adjacency bits present inside a clique candidate. */
-int64_t masked_rows_popcount(const uint64_t *matrix, int64_t words,
-                             const uint64_t *mask_row);
 
 #endif /* REPRO_NATIVE_KERNELS_H */

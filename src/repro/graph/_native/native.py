@@ -21,17 +21,20 @@ the documented kill-switch for benchmarking the numpy tier or working
 around a miscompiling toolchain.
 
 The public surface mirrors :mod:`repro.graph.bitset_np` name for name
-(``crossing_batch``, ``union_rows``, ``frontier_sweep``,
-``saturate_batch`` + ``set_edge_bits``, ``is_peo_packed``,
-``weight_level_rows``, ``popcount``, ``mask_to_indices``,
-``PackedMCSQueue``, …): the chordal layer and the SGR pick a *kernel
-namespace* per graph core (:func:`repro.graph.bitset_np.kernels_for`)
-and call the same names either way.  Every kernel takes raw buffer
-pointers from the existing numpy arrays (``ffi.from_buffer`` — zero
-copies, read-only buffers accepted), so :class:`NativeGraphCore` is a
-thin subclass of :class:`~repro.graph.bitset_np.NumpyGraphCore`: the
-lazily built packed mirror and the width-adaptive ``packed_view``
-gate are inherited unchanged, only the kernel dispatch differs.
+(``crossing_batch``, ``crossing_batch_gather``, ``union_rows``,
+``frontier_sweep``, ``set_edge_bits``, ``weight_level_rows``,
+``mask_to_indices``, ``PackedMCSQueue``): the graph core and the SGR
+pick a *kernel namespace* per graph core
+(:func:`repro.graph.bitset_np.kernels_for`) and call the same names
+either way.  These are only the primitives the workloads call — the
+MCS selection queue, wide-frontier unions, component sweeps, the
+crossing gather and in-place saturation fill; the algorithms above
+them are one int-mask loop on every tier.  Every kernel takes raw
+buffer pointers from the existing numpy arrays (``ffi.from_buffer`` —
+zero copies, read-only buffers accepted), so :class:`NativeGraphCore`
+is a thin subclass of :class:`~repro.graph.bitset_np.NumpyGraphCore`:
+the lazily built packed mirror is inherited unchanged, only the kernel
+dispatch differs.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ import numpy as np
 
 from repro.graph import bitset_np as _np_kernels
 from repro.graph.bitset_np import (
-    BATCH_MIN,  # noqa: F401  (kernel-namespace surface: callers read ns.BATCH_MIN)
-    WORD_BITS,
     NumpyGraphCore,
     PackedMCSQueue as _NumpyMCSQueue,
 )
@@ -60,21 +61,17 @@ __all__ = [
     "kernel_namespace",
     "NativeGraphCore",
     "NativeMCSQueue",
-    "popcount",
     "crossing_batch",
     "crossing_batch_gather",
     "union_rows",
     "frontier_sweep",
-    "saturate_batch",
     "set_edge_bits",
-    "is_peo_packed",
     "weight_level_rows",
     "mask_to_indices",
-    "clique_present_sum",
 ]
 
 _SOURCE_DIR = Path(__file__).resolve().parent
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 #: Environment variable that forces :func:`available` to False.
 DISABLE_ENV = "REPRO_NATIVE_DISABLE"
@@ -94,8 +91,6 @@ def _build_dir() -> Path:
 # _ABI_VERSION, so a drifted artefact rebuilds rather than misbehaves).
 _CDEF = """
 int repro_kernels_abi_version(void);
-void popcount_rows(const uint64_t *rows, int64_t m, int64_t words,
-                   int64_t *out);
 void crossing_batch(const uint64_t *components, int64_t k,
                     const uint64_t *remainders, int64_t m, int64_t words,
                     uint8_t *out);
@@ -107,16 +102,8 @@ void union_rows(const uint64_t *matrix, int64_t words,
                 const int64_t *indices, int64_t m, uint64_t *out);
 int frontier_sweep(const uint64_t *matrix, int64_t words,
                    uint64_t *component, const uint64_t *available);
-int64_t saturate_count(const uint64_t *matrix, int64_t words,
-                       const uint64_t *mask_row, const int64_t *idx,
-                       int64_t k);
-void saturate_fill(const uint64_t *matrix, int64_t words,
-                   const uint64_t *mask_row, const int64_t *idx, int64_t k,
-                   int64_t *u_out, int64_t *v_out);
 void set_edge_bits(uint64_t *matrix, int64_t words, const int64_t *u_arr,
                    const int64_t *v_arr, int64_t m);
-int is_peo_packed(const uint64_t *matrix, int64_t words,
-                  const int64_t *order, int64_t k, int64_t n_slots);
 int64_t weight_level_rows(const int64_t *indices, const int64_t *weights,
                           int64_t m, int64_t words, uint8_t *out);
 int64_t argmax_i64(const int64_t *key, int64_t n);
@@ -125,27 +112,21 @@ void queue_bump_mask(int64_t *key, int64_t *weights,
                      int64_t stride);
 int64_t mask_row_indices(const uint64_t *mask_row, int64_t words,
                          int64_t *out);
-int64_t masked_rows_popcount(const uint64_t *matrix, int64_t words,
-                             const uint64_t *mask_row);
 """
 
 _CFLAGS = ["-O3", "-std=c11", "-fPIC", "-shared"]
 
 #: Kernel names exposed by this tier (for ``repro kernels`` diagnostics).
 KERNEL_NAMES = (
-    "popcount_rows",
     "crossing_batch",
     "crossing_batch_gather",
     "union_rows",
     "frontier_sweep",
-    "saturate_batch",
     "set_edge_bits",
-    "is_peo_packed",
     "weight_level_rows",
     "mcs_queue_argmax",
     "mcs_queue_bump",
     "mask_to_indices",
-    "clique_present_sum",
 )
 
 _WORD_DTYPE = np.dtype("<u8")
@@ -364,19 +345,6 @@ def _row_bytes(mask: int, words: int) -> bytes:
 # ----------------------------------------------------------------------
 
 
-def popcount(packed: np.ndarray) -> np.ndarray:
-    """Native twin of :func:`repro.graph.bitset_np.popcount`."""
-    ffi, lib = _lib()
-    packed = np.ascontiguousarray(packed, dtype=_WORD_DTYPE)
-    words = packed.shape[-1] if packed.ndim else 1
-    flat = packed.reshape(-1, words)
-    out = np.empty(flat.shape[0], dtype=np.int64)
-    lib.popcount_rows(
-        _u64(ffi, flat), flat.shape[0], words, _i64_mut(ffi, out)
-    )
-    return out.reshape(packed.shape[:-1])
-
-
 def crossing_batch(
     components: np.ndarray, remainders: np.ndarray
 ) -> np.ndarray:
@@ -477,39 +445,6 @@ def mask_to_indices(mask: int, words: int) -> np.ndarray:
     return out
 
 
-#: Same-name re-export: the inverse direction has no per-bit loop worth
-#: moving to C (one packbits pass), so the numpy kernel serves both tiers.
-indices_to_mask = _np_kernels.indices_to_mask
-
-
-def saturate_batch(
-    matrix: np.ndarray, mask: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Native twin of :func:`repro.graph.bitset_np.saturate_batch`.
-
-    Two fused passes (count, then fill) replace the numpy tier's
-    unpackbits blow-up; pair order is identical (u-major in ascending
-    index order, v ascending, strictly upper).
-    """
-    ffi, lib = _lib()
-    words = matrix.shape[1]
-    idx = mask_to_indices(mask, words)
-    mask_row = _row_bytes(mask, words)
-    count = lib.saturate_count(
-        _u64(ffi, matrix), words, _u64(ffi, mask_row),
-        _i64(ffi, idx), idx.shape[0],
-    )
-    u_arr = np.empty(count, dtype=np.int64)
-    v_arr = np.empty(count, dtype=np.int64)
-    if count:
-        lib.saturate_fill(
-            _u64(ffi, matrix), words, _u64(ffi, mask_row),
-            _i64(ffi, idx), idx.shape[0],
-            _i64_mut(ffi, u_arr), _i64_mut(ffi, v_arr),
-        )
-    return u_arr, v_arr
-
-
 def set_edge_bits(
     matrix: np.ndarray, u_arr: np.ndarray, v_arr: np.ndarray
 ) -> None:
@@ -521,20 +456,6 @@ def set_edge_bits(
         _u64_mut(ffi, matrix), matrix.shape[1],
         _i64(ffi, u_arr), _i64(ffi, v_arr), u_arr.shape[0],
     )
-
-
-def is_peo_packed(matrix: np.ndarray, order) -> bool:
-    """Native twin of :func:`repro.graph.bitset_np.is_peo_packed`."""
-    ffi, lib = _lib()
-    order_arr = _as_i64(order)
-    words = matrix.shape[1]
-    verdict = lib.is_peo_packed(
-        _u64(ffi, matrix), words, _i64(ffi, order_arr),
-        order_arr.shape[0], words * WORD_BITS,
-    )
-    if verdict < 0:  # pragma: no cover - scratch malloc failure
-        return _np_kernels.is_peo_packed(matrix, order)
-    return bool(verdict)
 
 
 def weight_level_rows(
@@ -552,17 +473,6 @@ def weight_level_rows(
     if levels < 0:  # pragma: no cover - scratch malloc failure
         return _np_kernels.weight_level_rows(indices, weights, words)
     return out[:levels]
-
-
-def clique_present_sum(matrix: np.ndarray, mask: int) -> int:
-    """Native twin of :func:`repro.graph.bitset_np.clique_present_sum`."""
-    ffi, lib = _lib()
-    words = matrix.shape[1]
-    return int(
-        lib.masked_rows_popcount(
-            _u64(ffi, matrix), words, _u64(ffi, _row_bytes(mask, words))
-        )
-    )
 
 
 class NativeMCSQueue(_NumpyMCSQueue):
@@ -613,12 +523,11 @@ PackedMCSQueue = NativeMCSQueue
 class NativeGraphCore(NumpyGraphCore):
     """A :class:`~repro.graph.bitset_np.NumpyGraphCore` on C kernels.
 
-    Everything structural is inherited — the int-mask source of truth,
-    the lazily maintained packed mirror, the width-adaptive
-    ``is_narrow`` gate.  The only difference is the kernel namespace
-    the batch methods (and, through
-    :func:`repro.graph.bitset_np.kernels_for`, the chordal layer and
-    the SGR) dispatch to.  When the compiled extension is unavailable
+    Everything structural is inherited — the int-mask source of truth
+    and the lazily maintained packed mirror.  The only difference is
+    the kernel namespace the batch methods (and, through
+    :func:`repro.graph.bitset_np.kernels_for`, the separator layer)
+    dispatch to.  When the compiled extension is unavailable
     the namespace degrades to the numpy module, so a payload built on a
     machine with gcc still rebuilds cleanly on one without.
     """

@@ -19,29 +19,23 @@ matrices* so those sweeps become single vectorized numpy expressions:
   between the int-mask representation used everywhere else and packed
   ``uint64`` rows (little-endian word order, so bit ``i`` of a mask is
   bit ``i % 64`` of word ``i // 64``);
-* :func:`popcount` counts set bits per row (``np.bitwise_count`` when
-  available, a byte-table fallback otherwise);
 * :func:`crossing_batch` is the batched separator-crossing kernel: one
   separator's component matrix against many remainder rows in one
   vectorized pass (see
   :meth:`repro.sgr.separator_graph.MinimalSeparatorSGR.has_edges_batch`);
-* the *Extend-side* kernels batch the triangulation pipeline of the
-  paper's ``Extend`` procedure: :func:`mask_to_indices` /
-  :func:`indices_to_mask` convert between masks and index arrays
-  without per-bit Python loops, :func:`union_rows` OR-reduces many
-  adjacency rows at once, :func:`frontier_sweep` runs a whole
-  reachability fixpoint on the packed matrix, :func:`saturate_batch`
-  extracts (and optionally applies, via :func:`set_edge_bits`) every
-  missing pair of a would-be clique in one pass, :func:`is_peo_packed`
-  verifies a perfect elimination ordering with matrix-level cumulative
-  ORs, and :class:`PackedMCSQueue` (with :func:`weight_level_rows`)
-  is the MCS selection queue of this tier: argmax reductions over a
-  flat key array instead of per-bit bucket scans.  The MCS-family
-  searches get it from :meth:`NumpyGraphCore.selection_queue` and run
-  the same loop as on the int tier.
-  :func:`packed_view` is how LB-Triang and the PEO check detect a
-  numpy-backed core and route onto these kernels (the int-mask
-  implementations stay the reference oracles);
+* the *Extend-side* kernels serve the primitives the triangulation
+  pipeline of the paper's ``Extend`` procedure calls on a large graph:
+  :func:`mask_to_indices` turns a mask into an index array without a
+  per-bit Python loop, :func:`union_rows` OR-reduces many adjacency
+  rows at once, :func:`frontier_sweep` runs a whole reachability
+  fixpoint on the packed matrix, :func:`set_edge_bits` applies
+  saturation fill to a live mirror in place, and
+  :class:`PackedMCSQueue` (with :func:`weight_level_rows`) is the MCS
+  selection queue of this tier: argmax reductions over a flat key
+  array instead of per-bit bucket scans.  The algorithms themselves
+  (MCS-M, MCS, LB-Triang, the PEO check) are one int-mask loop each on
+  every tier; they reach these kernels only through the core's
+  overridden primitives;
 * :class:`NumpyGraphCore` is an :class:`~repro.graph.core.IndexedGraph`
   whose batch-heavy methods (neighbourhood-of-set, component
   expansion) run on a lazily maintained packed adjacency matrix —
@@ -62,12 +56,11 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.graph.core import IndexedGraph, MaxWeightBuckets, bit_list, iter_bits
+from repro.graph.core import IndexedGraph, bit_list
 
 __all__ = [
     "WORD_BITS",
     "NUMPY_THRESHOLD",
-    "NARROW_MAX_DEGREE",
     "GRAPH_BACKENDS",
     "word_count",
     "pack_mask",
@@ -75,19 +68,14 @@ __all__ = [
     "zero_matrix",
     "unpack_row",
     "unpack_rows",
-    "popcount",
     "crossing_batch",
     "crossing_batch_gather",
     "mask_to_indices",
-    "indices_to_mask",
     "union_rows",
     "frontier_sweep",
-    "saturate_batch",
     "set_edge_bits",
-    "is_peo_packed",
     "weight_level_rows",
     "PackedMCSQueue",
-    "packed_view",
     "NumpyGraphCore",
     "select_core_class",
     "core_backend_name",
@@ -96,26 +84,12 @@ __all__ = [
 
 WORD_BITS = 64
 
-#: Node count above which ``"auto"`` selects the numpy core.  Below it
-#: single-int masks fit in a few machine words and the per-call numpy
-#: overhead outweighs the vectorization win.
+#: Node count at or above which ``"auto"`` selects the packed tier.
+#: Below it single-int masks fit in a few machine words and the
+#: per-call numpy overhead outweighs the vectorization win.
 NUMPY_THRESHOLD = 1500
 
-#: Maximum degree up to which a graph counts as *narrow* for the
-#: width-adaptive kernel gate: every component of a max-degree-≤2 graph
-#: is a path or a cycle, so BFS/sweep frontiers never exceed 2 vertices
-#: and the packed kernels have nothing to vectorize (they only pay
-#: their per-round dispatch overhead, ~10 % on long cycles).
-NARROW_MAX_DEGREE = 2
-
 _WORD_DTYPE = np.dtype("<u8")
-
-# Vectorized popcount: numpy >= 2.0 ships np.bitwise_count; older
-# versions fall back to summing a byte-level popcount table.
-_BITWISE_COUNT = getattr(np, "bitwise_count", None)
-_BYTE_POPCOUNT = np.array(
-    [bin(i).count("1") for i in range(256)], dtype=np.uint8
-)
 
 
 def word_count(num_bits: int) -> int:
@@ -165,14 +139,6 @@ def unpack_rows(packed: np.ndarray) -> list[int]:
         from_bytes(buffer[start : start + nbytes], "little")
         for start in range(0, len(buffer), nbytes)
     ]
-
-
-def popcount(packed: np.ndarray) -> np.ndarray:
-    """Count set bits along the last (word) axis of ``packed``."""
-    if _BITWISE_COUNT is not None:
-        return _BITWISE_COUNT(packed).sum(axis=-1, dtype=np.int64)
-    as_bytes = packed.view(np.uint8)
-    return _BYTE_POPCOUNT[as_bytes].sum(axis=-1, dtype=np.int64)
 
 
 def crossing_batch(
@@ -254,15 +220,6 @@ def mask_to_indices(mask: int, words: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(as_bytes, bitorder="little"))
 
 
-def indices_to_mask(indices: np.ndarray, words: int) -> int:
-    """Inverse of :func:`mask_to_indices`: an index array as an int mask."""
-    bits = np.zeros(words * WORD_BITS, dtype=np.uint8)
-    bits[indices] = 1
-    return int.from_bytes(
-        np.packbits(bits, bitorder="little").tobytes(), "little"
-    )
-
-
 def union_rows(matrix: np.ndarray, indices) -> int:
     """OR-reduce the selected rows of a packed matrix into an int mask."""
     if not len(indices):
@@ -299,31 +256,6 @@ def frontier_sweep(
     return component
 
 
-def saturate_batch(
-    matrix: np.ndarray, mask: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Missing pairs inside ``mask`` as ``(u, v)`` index arrays, u < v.
-
-    One vectorized pass over the packed adjacency rows of the mask's
-    members replaces the per-member missing-bit scan of the int tier;
-    the pairs come back in the same (u-major, v-ascending) order the
-    scalar ``IndexedGraph.saturate`` produces them.  Combine with
-    :func:`set_edge_bits` to apply the fill to a packed mirror in
-    place.
-    """
-    words = matrix.shape[1]
-    idx = mask_to_indices(mask, words)
-    missing = pack_mask(mask, words) & ~matrix[idx]
-    bits = np.unpackbits(missing.view(np.uint8), axis=1, bitorder="little")
-    row, col = np.nonzero(bits)
-    u = idx[row]
-    # ``missing`` still contains each member's own bit (adjacency rows
-    # never hold the diagonal) and both orientations; keeping the
-    # strictly upper pairs drops both at once.
-    keep = col > u
-    return u[keep], col[keep]
-
-
 def set_edge_bits(
     matrix: np.ndarray, u_arr: np.ndarray, v_arr: np.ndarray
 ) -> None:
@@ -339,57 +271,6 @@ def set_edge_bits(
         (v_arr, u_arr // WORD_BITS),
         one << (u_arr % WORD_BITS).astype(np.uint64),
     )
-
-
-def clique_present_sum(matrix: np.ndarray, mask: int) -> int:
-    """Adjacency bits already present inside the clique candidate ``mask``.
-
-    Sums ``popcount(matrix[u] & mask)`` over the members ``u`` of the
-    mask — each present undirected edge counts twice, which is how
-    :meth:`NumpyGraphCore.missing_pair_count` consumes it.
-    """
-    words = matrix.shape[1]
-    idx = mask_to_indices(mask, words)
-    return int(popcount(matrix[idx] & pack_mask(mask, words)).sum())
-
-
-def is_peo_packed(matrix: np.ndarray, order) -> bool:
-    """The Rose–Tarjan–Lueker PEO test as packed-matrix reductions.
-
-    Semantically identical to the int-mask implementation in
-    :func:`repro.chordal.peo.is_perfect_elimination_ordering` (the
-    reference oracle): build every ``madj`` row with one cumulative OR
-    over the ordered one-hot rows, locate each vertex's parent (its
-    earliest later neighbour) with a masked positional min, and test
-    ``madj(v) \\ {p(v)} ⊆ madj(p(v))`` for all vertices in one
-    vectorized subset check.
-    """
-    k = len(order)
-    if k == 0:
-        return True
-    words = matrix.shape[1]
-    order = np.asarray(order, dtype=np.int64)
-    rows = matrix[order]
-    own = zero_matrix(k, words)
-    own[np.arange(k), order // WORD_BITS] = np.uint64(1) << (
-        order % WORD_BITS
-    ).astype(np.uint64)
-    # later[i] = OR of the one-hot rows of every vertex ordered after i.
-    acc = np.bitwise_or.accumulate(own[::-1], axis=0)[::-1]
-    later = np.zeros_like(own)
-    later[:-1] = acc[1:]
-    madj = rows & later
-    bits = np.unpackbits(madj.view(np.uint8), axis=1, bitorder="little")
-    position = np.full(words * WORD_BITS, k, dtype=np.int32)
-    position[order] = np.arange(k, dtype=np.int32)
-    candidate_pos = np.where(bits.astype(bool), position[None, :], np.int32(k))
-    parent_pos = candidate_pos.min(axis=1)
-    with_madj = np.flatnonzero(parent_pos < k)
-    if not with_madj.shape[0]:
-        return True
-    parents = parent_pos[with_madj].astype(np.int64)
-    violations = madj[with_madj] & ~own[parents] & ~madj[parents]
-    return not violations.any()
 
 
 def weight_level_rows(
@@ -482,16 +363,15 @@ class NumpyGraphCore(IndexedGraph):
     nodes.
     """
 
-    __slots__ = ("_packed", "_narrow")
+    __slots__ = ("_packed",)
 
     #: Minimum number of rows in a sweep before the packed matrix is
     #: used; below it the inherited int-mask loop is faster.
-    MIN_GATHER = 16
+    MIN_GATHER = BATCH_MIN
 
     def __init__(self, num_vertices: int = 0) -> None:
         super().__init__(num_vertices)
         self._packed: np.ndarray | None = None
-        self._narrow: bool | None = None
 
     @classmethod
     def from_indexed(cls, core: IndexedGraph) -> "NumpyGraphCore":
@@ -501,7 +381,6 @@ class NumpyGraphCore(IndexedGraph):
         clone.alive = core.alive
         clone.num_edges = core.num_edges
         clone._packed = None
-        clone._narrow = None
         return clone
 
     @classmethod
@@ -513,34 +392,7 @@ class NumpyGraphCore(IndexedGraph):
         clone.alive = core.alive
         clone.num_edges = core.num_edges
         clone._packed = None
-        clone._narrow = None
         return clone
-
-    def is_narrow(self) -> bool:
-        """Whether every live vertex has degree ≤ :data:`NARROW_MAX_DEGREE`.
-
-        The width-adaptive gate of the packed Extend kernels: narrow
-        graphs (disjoint paths and cycles) keep every sweep frontier at
-        ≤ 2 vertices, so :func:`packed_view` and :meth:`selection_queue`
-        route them back to the int-mask kernels.  The verdict is cached
-        until the next mutation (``packed_view`` runs once per
-        LB-Triang step, and a wide graph whose low-index vertices
-        happen to form a long degree-2 tail would otherwise pay a
-        near-full scan per call);
-        on a miss, any vertex of higher degree exits the scan
-        immediately, so the compute is O(1) on typical wide graphs and
-        O(n) only for graphs that are narrow or nearly so.
-        """
-        narrow = self._narrow
-        if narrow is None:
-            adj = self.adj
-            narrow = True
-            for i in iter_bits(self.alive):
-                if adj[i].bit_count() > NARROW_MAX_DEGREE:
-                    narrow = False
-                    break
-            self._narrow = narrow
-        return narrow
 
     # -- cache maintenance ---------------------------------------------
 
@@ -553,22 +405,18 @@ class NumpyGraphCore(IndexedGraph):
 
     def add_vertex(self, index: int | None = None) -> int:
         self._packed = None
-        self._narrow = None
         return super().add_vertex(index)
 
     def remove_vertex(self, index: int) -> None:
         self._packed = None
-        self._narrow = None
         super().remove_vertex(index)
 
     def add_edge(self, u: int, v: int) -> bool:
         self._packed = None
-        self._narrow = None
         return super().add_edge(u, v)
 
     def remove_edge(self, u: int, v: int) -> bool:
         self._packed = None
-        self._narrow = None
         return super().remove_edge(u, v)
 
     @staticmethod
@@ -581,59 +429,32 @@ class NumpyGraphCore(IndexedGraph):
         return sys.modules[__name__]
 
     def saturate(self, mask: int) -> list[tuple[int, int]]:
-        """Make ``mask`` a clique, keeping the packed mirror live.
+        """Make ``mask`` a clique, keeping a live packed mirror live.
 
-        Saturation is the one mutation the Extend pipeline performs in
-        its hot loop (LB-Triang saturates one separator per component
-        per step), so instead of dropping the packed matrix — which
-        would force a full O(n · words) rebuild before the next sweep —
-        the added bits are applied to it in place.  With a live matrix
-        and a wide clique the missing pairs are found by the
-        vectorized :func:`saturate_batch` kernel; the inherited
-        int-mask scan remains the reference path.
+        LB-Triang saturates one separator per component per step, so
+        instead of dropping the packed matrix — which would force a
+        full O(n · words) rebuild before the next wide sweep — the
+        pairs the inherited int-mask scan added are set on it in place.
+        A core without a mirror (every fresh ``copy()``) just scans.
         """
-        # Saturation raises degrees, which can flip a narrow graph
-        # wide; drop the cached gate verdict like every other mutator.
-        self._narrow = None
+        added = super().saturate(mask)
         packed = self._packed
-        if packed is not None and packed.shape[0] != len(self.adj):
-            packed = self._packed = None
-        if packed is None:
-            return super().saturate(mask)
+        if packed is None or not added:
+            return added
+        if packed.shape[0] != len(self.adj):
+            self._packed = None
+            return added
         if not packed.flags.writeable:
             # ``pack_masks`` returns a read-only view over ``bytes``,
             # so every mirror ``_matrix`` builds is read-only: detach
             # onto a writable copy before the first in-place fill.
             packed = self._packed = packed.copy()
-        kernels = self._kernel_namespace()
-        if mask.bit_count() < self.MIN_GATHER:
-            added = super().saturate(mask)
-            if added:
-                u_arr = np.fromiter(
-                    (u for u, __ in added), dtype=np.int64, count=len(added)
-                )
-                v_arr = np.fromiter(
-                    (v for __, v in added), dtype=np.int64, count=len(added)
-                )
-                kernels.set_edge_bits(packed, u_arr, v_arr)
-            return added
-        u_arr, v_arr = kernels.saturate_batch(packed, mask)
-        if not u_arr.shape[0]:
-            return []
-        added = list(zip(u_arr.tolist(), v_arr.tolist()))
-        adj = self.adj
-        for u, v in added:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.num_edges += len(added)
-        kernels.set_edge_bits(packed, u_arr, v_arr)
+        pairs = np.array(added, dtype=np.int64)
+        self._kernel_namespace().set_edge_bits(packed, pairs[:, 0], pairs[:, 1])
         return added
 
     def selection_queue(self, initial_mask: int, ranks):
-        """The tier's :class:`PackedMCSQueue`; the int-tier buckets when
-        the graph is narrow (the same gate as :func:`packed_view`)."""
-        if self.is_narrow():
-            return MaxWeightBuckets(initial_mask, ranks)
+        """The tier's :class:`PackedMCSQueue`."""
         return self._kernel_namespace().PackedMCSQueue(
             initial_mask, ranks, word_count(len(self.adj))
         )
@@ -656,22 +477,6 @@ class NumpyGraphCore(IndexedGraph):
         return self._kernel_namespace().frontier_sweep(
             self._matrix(), seed, available, adj=self.adj
         )
-
-    def missing_pair_count(self, mask: int) -> int:
-        # Only route through a mirror that is already live: rebuilding
-        # the matrix for one count would cost more than the scan saves
-        # (mutation-heavy callers like the elimination game invalidate
-        # it every step).
-        matrix = self._packed
-        k = mask.bit_count()
-        if (
-            matrix is None
-            or matrix.shape[0] != len(self.adj)
-            or k < self.MIN_GATHER
-        ):
-            return super().missing_pair_count(mask)
-        present = self._kernel_namespace().clique_present_sum(matrix, mask)
-        return k * (k - 1) // 2 - present // 2
 
     # -- derived graphs keep the numpy core ----------------------------
 
@@ -696,11 +501,12 @@ GRAPH_BACKENDS: dict[str, type[IndexedGraph]] = {
 def kernels_for(core) -> "object":
     """The kernel namespace serving a graph core.
 
-    The graph core, the chordal layer and the separator graph call
-    module-level kernels (``crossing_batch``, ``union_rows``,
-    ``PackedMCSQueue``, …) keyed only on the packed matrix; this is
-    the per-core dispatch point that lets :class:`NativeGraphCore`
-    route the *same* call sites onto the compiled tier.  Cores without an opinion (plain
+    The separator layer calls module-level crossing kernels
+    (``crossing_batch``, ``crossing_batch_gather``) keyed only on packed
+    matrices; this is the per-core dispatch point that lets
+    :class:`NativeGraphCore` route the *same* call sites onto the
+    compiled tier.  (The core's own primitives dispatch through
+    ``_kernel_namespace`` directly.)  Cores without an opinion (plain
     :class:`~repro.graph.core.IndexedGraph`, or a mock in tests) get
     this module — the numpy reference tier.
     """
@@ -757,28 +563,6 @@ def core_backend_name(core: IndexedGraph) -> str:
         if type(core) is backend_cls:
             return name
     return "numpy" if isinstance(core, NumpyGraphCore) else "indexed"
-
-
-def packed_view(core: IndexedGraph) -> np.ndarray | None:
-    """The packed adjacency matrix of a numpy-backed core, else ``None``.
-
-    This is the dispatch point of the Extend-side kernels: LB-Triang
-    and the PEO check ask for a packed view and route onto the
-    word-matrix kernels when one exists, keeping the int-mask implementations as the
-    reference oracles for plain :class:`~repro.graph.core.IndexedGraph`
-    cores.  The returned matrix is the core's live mirror — treat it
-    as read-only and do not hold it across mutations.
-
-    The call is also the *width-adaptive gate*: a numpy-backed core
-    whose live graph is narrow (:meth:`NumpyGraphCore.is_narrow` —
-    disjoint paths/cycles, frontier width ≤ 2) answers ``None`` so deep
-    narrow inputs run the int-mask path and skip the ~10 % per-round
-    packed-dispatch overhead they could never amortise.  The gate only
-    steers kernel selection; both paths compute identical results.
-    """
-    if isinstance(core, NumpyGraphCore) and not core.is_narrow():
-        return core._matrix()
-    return None
 
 
 def convert_graph(graph, backend: str = "auto", threshold: int = NUMPY_THRESHOLD):

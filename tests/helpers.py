@@ -20,8 +20,9 @@ from repro.chordal.triangulate import get_triangulator, mcs_m
 from repro.core.triangulation import Triangulation
 from repro.graph._native import native
 from repro.graph.components import components_without, connected_components
+from repro.graph.core import iter_bits
 from repro.graph.generators import gnp_random_graph, random_chordal_graph
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, edge_key, sort_edges
 from repro.sgr.enum_mis import enumerate_maximal_independent_sets
 from repro.sgr.separator_graph import MinimalSeparatorSGR
 
@@ -99,6 +100,58 @@ def reference_atoms(graph: Graph) -> list[frozenset]:
             stack.append(frozenset(component | separator))
     result.sort(key=lambda atom: sorted(map(key, atom)))
     return result
+
+
+def reference_lb_triang(graph: Graph, heuristic: str = "min_fill") -> list:
+    """LB-Triang with a scan pick: an oracle for ``lb_triang``'s heap.
+
+    Each step scans every unprocessed vertex for the lexicographic
+    minimum of (score, label rank), first strict improvement wins.
+    Min-fill scores are cached and dropped for the endpoints of every
+    added edge and their common neighbours.  The saturation loop is
+    the one of ``lb_triang``.
+    """
+    filled = graph.copy()
+    core = filled.core
+    adj = core.adj
+    remaining = core.alive
+    label_of = filled.label_of
+    ranks = filled.ranks()
+    deficiency: dict[int, int] = {}
+    fill = []
+    while remaining:
+        v = -1
+        best_score = -1
+        best_rank = -1
+        for i in iter_bits(remaining):
+            if heuristic == "natural":
+                score = 0
+            elif heuristic == "min_degree":
+                score = adj[i].bit_count()
+            else:
+                score = deficiency.get(i)
+                if score is None:
+                    score = core.missing_pair_count(adj[i])
+                    deficiency[i] = score
+            rank = ranks[i]
+            if v < 0 or score < best_score or (
+                score == best_score and rank < best_rank
+            ):
+                v, best_score, best_rank = i, score, rank
+        remaining &= ~(1 << v)
+        closed = adj[v] | 1 << v
+        added = []
+        for component in core.components(closed):
+            added.extend(core.saturate(core.neighborhood_of_set(component)))
+        for a, b in added:
+            fill.append(edge_key(label_of(a), label_of(b)))
+        if heuristic == "min_fill":
+            for a, b in added:
+                deficiency.pop(a, None)
+                deficiency.pop(b, None)
+                for common in iter_bits(adj[a] & adj[b]):
+                    deficiency.pop(common, None)
+    return sort_edges(fill)
 
 
 def reference_fair_product(iterators: list) -> Iterator[tuple]:

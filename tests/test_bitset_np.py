@@ -24,15 +24,12 @@ from repro.chordal.minimal_separators import (
 from repro.core.enumerate import enumerate_minimal_triangulations
 from repro.graph import resolve_graph_backend
 from repro.graph.bitset_np import (
-    NARROW_MAX_DEGREE,
     NUMPY_THRESHOLD,
     NumpyGraphCore,
     convert_graph,
     crossing_batch,
     pack_mask,
     pack_masks,
-    packed_view,
-    popcount,
     select_core_class,
     unpack_row,
     unpack_rows,
@@ -60,13 +57,6 @@ class TestPacking:
         matrix = pack_masks(masks, words)
         assert matrix.shape == (4, words)
         assert [unpack_row(row) for row in matrix] == masks
-
-    def test_popcount_matches_bit_count(self):
-        rng = random.Random(11)
-        masks = [rng.getrandbits(rng.randint(1, 320)) for __ in range(40)]
-        words = word_count(320)
-        counts = popcount(pack_masks(masks, words))
-        assert list(counts) == [mask.bit_count() for mask in masks]
 
     def test_word_count_floor(self):
         assert word_count(0) == 1
@@ -419,75 +409,39 @@ class TestBoundedEdgeCache:
 
 
 class TestWidthAdaptiveGate:
-    """Deep/narrow graphs route back to the int-mask Extend path."""
-
-    def _numpy_graph(self, graph: Graph) -> Graph:
-        return convert_graph(graph, "numpy")
-
-    def test_narrow_shapes_are_gated(self):
-        from repro.graph.generators import cycle_graph, path_graph
-
-        for g in (cycle_graph(60), path_graph(40)):
-            core = self._numpy_graph(g).core
-            assert core.is_narrow()
-            assert packed_view(core) is None
-
-    def test_wide_shapes_are_not_gated(self):
-        g = self._numpy_graph(gnp_random_graph(40, 0.3, seed=12))
-        assert not g.core.is_narrow()
-        assert packed_view(g.core) is not None
-
-    def test_one_chord_flips_the_gate(self):
-        from repro.graph.generators import cycle_graph
-
-        g = cycle_graph(30)
-        assert self._numpy_graph(g).core.is_narrow()
-        g.add_edge(0, 15)  # one degree-3 vertex: no longer narrow
-        assert not self._numpy_graph(g).core.is_narrow()
-
-    def test_gate_threshold_is_frontier_width_two(self):
-        assert NARROW_MAX_DEGREE == 2
-
-    def test_cached_verdict_invalidates_on_mutation(self):
-        from repro.graph.generators import cycle_graph
-
-        core = self._numpy_graph(cycle_graph(20)).core
-        assert core.is_narrow() and core.is_narrow()  # cached path too
-        core.add_edge(0, 10)
-        assert not core.is_narrow()
-        core.remove_edge(0, 10)
-        assert core.is_narrow()
-        # Saturation raises degrees in place (the one mutation that
-        # keeps the packed mirror live) and must drop the verdict too.
-        core.saturate(0b1111)
-        assert not core.is_narrow()
+    """Deep, narrow graphs give the int-mask results on the packed tier."""
 
     def test_gated_triangulation_matches_reference(self):
-        # The gate only selects kernels: a numpy-backed long cycle must
-        # produce exactly the int-mask results through the whole Extend
-        # pipeline (MCS-M, LB-Triang, the enumeration on top).
+        # A packed long cycle (every sweep frontier at most 2 vertices
+        # wide) must produce exactly the int-mask results through the
+        # whole Extend pipeline (MCS-M, LB-Triang, the enumeration on
+        # top) on both packed tiers.
         from repro.chordal.triangulate import lb_triang, mcs_m
         from repro.graph.generators import cycle_graph
 
         long_cycle = cycle_graph(48)
-        packed_cycle = self._numpy_graph(long_cycle)
-        assert mcs_m(packed_cycle) == mcs_m(long_cycle)
-        assert lb_triang(packed_cycle) == lb_triang(long_cycle)
         # Full enumeration on a cycle short enough to finish (the
         # minimal triangulations of C_n number Catalan(n - 2)).
         indexed = cycle_graph(9)
-        packed = self._numpy_graph(indexed)
         expected = {
             frozenset(t.fill_edges)
             for t in enumerate_minimal_triangulations(indexed)
         }
-        got = {
-            frozenset(t.fill_edges)
-            for t in enumerate_minimal_triangulations(
-                packed, graph_backend=None
-            )
-        }
-        assert got == expected
+        for tier in ("numpy", "native"):
+            packed_cycle = convert_graph(long_cycle, tier)
+            assert mcs_m(packed_cycle) == mcs_m(long_cycle)
+            for heuristic in ("min_fill", "min_degree", "natural"):
+                assert lb_triang(
+                    packed_cycle, heuristic=heuristic
+                ) == lb_triang(long_cycle, heuristic=heuristic)
+            packed = convert_graph(indexed, tier)
+            got = {
+                frozenset(t.fill_edges)
+                for t in enumerate_minimal_triangulations(
+                    packed, graph_backend=None
+                )
+            }
+            assert got == expected
 
     def test_unpack_rows_round_trips(self):
         rng = random.Random(31)

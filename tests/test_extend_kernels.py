@@ -20,6 +20,7 @@ import pytest
 
 from helpers import (
     PACKED_TIERS,
+    reference_lb_triang,
     requires_native,
     small_chordal_graphs,
     small_random_graphs,
@@ -50,8 +51,6 @@ from repro.graph.bitset_np import (
     NumpyGraphCore,
     PackedMCSQueue,
     frontier_sweep,
-    indices_to_mask,
-    is_peo_packed,
     mask_to_indices,
     pack_masks,
     set_edge_bits,
@@ -59,7 +58,7 @@ from repro.graph.bitset_np import (
     weight_level_rows,
     word_count,
 )
-from repro.graph.core import IndexedGraph, MaxWeightBuckets
+from repro.graph.core import IndexedGraph, MaxWeightBuckets, bit_list
 from repro.graph.generators import (
     cycle_graph,
     gnp_random_graph,
@@ -217,6 +216,27 @@ class TestTriangulatorEquivalence(PackedTier):
             assert min_degree_order(indexed) == min_degree_order(packed)
 
 
+class TestLbTriangScanOracle:
+    """LB-Triang's heap pick against the historical scan pick.
+
+    Every tier runs the same heap, so tier equality cannot pin the
+    pick; the oracle is the scan in :func:`helpers.reference_lb_triang`.
+    """
+
+    tiers = ("indexed", "numpy")
+
+    @pytest.mark.parametrize(
+        "heuristic", ["min_fill", "min_degree", "natural"]
+    )
+    def test_heap_pick_matches_scan_pick(self, heuristic):
+        for graph in CORPUS + mixed_label_corpus()[:100]:
+            for tier in self.tiers:
+                tiered = resolve_graph_backend(graph, tier)
+                assert lb_triang(
+                    tiered, heuristic=heuristic
+                ) == reference_lb_triang(tiered, heuristic)
+
+
 class TestPeoAndForestEquivalence(PackedTier):
     def test_peo_check_matches_on_random_and_mcs_orders(self):
         rng = random.Random(11)
@@ -336,11 +356,7 @@ class TestKernelUnits:
         for words in (1, 2, 5):
             for __ in range(50):
                 mask = rng.getrandbits(words * 64 - 7)
-                idx = mask_to_indices(mask, words)
-                assert indices_to_mask(idx, words) == mask
-                assert idx.tolist() == [
-                    i for i in range(words * 64) if mask >> i & 1
-                ]
+                assert mask_to_indices(mask, words).tolist() == bit_list(mask)
 
     def test_union_rows_matches_int_union(self):
         rng = random.Random(9)
@@ -403,21 +419,6 @@ class TestKernelUnits:
             core.add_edge(a, b)
         assert (matrix == pack_masks(core.adj, word_count(n))).all()
 
-    def test_is_peo_packed_matches_reference(self):
-        rng = random.Random(19)
-        for graph in CORPUS:
-            core = graph.core
-            matrix = pack_masks(core.adj, word_count(len(core.adj)))
-            indices = list(range(len(core.adj)))
-            indices = [i for i in indices if core.alive >> i & 1]
-            for __ in range(4):
-                rng.shuffle(indices)
-                labels = [graph.label_of(i) for i in indices]
-                expected = is_perfect_elimination_ordering(
-                    resolve_graph_backend(graph, "indexed"), labels
-                )
-                assert is_peo_packed(matrix, indices) == expected
-
     def test_weight_level_rows_group_by_weight(self):
         rng = random.Random(23)
         n = 200
@@ -446,12 +447,12 @@ class TestKernelUnits:
 
     @pytest.mark.parametrize("tier", ("indexed",) + PACKED_TIERS)
     def test_selection_queue_follows_the_core(self, tier):
-        # Narrow graphs keep the int-tier buckets on every core.
+        # Wide or narrow (a cycle), the core alone picks the queue.
         wide = resolve_graph_backend(gnp_random_graph(40, 0.3, seed=1), tier)
         narrow = resolve_graph_backend(cycle_graph(40), tier)
         for graph in (wide, narrow):
             queue = graph.core.selection_queue(graph.core.alive, graph.ranks())
-            packed = tier != "indexed" and graph is wide
+            packed = tier != "indexed"
             assert isinstance(queue, PackedMCSQueue) == packed
             assert isinstance(queue, MaxWeightBuckets) == (not packed)
 
@@ -492,6 +493,11 @@ def check_queues_agree(tier):
 @requires_native
 class TestTriangulatorEquivalenceNative(TestTriangulatorEquivalence):
     tier = "native"
+
+
+@requires_native
+class TestLbTriangScanOracleNative(TestLbTriangScanOracle):
+    tiers = ("native",)
 
 
 @requires_native

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from helpers import requires_native, small_random_graphs
+from repro.analysis.rules.kernel_parity import NON_KERNEL_EXPORTS
 from repro.chordal.minimal_separators import (
     BATCH_KERNEL_MIN,
     are_crossing_batch_masks,
@@ -85,12 +86,6 @@ def random_mask(rng, n=N):
 
 @requires_native
 class TestKernelParity:
-    def test_popcount(self, rng):
-        matrix, __ = random_packed_graph(rng)
-        assert np.array_equal(native.popcount(matrix), bnp.popcount(matrix))
-        row = matrix[7]
-        assert int(native.popcount(row)) == int(bnp.popcount(row))
-
     def test_crossing_batch(self, rng):
         components = bnp.pack_masks(
             [random_mask(rng) for __ in range(5)], WORDS
@@ -166,34 +161,20 @@ class TestKernelParity:
         assert native.mask_to_indices(0, WORDS).shape == (0,)
 
     def test_saturate_batch_and_set_edge_bits(self, rng):
-        matrix, __ = random_packed_graph(rng)
+        matrix, adj = random_packed_graph(rng)
         for __ in range(5):
-            mask = random_mask(rng)
-            u_n, v_n = native.saturate_batch(matrix, mask)
-            u_p, v_p = bnp.saturate_batch(matrix, mask)
-            # Bit-identical including pair order.
-            assert np.array_equal(u_n, u_p)
-            assert np.array_equal(v_n, v_p)
+            u_arr = rng.integers(0, N, size=40).astype(np.int64)
+            v_arr = rng.integers(0, N, size=40).astype(np.int64)
             filled_native = matrix.copy()
             filled_numpy = matrix.copy()
-            native.set_edge_bits(filled_native, u_n, v_n)
-            bnp.set_edge_bits(filled_numpy, u_p, v_p)
+            native.set_edge_bits(filled_native, u_arr, v_arr)
+            bnp.set_edge_bits(filled_numpy, u_arr, v_arr)
+            want = list(adj)
+            for u, v in zip(u_arr.tolist(), v_arr.tolist()):
+                want[u] |= 1 << v
+                want[v] |= 1 << u
+            assert bnp.unpack_rows(filled_native) == want
             assert np.array_equal(filled_native, filled_numpy)
-
-    def test_is_peo_packed(self, rng):
-        matrix, __ = random_packed_graph(rng)
-        order = rng.permutation(N).astype(np.int64)
-        assert native.is_peo_packed(matrix, order) == bnp.is_peo_packed(
-            matrix, order
-        )
-        # A complete graph: every ordering is perfect.
-        full = bnp.pack_masks(
-            [((1 << N) - 1) ^ (1 << i) for i in range(N)], WORDS
-        )
-        assert native.is_peo_packed(full, order) is True
-        # An empty graph likewise.
-        empty = bnp.zero_matrix(N, WORDS)
-        assert native.is_peo_packed(empty, order) is True
 
     def test_weight_level_rows(self, rng):
         indices = rng.choice(N, size=48, replace=False).astype(np.int64)
@@ -205,17 +186,6 @@ class TestKernelParity:
         assert native.weight_level_rows(
             indices[:0], weights[:0], WORDS
         ).shape[0] == 0
-
-    def test_clique_present_sum(self, rng):
-        matrix, adj = random_packed_graph(rng)
-        for __ in range(5):
-            mask = random_mask(rng)
-            want = sum(
-                (adj[u] & mask).bit_count()
-                for u in bnp.mask_to_indices(mask, WORDS)
-            )
-            assert native.clique_present_sum(matrix, mask) == want
-            assert bnp.clique_present_sum(matrix, mask) == want
 
     @pytest.mark.parametrize("n", [2500, 4000])
     def test_wide_matrices(self, rng, n):
@@ -229,24 +199,23 @@ class TestKernelParity:
         remainders = bnp.pack_masks(
             [random_mask(rng, n) for __ in range(256)], words
         )
-        adjacency, __ = random_packed_graph(rng, n, avg_degree=24)
+        adjacency, adj = random_packed_graph(rng, n, avg_degree=24)
         members = np.sort(rng.choice(n, size=400, replace=False))
-        mask = bnp.indices_to_mask(members, words)
+        mask = sum(1 << int(i) for i in members)
         assert np.array_equal(
             native.crossing_batch(components, remainders),
             bnp.crossing_batch(components, remainders),
         )
-        for got, want in zip(
-            native.saturate_batch(adjacency, mask),
-            bnp.saturate_batch(adjacency, mask),
-        ):
-            assert np.array_equal(got, want)
-        assert np.array_equal(
-            native.popcount(adjacency), bnp.popcount(adjacency)
-        )
         assert native.union_rows(adjacency, members) == bnp.union_rows(
             adjacency, members
         )
+        core = IndexedGraph(n)
+        core.adj = list(adj)
+        core.alive = (1 << n) - 1
+        seed = 1 << int(members[0])
+        want = core.expand_component(seed, mask)
+        assert native.frontier_sweep(adjacency, seed, mask) == want
+        assert bnp.frontier_sweep(adjacency, seed, mask) == want
 
     def test_mcs_queue_parity(self, rng):
         ranks = [int(x) for x in rng.permutation(N)]
@@ -257,6 +226,15 @@ class TestKernelParity:
             q_native.bump_mask(bump)
             q_numpy.bump_mask(bump)
             assert q_native.pop_max() == q_numpy.pop_max()
+
+
+def test_kernel_names_match_the_native_exports():
+    # ``repro kernels`` lists KERNEL_NAMES: every exported kernel plus
+    # the two dispatches of the compiled MCS queue, and nothing else.
+    exports = set(native.__all__) - NON_KERNEL_EXPORTS
+    queue = {"mcs_queue_argmax", "mcs_queue_bump"}
+    assert set(native.KERNEL_NAMES) == exports | queue
+    assert len(native.KERNEL_NAMES) == len(set(native.KERNEL_NAMES))
 
 
 # ----------------------------------------------------------------------
