@@ -20,6 +20,8 @@ frozensets), and labels are materialised only when a separator is
 yielded.  The mask-level variants (:func:`minimal_separator_masks`,
 :func:`are_crossing_masks`) are exposed for the SGR layer, which
 interns separator masks and memoizes crossing queries on top of them.
+Neither branches on the graph-core tier: on a numpy or native core the
+component sweeps they call are that core's own primitives.
 
 Conventions
 -----------
@@ -34,7 +36,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 
-from repro.graph import bitset_np as _kernel
 from repro.graph.components import is_separator
 from repro.graph.core import IndexedGraph, iter_bits
 from repro.graph.graph import Graph, Node
@@ -45,7 +46,6 @@ __all__ = [
     "all_minimal_separators",
     "are_crossing",
     "are_crossing_masks",
-    "are_crossing_batch_masks",
     "are_parallel",
     "is_minimal_separator",
     "is_pairwise_parallel",
@@ -53,11 +53,6 @@ __all__ = [
 ]
 
 Separator = frozenset[Node]
-
-#: Minimum batch size before the packed numpy kernel is engaged by the
-#: batch crossing oracles; tiny batches are faster through the scalar
-#: component walk (no packing, no numpy call overhead).
-BATCH_KERNEL_MIN = 4
 
 
 def minimal_separator_masks(graph: Graph) -> Iterator[int]:
@@ -137,42 +132,6 @@ def are_crossing_masks(core: IndexedGraph, s: int, t: int) -> bool:
             if touched >= 2:
                 return True
     return False
-
-
-def are_crossing_batch_masks(
-    core: IndexedGraph, s: int, targets: Iterable[int]
-) -> list[bool]:
-    """Batched mask-level crossing test: does S cross each of ``targets``?
-
-    Computes the components of ``g \\ S`` once, then answers every
-    target in a single vectorized pass of the packed-bitset kernel
-    (:func:`repro.graph.bitset_np.crossing_batch`), or by the scalar
-    component walk for fewer than ``BATCH_KERNEL_MIN`` targets.
-    Semantically ``[are_crossing_masks(core, s, t) for t in targets]``.
-
-    This is the stateless form of the batch oracle; the separator-graph
-    SGR layers interning and a bounded memo cache on top of the same
-    kernel (:meth:`repro.sgr.separator_graph.MinimalSeparatorSGR.has_edges_batch`).
-    """
-    targets = list(targets)
-    components = core.components(s)
-    if len(targets) < BATCH_KERNEL_MIN:
-        results = []
-        for t in targets:
-            remainder = t & ~s
-            touched = 0
-            for component in components:
-                if component & remainder:
-                    touched += 1
-                    if touched >= 2:
-                        break
-            results.append(touched >= 2)
-        return results
-    words = _kernel.word_count(len(core.adj))
-    packed = _kernel.pack_masks(components, words)
-    remainders = _kernel.pack_masks((t & ~s for t in targets), words)
-    ns = _kernel.kernels_for(core)
-    return [bool(x) for x in ns.crossing_batch(packed, remainders)]
 
 
 def are_crossing(graph: Graph, s: Iterable[Node], t: Iterable[Node]) -> bool:

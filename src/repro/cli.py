@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check run the same int-mask loop on every tier; a packed core "
         "speeds up the primitives they call on large graphs (the MCS "
         "selection queue, wide-frontier unions, component sweeps, "
-        "saturation) and the separator-crossing oracle.  The answers "
+        "saturation).  The answers "
         "are the same on every tier.  'native' degrades to numpy "
         "when no C compiler is available (see 'repro kernels')",
     )

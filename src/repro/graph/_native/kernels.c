@@ -1,11 +1,11 @@
 /* Native word-matrix kernels — see kernels.h for the layout contract.
  *
- * Only the primitives the graph core and the separator layer call on
- * large graphs live here: the MCS selection queue (argmax, bump, weight
- * levels), wide-frontier unions, component sweeps, the crossing
- * kernels, mask-to-index conversion and in-place saturation fill.  The
- * algorithms above them (MCS-M, MCS, LB-Triang, the PEO check) are one
- * int-mask loop on every tier.
+ * Only the primitives the graph core calls on large graphs live here:
+ * the MCS selection queue (argmax, bump, weight levels), wide-frontier
+ * unions, component sweeps, mask-to-index conversion and in-place
+ * saturation fill.  The algorithms above them (MCS-M, MCS, LB-Triang,
+ * the PEO check, the separator listing and the crossing oracle) are
+ * one int-mask loop on every tier.
  *
  * The kernels mirror the numpy implementations in
  * repro/graph/bitset_np.py bit for bit; those stay the reference
@@ -22,45 +22,6 @@
 #include "kernels.h"
 
 int repro_kernels_abi_version(void) { return REPRO_KERNELS_ABI_VERSION; }
-
-void crossing_batch(const uint64_t *components, int64_t k,
-                    const uint64_t *remainders, int64_t m, int64_t words,
-                    uint8_t *out) {
-    for (int64_t i = 0; i < m; i++) {
-        const uint64_t *rem = remainders + i * words;
-        int touched = 0;
-        for (int64_t c = 0; c < k && touched < 2; c++) {
-            const uint64_t *comp = components + c * words;
-            for (int64_t w = 0; w < words; w++) {
-                if (rem[w] & comp[w]) {
-                    touched++;
-                    break;
-                }
-            }
-        }
-        out[i] = (uint8_t)(touched >= 2);
-    }
-}
-
-void crossing_batch_gather(const uint64_t *components, int64_t k,
-                           const uint64_t *matrix, int64_t words,
-                           const int64_t *ids, int64_t m,
-                           const uint64_t *v_row, uint8_t *out) {
-    for (int64_t i = 0; i < m; i++) {
-        const uint64_t *cand = matrix + ids[i] * words;
-        int touched = 0;
-        for (int64_t c = 0; c < k && touched < 2; c++) {
-            const uint64_t *comp = components + c * words;
-            for (int64_t w = 0; w < words; w++) {
-                if ((cand[w] & ~v_row[w]) & comp[w]) {
-                    touched++;
-                    break;
-                }
-            }
-        }
-        out[i] = (uint8_t)(touched >= 2);
-    }
-}
 
 void union_rows(const uint64_t *matrix, int64_t words,
                 const int64_t *indices, int64_t m, uint64_t *out) {

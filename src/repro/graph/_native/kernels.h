@@ -20,25 +20,9 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNELS_ABI_VERSION 2
+#define REPRO_KERNELS_ABI_VERSION 3
 
 int repro_kernels_abi_version(void);
-
-/* Batched separator crossing: out[i] = 1 iff remainder row i intersects
- * at least two of the k component rows.  Early-exits per remainder once
- * two components are touched; no temporaries. */
-void crossing_batch(const uint64_t *components, int64_t k,
-                    const uint64_t *remainders, int64_t m, int64_t words,
-                    uint8_t *out);
-
-/* Fused gather variant: remainder i is matrix[ids[i]] & ~v_row,
- * computed word-by-word on the fly — the AND/ANDN, the gather and the
- * component test run in one pass with no remainder matrix ever
- * materialised. */
-void crossing_batch_gather(const uint64_t *components, int64_t k,
-                           const uint64_t *matrix, int64_t words,
-                           const int64_t *ids, int64_t m,
-                           const uint64_t *v_row, uint8_t *out);
 
 /* OR-reduce the m selected rows of the matrix into out[words]
  * (out must be zeroed by the caller). */

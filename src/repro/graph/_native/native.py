@@ -21,20 +21,19 @@ the documented kill-switch for benchmarking the numpy tier or working
 around a miscompiling toolchain.
 
 The public surface mirrors :mod:`repro.graph.bitset_np` name for name
-(``crossing_batch``, ``crossing_batch_gather``, ``union_rows``,
-``frontier_sweep``, ``set_edge_bits``, ``weight_level_rows``,
-``mask_to_indices``, ``PackedMCSQueue``): the graph core and the SGR
-pick a *kernel namespace* per graph core
-(:func:`repro.graph.bitset_np.kernels_for`) and call the same names
-either way.  These are only the primitives the workloads call — the
-MCS selection queue, wide-frontier unions, component sweeps, the
-crossing gather and in-place saturation fill; the algorithms above
-them are one int-mask loop on every tier.  Every kernel takes raw
-buffer pointers from the existing numpy arrays (``ffi.from_buffer`` —
-zero copies, read-only buffers accepted), so :class:`NativeGraphCore`
-is a thin subclass of :class:`~repro.graph.bitset_np.NumpyGraphCore`:
-the lazily built packed mirror is inherited unchanged, only the kernel
-dispatch differs.
+(``union_rows``, ``frontier_sweep``, ``set_edge_bits``,
+``weight_level_rows``, ``mask_to_indices``, ``PackedMCSQueue``): a
+packed graph core picks its *kernel namespace* (``_kernel_namespace``)
+and calls the same names either way.  These are only the primitives
+the workloads call — the MCS selection queue, wide-frontier unions,
+component sweeps and in-place saturation fill; the algorithms above
+them, the separator layer included, are one int-mask loop on every
+tier.  Every kernel takes raw buffer pointers from the existing numpy
+arrays (``ffi.from_buffer`` — zero copies, read-only buffers
+accepted), so :class:`NativeGraphCore` is a thin subclass of
+:class:`~repro.graph.bitset_np.NumpyGraphCore`: the lazily built
+packed mirror is inherited unchanged, only the kernel dispatch
+differs.
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ __all__ = [
     "kernel_namespace",
     "NativeGraphCore",
     "NativeMCSQueue",
-    "crossing_batch",
-    "crossing_batch_gather",
     "union_rows",
     "frontier_sweep",
     "set_edge_bits",
@@ -71,7 +68,7 @@ __all__ = [
 ]
 
 _SOURCE_DIR = Path(__file__).resolve().parent
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 #: Environment variable that forces :func:`available` to False.
 DISABLE_ENV = "REPRO_NATIVE_DISABLE"
@@ -91,13 +88,6 @@ def _build_dir() -> Path:
 # _ABI_VERSION, so a drifted artefact rebuilds rather than misbehaves).
 _CDEF = """
 int repro_kernels_abi_version(void);
-void crossing_batch(const uint64_t *components, int64_t k,
-                    const uint64_t *remainders, int64_t m, int64_t words,
-                    uint8_t *out);
-void crossing_batch_gather(const uint64_t *components, int64_t k,
-                           const uint64_t *matrix, int64_t words,
-                           const int64_t *ids, int64_t m,
-                           const uint64_t *v_row, uint8_t *out);
 void union_rows(const uint64_t *matrix, int64_t words,
                 const int64_t *indices, int64_t m, uint64_t *out);
 int frontier_sweep(const uint64_t *matrix, int64_t words,
@@ -118,8 +108,6 @@ _CFLAGS = ["-O3", "-std=c11", "-fPIC", "-shared"]
 
 #: Kernel names exposed by this tier (for ``repro kernels`` diagnostics).
 KERNEL_NAMES = (
-    "crossing_batch",
-    "crossing_batch_gather",
     "union_rows",
     "frontier_sweep",
     "set_edge_bits",
@@ -345,55 +333,6 @@ def _row_bytes(mask: int, words: int) -> bytes:
 # ----------------------------------------------------------------------
 
 
-def crossing_batch(
-    components: np.ndarray, remainders: np.ndarray
-) -> np.ndarray:
-    """Native twin of :func:`repro.graph.bitset_np.crossing_batch`."""
-    ffi, lib = _lib()
-    components = np.ascontiguousarray(components, dtype=_WORD_DTYPE)
-    remainders = np.ascontiguousarray(remainders, dtype=_WORD_DTYPE)
-    m = remainders.shape[0]
-    out = np.zeros(m, dtype=np.uint8)
-    if m and components.shape[0]:
-        lib.crossing_batch(
-            _u64(ffi, components),
-            components.shape[0],
-            _u64(ffi, remainders),
-            m,
-            remainders.shape[1],
-            _u8_mut(ffi, out),
-        )
-    return out.view(bool)
-
-
-def crossing_batch_gather(
-    components: np.ndarray, matrix: np.ndarray, ids, v_id: int
-) -> list[bool]:
-    """Fused crossing sweep: ``matrix[ids] & ~matrix[v_id]`` vs components.
-
-    The gather, the ANDN and the component test run in one C pass — no
-    remainder matrix is ever materialised (the numpy tier builds one
-    per call).  ``matrix`` is the SGR's interned separator-mask matrix.
-    """
-    ffi, lib = _lib()
-    ids_arr = _as_i64(ids)
-    m = ids_arr.shape[0]
-    out = np.zeros(m, dtype=np.uint8)
-    if m and components.shape[0]:
-        words = matrix.shape[1]
-        lib.crossing_batch_gather(
-            _u64(ffi, np.ascontiguousarray(components, dtype=_WORD_DTYPE)),
-            components.shape[0],
-            _u64(ffi, matrix),
-            words,
-            _i64(ffi, ids_arr),
-            m,
-            _u64(ffi, matrix[v_id]),
-            _u8_mut(ffi, out),
-        )
-    return [bool(x) for x in out]
-
-
 def union_rows(matrix: np.ndarray, indices) -> int:
     """Native twin of :func:`repro.graph.bitset_np.union_rows`."""
     if not len(indices):
@@ -525,11 +464,10 @@ class NativeGraphCore(NumpyGraphCore):
 
     Everything structural is inherited — the int-mask source of truth
     and the lazily maintained packed mirror.  The only difference is
-    the kernel namespace the batch methods (and, through
-    :func:`repro.graph.bitset_np.kernels_for`, the separator layer)
-    dispatch to.  When the compiled extension is unavailable
-    the namespace degrades to the numpy module, so a payload built on a
-    machine with gcc still rebuilds cleanly on one without.
+    the kernel namespace the batch methods dispatch to.  When the
+    compiled extension is unavailable the namespace degrades to the
+    numpy module, so a payload built on a machine with gcc still
+    rebuilds cleanly on one without.
     """
 
     __slots__ = ()

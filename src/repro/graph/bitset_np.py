@@ -3,26 +3,18 @@
 The Python-int bitmask core (:mod:`repro.graph.core`) wins for graphs
 up to a few hundred nodes because each adjacency is a single machine
 object and CPython's big-int ops run in C.  Past roughly a thousand
-nodes two costs start to dominate:
-
-* *per-row overhead* — set-algebraic sweeps (neighbourhood unions,
-  component frontiers) still pay one interpreter round-trip per vertex
-  row touched, and
-* *per-pair overhead* — the separator-crossing oracle of the SGR layer
-  pays a full Python call per (v, u) pair even though the test itself
-  is a handful of word ANDs.
+nodes the per-row overhead starts to dominate: set-algebraic sweeps
+(neighbourhood unions, component frontiers, the MCS selection queue)
+pay one interpreter round-trip per vertex row touched.
 
 This module packs vertex bitmasks into rows of ``uint64`` *word
 matrices* so those sweeps become single vectorized numpy expressions:
 
-* :func:`pack_mask` / :func:`pack_masks` / :func:`unpack_row` convert
+* :func:`pack_masks` / :func:`unpack_row` / :func:`unpack_rows` convert
   between the int-mask representation used everywhere else and packed
   ``uint64`` rows (little-endian word order, so bit ``i`` of a mask is
-  bit ``i % 64`` of word ``i // 64``);
-* :func:`crossing_batch` is the batched separator-crossing kernel: one
-  separator's component matrix against many remainder rows in one
-  vectorized pass (see
-  :meth:`repro.sgr.separator_graph.MinimalSeparatorSGR.has_edges_batch`);
+  bit ``i % 64`` of word ``i // 64``); the graph payload and the wire
+  format ship masks this way;
 * the *Extend-side* kernels serve the primitives the triangulation
   pipeline of the paper's ``Extend`` procedure calls on a large graph:
   :func:`mask_to_indices` turns a mask into an index array without a
@@ -33,9 +25,9 @@ matrices* so those sweeps become single vectorized numpy expressions:
   :class:`PackedMCSQueue` (with :func:`weight_level_rows`) is the MCS
   selection queue of this tier: argmax reductions over a flat key
   array instead of per-bit bucket scans.  The algorithms themselves
-  (MCS-M, MCS, LB-Triang, the PEO check) are one int-mask loop each on
-  every tier; they reach these kernels only through the core's
-  overridden primitives;
+  (MCS-M, MCS, LB-Triang, the PEO check, the separator listing and the
+  crossing oracle) are one int-mask loop each on every tier; they
+  reach these kernels only through the core's overridden primitives;
 * :class:`NumpyGraphCore` is an :class:`~repro.graph.core.IndexedGraph`
   whose batch-heavy methods (neighbourhood-of-set, component
   expansion) run on a lazily maintained packed adjacency matrix —
@@ -63,13 +55,9 @@ __all__ = [
     "NUMPY_THRESHOLD",
     "GRAPH_BACKENDS",
     "word_count",
-    "pack_mask",
     "pack_masks",
-    "zero_matrix",
     "unpack_row",
     "unpack_rows",
-    "crossing_batch",
-    "crossing_batch_gather",
     "mask_to_indices",
     "union_rows",
     "frontier_sweep",
@@ -97,24 +85,12 @@ def word_count(num_bits: int) -> int:
     return max(1, (num_bits + WORD_BITS - 1) // WORD_BITS)
 
 
-def pack_mask(mask: int, words: int) -> np.ndarray:
-    """Pack an int bitmask into a ``(words,)`` uint64 row."""
-    return np.frombuffer(
-        mask.to_bytes(words * 8, "little"), dtype=_WORD_DTYPE
-    )
-
-
 def pack_masks(masks: Iterable[int], words: int) -> np.ndarray:
     """Pack int bitmasks into an ``(m, words)`` uint64 matrix."""
     nbytes = words * 8
     buffer = b"".join([mask.to_bytes(nbytes, "little") for mask in masks])
     packed = np.frombuffer(buffer, dtype=_WORD_DTYPE)
     return packed.reshape(-1, words)
-
-
-def zero_matrix(rows: int, words: int) -> np.ndarray:
-    """An all-zero ``(rows, words)`` packed matrix (growable row store)."""
-    return np.zeros((rows, words), dtype=_WORD_DTYPE)
 
 
 def unpack_row(row: np.ndarray) -> int:
@@ -139,65 +115,6 @@ def unpack_rows(packed: np.ndarray) -> list[int]:
         from_bytes(buffer[start : start + nbytes], "little")
         for start in range(0, len(buffer), nbytes)
     ]
-
-
-def crossing_batch(
-    components: np.ndarray, remainders: np.ndarray
-) -> np.ndarray:
-    """The batched crossing kernel: which remainders touch >= 2 components?
-
-    Parameters
-    ----------
-    components:
-        ``(k, words)`` packed component masks of ``g \\ S`` for one
-        separator S.
-    remainders:
-        ``(m, words)`` packed masks ``T_i \\ S`` for m candidate
-        separators.
-
-    Returns
-    -------
-    np.ndarray
-        Boolean ``(m,)`` vector: entry i is True iff remainder i
-        intersects at least two component rows — i.e. S crosses T_i.
-        An all-zero remainder (``T_i ⊆ S``) touches no component and
-        yields False, matching the scalar oracle.
-
-    The loop runs over the k component rows (k is small — a minimal
-    separator rarely splits the graph into many parts) with each
-    iteration a vectorized AND+any over all m remainders, so the cost
-    is O(k · m · words) word operations with no per-pair Python
-    overhead.
-    """
-    touched = np.zeros(remainders.shape[0], dtype=np.int64)
-    if not touched.shape[0] or not components.shape[0]:
-        return touched >= 2
-    check_exit = len(components) > 8
-    for row in components:
-        touched += (remainders & row).any(axis=1)
-        # Early exit pays only when many component rows remain: once
-        # every remainder has met two components no further row can
-        # change the answer.
-        if check_exit and touched.min() >= 2:
-            break
-    return touched >= 2
-
-
-def crossing_batch_gather(
-    components: np.ndarray, matrix: np.ndarray, ids, v_id: int
-) -> list[bool]:
-    """Gathered crossing sweep: ``matrix[ids] & ~matrix[v_id]`` vs components.
-
-    The numpy twin of the fused native kernel of the same name: it
-    materialises the remainder matrix (the native tier streams it row
-    by row in C) and reuses :func:`crossing_batch`, so every kernel
-    tier answers the SGR's batched edge oracle through one signature.
-    """
-    ids_arr = np.asarray(ids, dtype=np.int64)
-    if not ids_arr.shape[0]:
-        return []
-    remainders = matrix[ids_arr] & ~matrix[v_id]
-    return crossing_batch(components, remainders).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +341,7 @@ class NumpyGraphCore(IndexedGraph):
         """The kernel namespace batch methods dispatch to.
 
         The numpy core answers this module; :class:`NativeGraphCore`
-        overrides it with the compiled tier (see :func:`kernels_for`).
+        overrides it with the compiled tier.
         """
         return sys.modules[__name__]
 
@@ -496,24 +413,6 @@ GRAPH_BACKENDS: dict[str, type[IndexedGraph]] = {
     "indexed": IndexedGraph,
     "numpy": NumpyGraphCore,
 }
-
-
-def kernels_for(core) -> "object":
-    """The kernel namespace serving a graph core.
-
-    The separator layer calls module-level crossing kernels
-    (``crossing_batch``, ``crossing_batch_gather``) keyed only on packed
-    matrices; this is the per-core dispatch point that lets
-    :class:`NativeGraphCore` route the *same* call sites onto the
-    compiled tier.  (The core's own primitives dispatch through
-    ``_kernel_namespace`` directly.)  Cores without an opinion (plain
-    :class:`~repro.graph.core.IndexedGraph`, or a mock in tests) get
-    this module — the numpy reference tier.
-    """
-    namespace = getattr(core, "_kernel_namespace", None)
-    if namespace is None:
-        return sys.modules[__name__]
-    return namespace()
 
 
 def _native_core_class() -> "type[NumpyGraphCore] | None":

@@ -37,15 +37,13 @@ answers, and so do the candidates.  This SGR keeps two bounded caches,
 both pure memos of pure functions, so neither can change an answer:
 
 * **Crossing pairs.**  Each separator mask is interned once to a
-  dense id; the components of ``g \\ S`` are cached per
-  separator (as int masks and, once a batch query touches it, as a
-  packed ``uint64`` matrix of :mod:`repro.graph.bitset_np`).
-  :meth:`has_edges_batch` answers a ``v``-versus-many sweep with one
-  dict probe per cached pair and one vectorized
-  :func:`repro.graph.bitset_np.crossing_batch` pass for the rest.
-  Results are stored per query node (``cache[id_v][id_u]``).  Bound:
-  ``edge_cache_limit`` pairs per generation (default
-  :data:`DEFAULT_EDGE_CACHE_LIMIT`; ``None`` for unbounded).
+  dense id, and the components of ``g \\ S`` are cached per separator
+  as int masks.  :meth:`has_edges_batch` answers a ``v``-versus-many
+  sweep with one dict probe per cached pair and one component walk
+  over the cached components of ``g \\ v`` per miss, the same walk on
+  every graph-core tier.  Results are stored per query node
+  (``cache[id_v][id_u]``).  Bound: :data:`EDGE_CACHE_LIMIT` pairs per
+  generation.
 * **Extend results.**  :meth:`extend` maps an input family φ to the
   maximal family it extends to.  For a fixed triangulator that result
   is a function of φ alone (paper Lemma 4.6), and most candidates of a
@@ -78,27 +76,23 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from repro.chordal.minimal_separators import (
-    BATCH_KERNEL_MIN as _BATCH_KERNEL_MIN,
-    minimal_separator_masks,
-)
+from repro.chordal.minimal_separators import minimal_separator_masks
 from repro.chordal.triangulate import Triangulator, get_triangulator
 from repro.core.extend import extend_separator_masks
-from repro.graph import bitset_np as _kernel
 from repro.graph.graph import Graph
 from repro.sgr.base import SuccinctGraphRepresentation
 from repro.sgr.enum_mis import EnumMISStatistics
 
-__all__ = ["MinimalSeparatorSGR", "DEFAULT_EDGE_CACHE_LIMIT", "EXTEND_MEMO_LIMIT"]
+__all__ = ["MinimalSeparatorSGR", "EDGE_CACHE_LIMIT", "EXTEND_MEMO_LIMIT"]
 
 #: A node of the SGR: a minimal separator as a vertex mask.
 Separator = int
 
-#: Per-generation cap of the crossing memo cache (two generations may
-#: be live at once).  Roughly 100 bytes per entry, so the default
-#: bounds the cache near a few hundred MB in the worst case while
+#: Per-generation cap of the crossing memo cache, in pairs (two
+#: generations may be live at once).  Roughly 100 bytes per entry, so
+#: it bounds the cache near a few hundred MB in the worst case while
 #: being far larger than any run that fits in a workday.
-DEFAULT_EDGE_CACHE_LIMIT = 1 << 20
+EDGE_CACHE_LIMIT = 1 << 20
 
 #: Per-generation bound of the Extend memo, in stored separator
 #: references (``|input| + |result|`` summed over entries; two
@@ -131,9 +125,6 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         ``edge_cache_evictions`` counters are updated by the memoized
         edge oracle, and whose ``extend_memo_hits`` /
         ``extend_memo_evictions`` counters by the Extend memo.
-    edge_cache_limit:
-        Per-generation entry cap of the crossing-pair cache (``None``
-        for unbounded).  Must be positive when given.
     """
 
     def __init__(
@@ -141,13 +132,7 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         graph: Graph,
         triangulator: str | Triangulator = "mcs_m",
         stats: EnumMISStatistics | None = None,
-        edge_cache_limit: int | None = DEFAULT_EDGE_CACHE_LIMIT,
     ) -> None:
-        if edge_cache_limit is not None and edge_cache_limit <= 0:
-            raise ValueError(
-                f"edge_cache_limit must be positive or None, "
-                f"got {edge_cache_limit!r}"
-            )
         self._graph = graph
         self._triangulator = get_triangulator(triangulator)
         self._stats = stats
@@ -157,20 +142,12 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         # object per separator that Extend results reuse.
         self._sep_id: dict[Separator, int] = {}
         self._id_mask: list[int] = []
-        # id → packed uint64 row of the separator mask (kernel builds
-        # batch remainders by fancy-indexing this matrix, no per-pair
-        # int→bytes conversion); grown geometrically on intern.
-        self._mask_matrix = None
         self._components_of: dict[int, tuple[int, ...]] = {}
-        # separator mask → packed (k, words) component matrix; built on
-        # first batch query against the separator.
-        self._packed_components: dict[int, object] = {}
         # The memoized crossing results, stored per *query node*:
         # ``cache[id_v][id_u]`` is the answer of a (v, u) query.  Two
         # generations bound the size: inserts go to the current one,
         # old-generation hits are promoted, and once ``_edge_entries``
         # reaches the limit the old generation is dropped wholesale.
-        self._edge_cache_limit = edge_cache_limit
         self._edge_cache: dict[int, dict[int, bool]] = {}
         self._edge_cache_old: dict[int, dict[int, bool]] = {}
         self._edge_entries = 0
@@ -181,7 +158,6 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         self._memo_old: dict[frozenset[Separator], frozenset[Separator]] = {}
         self._memo_refs = 0
         self._memo_refs_old = 0
-        self._words = _kernel.word_count(len(graph.core.adj))
 
     @property
     def graph(self) -> Graph:
@@ -201,11 +177,6 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         briefly counted in both.
         """
         return self._edge_entries + self._edge_entries_old
-
-    @property
-    def edge_cache_limit(self) -> int | None:
-        """The per-generation entry cap (``None`` = unbounded)."""
-        return self._edge_cache_limit
 
     @property
     def extend_memo_size(self) -> int:
@@ -228,22 +199,7 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
             sep_id = len(self._id_mask)
             self._sep_id[mask] = sep_id
             self._id_mask.append(mask)
-            matrix = self._mask_matrix
-            if matrix is None or sep_id >= matrix.shape[0]:
-                matrix = self._grow_matrix(sep_id)
-            matrix[sep_id] = _kernel.pack_mask(mask, self._words)
         return sep_id
-
-    def _grow_matrix(self, sep_id: int):
-        old = self._mask_matrix
-        capacity = 256 if old is None else old.shape[0]
-        while capacity <= sep_id:
-            capacity *= 2
-        matrix = _kernel.zero_matrix(capacity, self._words)
-        if old is not None:
-            matrix[: old.shape[0]] = old
-        self._mask_matrix = matrix
-        return matrix
 
     def _shared(self, masks) -> frozenset[Separator]:
         """``masks`` as a frozenset of the interned separator objects."""
@@ -260,23 +216,12 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
             self._components_of[separator_mask] = components
         return components
 
-    def _components_packed(self, separator_mask: int):
-        """The ``(k, words)`` packed component matrix of ``g \\ S``."""
-        packed = self._packed_components.get(separator_mask)
-        if packed is None:
-            packed = _kernel.pack_masks(
-                self._components(separator_mask), self._words
-            )
-            self._packed_components[separator_mask] = packed
-        return packed
-
     # ------------------------------------------------------------------
     # The bounded pair cache
     # ------------------------------------------------------------------
 
     def _maybe_rotate(self) -> None:
-        limit = self._edge_cache_limit
-        if limit is not None and self._edge_entries >= limit:
+        if self._edge_entries >= EDGE_CACHE_LIMIT:
             if self._edge_entries_old and self._stats is not None:
                 self._stats.edge_cache_evictions += self._edge_entries_old
             self._edge_cache_old = self._edge_cache
@@ -365,19 +310,17 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         per candidate) — but the per-pair Python work is one dict probe
         against ``v``'s cache row (zero probes when v has no cached
         pairs at all, the common case when a new SGR node arrives), and
-        every uncached pair is evaluated in a single vectorized pass
-        over the packed component matrix of ``g \\ v``
-        (:func:`repro.graph.bitset_np.crossing_batch`) instead of one
-        component-walk call each.  This is the kernel behind the
-        EnumMIS direction step, which is exactly a
+        the uncached pairs are computed together, each by one walk over
+        the cached components of ``g \\ v``.  This is the oracle behind
+        the EnumMIS direction step, which is exactly a
         ``v``-versus-answer-members sweep.
 
         The generation rotation of the bounded cache is checked once
         per call rather than once per insert, so the current generation
-        may briefly overshoot ``edge_cache_limit`` by one batch.  When
-        ``v`` has no cache row at all, the sweep skips per-pair probes
-        entirely — including reversed-orientation ones — and recomputes
-        the whole batch in the kernel; that is bounded duplicate work
+        may briefly overshoot :data:`EDGE_CACHE_LIMIT` by one batch.
+        When ``v`` has no cache row at all, the sweep skips per-pair
+        probes entirely — including reversed-orientation ones — and
+        recomputes the whole batch; that is bounded duplicate work
         (crossing is pure, answers cannot change), traded for the
         zero-probe fast path on fresh direction nodes.
         """
@@ -393,7 +336,7 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         row = self._edge_cache.get(id_v)
         old_row = self._edge_cache_old.get(id_v)
         if row is None and old_row is None:
-            # Nothing cached for v: pure kernel sweep, no per-pair probes.
+            # Nothing cached for v: compute every pair, no probes.
             results = self._crossing_many(id_v, ids)
             self._edge_cache[id_v] = dict(zip(ids, results))
             self._edge_entries += len(ids)
@@ -441,19 +384,11 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         return results
 
     def _crossing_many(self, id_v: int, ids: list[int]) -> list[bool]:
-        """Compute v-versus-ids crossings, vectorized when worthwhile."""
+        """Compute the v-versus-ids crossings."""
         id_mask = self._id_mask
         mask_v = id_mask[id_v]
-        if len(ids) < _BATCH_KERNEL_MIN:
-            crossing = self._crossing
-            return [crossing(mask_v, id_mask[i]) for i in ids]
-        components = self._components_packed(mask_v)
-        matrix = self._mask_matrix
-        # The native kernel fuses gather+ANDN+test in one C pass; the
-        # numpy twin materialises the ``matrix[ids] & ~row_v`` remainders.
-        return _kernel.kernels_for(self._graph.core).crossing_batch_gather(
-            components, matrix, ids, id_v
-        )
+        crossing = self._crossing
+        return [crossing(mask_v, id_mask[i]) for i in ids]
 
     def _crossing(self, mask_u: int, mask_v: int) -> bool:
         remainder = mask_v & ~mask_u

@@ -1,11 +1,12 @@
 """Tests for the packed-bitset numpy layer and the batched edge oracle.
 
-Covers the PR 3 acceptance properties: pack/unpack round-trips, the
-vectorized crossing kernel against the scalar component walk, the
-numpy graph core against ``IndexedGraph`` (identical crossing matrices
-and identical enumerated triangulation sets in both printing modes),
-size-adaptive backend selection, and bounded-cache eviction
-correctness (an evicted pair recomputes and never flips).
+Covers pack/unpack round-trips, the SGR's batched crossing oracle
+against the stateless component walk on every graph-core tier (with
+no kernel namespace reachable from it), the numpy graph core against
+``IndexedGraph`` (identical crossing matrices and identical enumerated
+triangulation sets in both printing modes), size-adaptive backend
+selection, and bounded-cache eviction correctness (an evicted pair
+recomputes and never flips).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import pytest
 
 from helpers import PACKED_TIERS, requires_native, small_random_graphs
 from repro.chordal.minimal_separators import (
-    are_crossing_batch_masks,
     are_crossing_masks,
     minimal_separator_masks,
 )
@@ -27,8 +27,6 @@ from repro.graph.bitset_np import (
     NUMPY_THRESHOLD,
     NumpyGraphCore,
     convert_graph,
-    crossing_batch,
-    pack_mask,
     pack_masks,
     select_core_class,
     unpack_row,
@@ -38,6 +36,7 @@ from repro.graph.bitset_np import (
 from repro.graph.core import IndexedGraph
 from repro.graph.generators import gnp_random_graph
 from repro.graph.graph import Graph
+from repro.sgr import separator_graph
 from repro.sgr.enum_mis import EnumMISStatistics
 from repro.sgr.separator_graph import MinimalSeparatorSGR
 
@@ -49,7 +48,7 @@ class TestPacking:
             bits = rng.randint(1, 500)
             mask = rng.getrandbits(bits)
             words = word_count(bits)
-            assert unpack_row(pack_mask(mask, words)) == mask
+            assert unpack_row(pack_masks([mask], words)[0]) == mask
 
     def test_pack_masks_matrix(self):
         masks = [0, 1, (1 << 130) | 5, (1 << 64) - 1]
@@ -70,39 +69,19 @@ class TestCrossingKernel:
             seps = list(minimal_separator_masks(g))
             if not seps:
                 continue
-            core = g.core
+            sgr = MinimalSeparatorSGR(g)
             for s in seps:
-                batch = are_crossing_batch_masks(core, s, seps)
-                scalar = [are_crossing_masks(core, s, t) for t in seps]
+                batch = sgr.has_edges_batch(s, seps)
+                scalar = [are_crossing_masks(g.core, s, t) for t in seps]
                 assert batch == scalar
-
-    def test_kernel_direct(self):
-        g = gnp_random_graph(24, 0.25, seed=5)
-        seps = list(minimal_separator_masks(g))[:40]
-        words = word_count(len(g.core.adj))
-        for s in seps[:6]:
-            components = pack_masks(g.core.components(s), words)
-            remainders = pack_masks([t & ~s for t in seps], words)
-            got = list(crossing_batch(components, remainders))
-            expected = [are_crossing_masks(g.core, s, t) for t in seps]
-            assert got == expected
-
-    def test_empty_batch_and_many_components(self):
-        # A separator with > 8 components (early-exit branch) against
-        # an empty remainder matrix must return an empty vector, not
-        # crash on a zero-size reduction.
-        components = pack_masks([1 << i for i in range(10)], 1)
-        assert list(crossing_batch(components, pack_masks([], 1))) == []
-        assert list(crossing_batch(pack_masks([], 1), pack_masks([], 1))) == []
-        got = crossing_batch(components, pack_masks([3, 1 | 1 << 9], 1))
-        assert list(got) == [True, True]
 
     def test_empty_remainder_is_parallel(self):
         g = gnp_random_graph(10, 0.5, seed=3)
         seps = list(minimal_separator_masks(g))
         s = seps[0]
-        # T ⊆ S gives an all-zero remainder row, which must be False.
-        assert are_crossing_batch_masks(g.core, s, [s] * 6) == [False] * 6
+        # T ⊆ S leaves an empty remainder, which must be False.
+        sgr = MinimalSeparatorSGR(g)
+        assert sgr.has_edges_batch(s, [s] * 6) == [False] * 6
 
 
 class TestNumpyGraphCore:
@@ -288,12 +267,39 @@ class TestBatchOracleEquivalence:
             [scalar_sgr.has_edge(v, u) for u in candidates] for v in probes
         ]
         stateless = [
-            are_crossing_batch_masks(graph.core, v, candidates)
+            [are_crossing_masks(graph.core, v, u) for u in candidates]
             for v in probes
         ]
         assert batch == scalar
         assert stateless == scalar
         assert 0 < sum(map(sum, scalar)) < len(probes) * len(candidates)
+
+    @pytest.mark.parametrize("tier", PACKED_TIERS)
+    def test_oracle_needs_no_kernel_tier(self, tier, monkeypatch):
+        # The crossing oracle is the int-mask component walk on every
+        # tier: once the components of g \ v are cached (they come
+        # from the core's own sweep primitive), answering a sweep must
+        # not reach for the core's kernel namespace at all.
+        plain = gnp_random_graph(200, 0.05, seed=12345)
+        graph = resolve_graph_backend(plain, tier)
+        masks = list(itertools.islice(minimal_separator_masks(plain), 56))
+        probes, candidates = masks[:8], masks[8:]
+        expected = [
+            [are_crossing_masks(plain.core, v, u) for u in candidates]
+            for v in probes
+        ]
+        sgr = MinimalSeparatorSGR(graph)
+        for v in probes:
+            sgr._components(v)
+
+        def no_kernels(*_args):
+            raise AssertionError("crossing oracle reached a kernel tier")
+
+        monkeypatch.setattr(
+            type(graph.core), "_kernel_namespace", no_kernels
+        )
+        got = [sgr.has_edges_batch(v, candidates) for v in probes]
+        assert got == expected
 
 
 class TestEnumerationEquivalence:
@@ -352,17 +358,18 @@ class TestEnumerationEquivalence:
 
 
 class TestBoundedEdgeCache:
-    def test_eviction_recomputes_and_never_flips(self):
+    def test_eviction_recomputes_and_never_flips(self, monkeypatch):
         g = gnp_random_graph(12, 0.4, seed=11)
         seps = list(minimal_separator_masks(g))
-        reference = MinimalSeparatorSGR(g, edge_cache_limit=None)
+        reference = MinimalSeparatorSGR(g)
         answers = {
             (u, v): reference.has_edge(u, v)
             for u in seps
             for v in seps
         }
+        monkeypatch.setattr(separator_graph, "EDGE_CACHE_LIMIT", 8)
         stats = EnumMISStatistics()
-        sgr = MinimalSeparatorSGR(g, stats=stats, edge_cache_limit=8)
+        sgr = MinimalSeparatorSGR(g, stats=stats)
         rng = random.Random(3)
         pairs = list(answers)
         for __ in range(4):
@@ -373,15 +380,16 @@ class TestBoundedEdgeCache:
         # Two generations of at most the limit each.
         assert sgr.edge_cache_size <= 2 * 8
 
-    def test_eviction_correct_through_batch_oracle(self):
+    def test_eviction_correct_through_batch_oracle(self, monkeypatch):
         g = gnp_random_graph(12, 0.4, seed=19)
         seps = list(minimal_separator_masks(g))
-        reference = MinimalSeparatorSGR(g, edge_cache_limit=None)
+        reference = MinimalSeparatorSGR(g)
         expected = {
             v: reference.has_edges_batch(v, seps) for v in seps
         }
+        monkeypatch.setattr(separator_graph, "EDGE_CACHE_LIMIT", 5)
         stats = EnumMISStatistics()
-        sgr = MinimalSeparatorSGR(g, stats=stats, edge_cache_limit=5)
+        sgr = MinimalSeparatorSGR(g, stats=stats)
         for __ in range(3):
             for v in seps:
                 assert sgr.has_edges_batch(v, seps) == expected[v]
@@ -391,17 +399,11 @@ class TestBoundedEdgeCache:
             == 3 * len(seps) * len(seps)
         )
 
-    def test_invalid_limit_rejected(self):
-        with pytest.raises(ValueError):
-            MinimalSeparatorSGR(
-                gnp_random_graph(5, 0.5, seed=1), edge_cache_limit=0
-            )
-
     def test_unbounded_cache_never_evicts(self):
         g = gnp_random_graph(10, 0.4, seed=23)
         seps = list(minimal_separator_masks(g))
         stats = EnumMISStatistics()
-        sgr = MinimalSeparatorSGR(g, stats=stats, edge_cache_limit=None)
+        sgr = MinimalSeparatorSGR(g, stats=stats)
         for v in seps:
             sgr.has_edges_batch(v, seps)
         assert stats.edge_cache_evictions == 0

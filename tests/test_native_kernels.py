@@ -29,12 +29,6 @@ import pytest
 
 from helpers import requires_native, small_random_graphs
 from repro.analysis.rules.kernel_parity import NON_KERNEL_EXPORTS
-from repro.chordal.minimal_separators import (
-    BATCH_KERNEL_MIN,
-    are_crossing_batch_masks,
-    are_crossing_masks,
-    minimal_separator_masks,
-)
 from repro.core.enumerate import enumerate_minimal_triangulations
 from repro.engine.pool import InlineRunner, _rebuild_graph, make_payload
 from repro.graph import bitset_np as bnp
@@ -44,7 +38,6 @@ from repro.graph.bitset_np import (
     NUMPY_THRESHOLD,
     NumpyGraphCore,
     convert_graph,
-    kernels_for,
     select_core_class,
     word_count,
 )
@@ -86,46 +79,6 @@ def random_mask(rng, n=N):
 
 @requires_native
 class TestKernelParity:
-    def test_crossing_batch(self, rng):
-        components = bnp.pack_masks(
-            [random_mask(rng) for __ in range(5)], WORDS
-        )
-        remainders = bnp.pack_masks(
-            [random_mask(rng) & random_mask(rng) for __ in range(40)], WORDS
-        )
-        got = native.crossing_batch(components, remainders)
-        want = bnp.crossing_batch(components, remainders)
-        assert np.array_equal(got, want)
-
-    def test_crossing_batch_empty_components(self, rng):
-        components = bnp.zero_matrix(0, WORDS)
-        remainders = bnp.pack_masks([random_mask(rng)], WORDS)
-        assert native.crossing_batch(components, remainders).tolist() == [
-            False
-        ]
-
-    def test_crossing_batch_gather_fuses_the_remainder(self, rng):
-        matrix = bnp.pack_masks([random_mask(rng) for __ in range(50)], WORDS)
-        components = bnp.pack_masks(
-            [random_mask(rng) for __ in range(4)], WORDS
-        )
-        ids = [3, 17, 44, 9, 21, 0]
-        v_id = 17
-        remainders = matrix[ids] & ~matrix[v_id]
-        want = bnp.crossing_batch(components, remainders).tolist()
-        got = native.crossing_batch_gather(components, matrix, ids, v_id)
-        assert got == [bool(x) for x in want]
-
-    def test_crossing_against_int_oracle_on_graph(self):
-        g = gnp_random_graph(60, 0.15, seed=5)
-        seps = list(itertools.islice(minimal_separator_masks(g), 12))
-        assert len(seps) >= BATCH_KERNEL_MIN
-        s = seps[0]
-        native_core = convert_graph(g, "native").core
-        batched = are_crossing_batch_masks(native_core, s, seps)
-        scalar = [are_crossing_masks(g.core, s, t) for t in seps]
-        assert batched == scalar
-
     def test_union_rows(self, rng):
         matrix, adj = random_packed_graph(rng)
         indices = rng.choice(N, size=30, replace=False)
@@ -189,23 +142,11 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("n", [2500, 4000])
     def test_wide_matrices(self, rng, n):
-        # Widths where the native tier must pay off: 6 component rows
-        # against 256 remainder rows, a sparse adjacency of average
-        # degree 24, and a 400-member vertex mask.
-        words = word_count(n)
-        components = bnp.pack_masks(
-            [random_mask(rng, n) for __ in range(6)], words
-        )
-        remainders = bnp.pack_masks(
-            [random_mask(rng, n) for __ in range(256)], words
-        )
+        # Widths where the native tier must pay off: a sparse adjacency
+        # of average degree 24 and a 400-member vertex mask.
         adjacency, adj = random_packed_graph(rng, n, avg_degree=24)
         members = np.sort(rng.choice(n, size=400, replace=False))
         mask = sum(1 << int(i) for i in members)
-        assert np.array_equal(
-            native.crossing_batch(components, remainders),
-            bnp.crossing_batch(components, remainders),
-        )
         assert native.union_rows(adjacency, members) == bnp.union_rows(
             adjacency, members
         )
@@ -327,7 +268,7 @@ class TestSelectionAndFallback:
 
     def test_load_failure_degrades_kernel_namespace(self, native_load_failure):
         core = GRAPH_BACKENDS["native"](8)
-        assert kernels_for(core) is bnp
+        assert core._kernel_namespace() is bnp
         info = native.kernel_info()
         assert info["available"] is False
         assert "simulated load failure" in info["reason"]
@@ -341,11 +282,6 @@ class TestSelectionAndFallback:
         finally:
             monkeypatch.undo()
             native._reset()
-
-    def test_kernels_for_defaults_to_numpy_module(self):
-        assert kernels_for(IndexedGraph(4)) is bnp
-        assert kernels_for(NumpyGraphCore(4)) is bnp
-
 
 class TestWorkerRebuild:
     @requires_native
