@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --backend distributed: heartbeat windows a worker "
         "may miss before it is declared dead and its batches are "
-        "requeued (default: 3)",
+        "handed back to the coordinator (default: 3)",
     )
     enum.add_argument(
         "--max-batch-retries",
@@ -509,8 +509,6 @@ def _command_enumerate(args: argparse.Namespace) -> int:
             distributed_kwargs["heartbeat_s"] = args.heartbeat_interval
         if args.heartbeat_misses is not None:
             distributed_kwargs["liveness_windows"] = args.heartbeat_misses
-        if args.max_batch_retries is not None:
-            distributed_kwargs["max_batch_retries"] = args.max_batch_retries
         backend = DistributedBackend(
             listen=args.listen,
             expected_workers=args.expected_workers or 1,

@@ -103,11 +103,13 @@ def enumerate_minimal_triangulations(
         Worker-pool size for parallel backends (``None`` = one per
         CPU); ignored by the serial backend.
     graph_backend:
-        Graph-core representation: ``"indexed"``, ``"numpy"`` or
-        ``"auto"`` (default — the packed-numpy core at or above
-        :data:`repro.graph.bitset_np.NUMPY_THRESHOLD` nodes, the
-        single-int bitmask core below).  ``None`` keeps the graph's
-        current core untouched.
+        Graph-core representation: ``"indexed"``, ``"numpy"``,
+        ``"native"`` (the packed core on the compiled C kernels,
+        degrading to numpy when the extension cannot be built) or
+        ``"auto"`` (default — the packed tier at or above
+        :data:`repro.graph.bitset_np.NUMPY_THRESHOLD` nodes, preferring
+        native when available, and the single-int bitmask core below).
+        ``None`` keeps the graph's current core untouched.
 
     Raises
     ------

@@ -21,8 +21,10 @@ registered backend:
 * ``distributed`` — the same coordinator discipline over TCP: an
   asyncio coordinator ships the packed adjacency once per connected
   host and fans batches out to ``repro worker --connect`` processes on
-  any machine, with elastic membership (workers join/leave mid-job)
-  and exactly-once requeue of batches owned by lost hosts
+  any machine, with elastic membership (workers join/leave mid-job);
+  batches owned by lost hosts fail straight back to the coordinator,
+  whose one retry → split → quarantine ladder redispatches them for
+  every backend, and each result counts exactly once
   (:mod:`repro.engine.distributed`).
 
 All backends enumerate exactly the same answer set — ``MaxInd`` of

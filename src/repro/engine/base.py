@@ -62,32 +62,22 @@ class WireDecodeError(EngineError):
 
 
 class BatchFailedError(EngineError):
-    """One dispatched batch could not be executed by any worker.
+    """One dispatched batch was lost or aborted by its worker.
 
     Raised through the batch's ``Future`` by a transport (the
-    distributed runner) once a batch has burned its retry budget —
-    every requeue caused by a *failure* (owner death, batch timeout, or
-    a typed BATCH_FAILED cooperative abort) counts against
-    ``max_batch_retries``.  The coordinator catches it and applies the
-    quarantine policy (split-in-half once, then serial fallback)
+    distributed runner) as soon as the batch fails: its owner's
+    connection died (EOF/reset, missed heartbeats, batch timeout) or a
+    live worker sent a typed BATCH_FAILED cooperative abort.  The
+    coordinator catches it and routes the work through its one retry →
+    split → quarantine ladder, budgeted by ``max_batch_retries``,
     instead of letting one poison batch kill the run.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        reason: str = "failed",
-        exhausted: bool = False,
-    ) -> None:
+    def __init__(self, message: str, *, reason: str = "failed") -> None:
         super().__init__(message)
-        #: Machine-readable failure class (``"worker lost"``,
+        #: Machine-readable failure class (``"connection lost"``,
         #: ``"deadline"``, ``"rss"``, ``"poison"``, …).
         self.reason = reason
-        #: True when the transport already retried this batch
-        #: ``max_batch_retries`` times; the coordinator must not
-        #: redispatch it as-is.
-        self.exhausted = exhausted
 
 
 class EnumerationBackend(abc.ABC):

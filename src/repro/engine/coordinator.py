@@ -264,21 +264,15 @@ class MISCoordinator:
         try:
             result = future.result()
         except BatchFailedError as exc:
-            return self._handle_failure(
-                entry, exc.reason, exhausted=exc.exhausted
-            )
+            return self._handle_failure(entry, exc.reason)
         except BrokenProcessPool:
             restart = getattr(self._runner, "restart", None)
             if restart is None:  # pragma: no cover - no recovery path
                 raise
             restart()
-            return self._handle_failure(
-                entry, "worker process died", exhausted=False
-            )
+            return self._handle_failure(entry, "worker process died")
         if isinstance(result, BatchFailure):
-            return self._handle_failure(
-                entry, result.reason, exhausted=False
-            )
+            return self._handle_failure(entry, result.reason)
         if isinstance(result, wire.PackedResult):
             candidates = wire.decode_result(result)
             delta = result.stats
@@ -303,15 +297,14 @@ class MISCoordinator:
     # Poison-batch quarantine (retry → split → serial salvage)
     # ------------------------------------------------------------------
 
-    def _handle_failure(
-        self, entry: _Inflight, reason: str, *, exhausted: bool
-    ) -> list[Answer]:
+    def _handle_failure(self, entry: _Inflight, reason: str) -> list[Answer]:
         """Route one failed batch through the quarantine ladder.
 
-        1. *Retry* the batch as-is while its lineage has budget left —
-           unless the transport already exhausted its own retry budget
-           on it (``exhausted``), in which case resubmitting the same
-           batch would just burn another full transport budget.
+        This is the only retry budget on every runner: transports hand
+        lost and aborted batches straight back here.
+
+        1. *Retry* the batch as-is (a fresh submission) while its
+           lineage has budget left.
         2. *Split in half* once: a single poison answer condemns every
            batch it rides in, and halving isolates it so the healthy
            answers rejoin the normal path.
@@ -322,7 +315,7 @@ class MISCoordinator:
         work was redispatched.
         """
         stats = self._stats
-        if not exhausted and entry.retries < self._max_batch_retries:
+        if entry.retries < self._max_batch_retries:
             stats.batch_retries += 1
             self._dispatch(
                 entry.kind,

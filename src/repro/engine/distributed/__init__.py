@@ -15,12 +15,13 @@ fans batches out over a framed, versioned protocol
 the same :class:`~repro.engine.pool.WorkerState` compute path as an
 in-process pool worker.
 
-Membership is elastic — workers may join or leave mid-job; batches
-owned by a lost host are requeued exactly-once — and coordinator
-restart rides the ordinary checkpoint document: resume the job, point
-the workers at the new port, and enumeration continues without
-re-yielding delivered answers.  See the README's "Distributed" section
-for the two-terminal quickstart.
+Membership is elastic: workers may join or leave mid-job.  Batches
+owned by a lost host fail straight back to the coordinator, whose one
+retry ladder redispatches them, and each result counts exactly once.
+Coordinator restart rides the ordinary checkpoint document: resume the
+job, point the workers at the new port, and enumeration continues
+without re-yielding delivered answers.  See the README's
+"Distributed" section for the two-terminal quickstart.
 
 The submodule imports numpy (via the packed wire format); this package
 keeps its import lazy so ``import repro.engine`` works on numpy-less
@@ -61,7 +62,6 @@ class DistributedBackend(EnumerationBackend):
         pending_timeout_s: float | None = None,
         wait_for_workers_s: float | None = None,
         on_listening=None,
-        max_batch_retries: int = 3,
         liveness_windows: float | None = None,
     ) -> None:
         if isinstance(listen, str):
@@ -81,7 +81,6 @@ class DistributedBackend(EnumerationBackend):
         self._pending_timeout_s = pending_timeout_s
         self._wait_for_workers_s = wait_for_workers_s
         self._on_listening = on_listening
-        self._max_batch_retries = max_batch_retries
         self._liveness_windows = liveness_windows
 
     def expected_workers(self, workers: int | None = None) -> int:
@@ -113,7 +112,6 @@ class DistributedBackend(EnumerationBackend):
                 stats=stats,
                 on_listening=self._on_listening,
                 wait_for_workers_s=self._wait_for_workers_s,
-                max_batch_retries=self._max_batch_retries,
                 liveness_windows=self._liveness_windows,
             )
 

@@ -21,40 +21,32 @@ batches simply wait in the pending queue until a host joins
 (``pending_timeout_s`` bounds that wait when set, failing the
 in-flight futures with a typed error instead of hanging forever).
 
-Fault-tolerant requeue (exactly-once), bounded by a retry budget
-----------------------------------------------------------------
+Lost and aborted batches (exactly-once)
+---------------------------------------
 Each dispatched batch is owned by exactly one connection.  When a
 connection dies — EOF/reset from a SIGKILLed worker, a missed
-heartbeat window, or a per-batch timeout — every unresolved batch it
-owned is requeued at the *front* of the pending queue and re-dispatched
-to a surviving (or future) worker.  Exactly-once delivery to the
-coordinator is enforced by batch id: the first result to arrive
-resolves the future and retires the id, and any late duplicate — a
-result already in the read buffer when its batch was requeued for
-timeout, say — is dropped on the floor.  This is the transport-level
-generalisation of the checkpoint-v2 discipline the in-process
-coordinator already applies (in-flight answers are requeued, never
-recorded as processed), so a worker loss costs recomputation, never
-answers.  Coordinator restart is the checkpoint document's job: a
-resumed job builds a fresh runner, reconnecting workers re-handshake
-against the same graph fingerprint, and the (Q, P, V) restore requeues
-whatever was in flight when the coordinator died.
-
-Unbounded requeue turns a *poison* batch — one that deterministically
-OOMs or wedges every worker it touches — into a fleet-killing loop:
-dispatch, death, requeue-to-front, repeat.  Every failure-driven
-requeue therefore counts against the batch's ``max_batch_retries``
-budget (owner death and typed ``BATCH_FAILED`` cooperative aborts
-alike); a batch that exhausts it has its future failed with a typed
-:class:`~repro.engine.base.BatchFailedError` instead of being requeued
-again, and the coordinator's quarantine policy (split in half once,
-then re-drive serially in-process) takes over — one bad batch degrades
-gracefully instead of taking the fleet down.
+heartbeat window, a per-batch timeout or a failed write — every batch
+it owned is retired and its future failed at once with a typed
+:class:`~repro.engine.base.BatchFailedError`; a live worker's
+``BATCH_FAILED`` cooperative abort fails its one batch the same way,
+and the connection stays in the fleet.  The runner keeps no retry
+policy of its own: the coordinator's one ladder (retry under a fresh
+batch id against the job's retry budget, then split in half once, then
+serial quarantine) decides what happens to the work, exactly as it
+does for the process pool.  Exactly-once delivery is
+enforced by batch id: a result only counts from the connection that
+owns the batch, so a late duplicate — a result still in the read
+buffer when its connection was dropped for a timeout, say — is dropped
+on the floor, and a worker loss costs recomputation, never answers.
+Coordinator restart is the checkpoint document's job: a resumed job
+builds a fresh runner, reconnecting workers re-handshake against the
+same graph fingerprint, and the (Q, P, V) restore requeues whatever
+was in flight when the coordinator died.
 
 Fleet events are folded into the run statistics (``worker_joins``,
-``worker_losses``, ``batches_requeued``, ``batch_retries``,
-``protocol_rejections``), so a run report shows the membership churn
-next to the timings it explains.
+``worker_losses``, ``protocol_rejections``, and ``batches_requeued``:
+batches lost with their owner and handed back), so a run report shows
+the membership churn next to the timings it explains.
 """
 
 from __future__ import annotations
@@ -73,17 +65,11 @@ from repro.engine.base import BatchFailedError, EngineError
 from repro.engine.distributed import protocol
 from repro.sgr.enum_mis import EnumMISStatistics
 
-__all__ = ["DistributedRunner", "validate_liveness_config"]
+__all__ = ["DistributedRunner"]
 
 #: Batches one connection may own at once (one running, one queued
 #: behind it, one in transit — the pool runner's pipelining depth).
 _PER_CONNECTION = 3
-
-#: Heartbeat windows a connection may miss before it is declared dead.
-#: Canonically defined in the (numpy-free) protocol module so backend
-#: construction can validate liveness settings without importing this
-#: module; re-exported here for the runner's own callers.
-_LIVENESS_WINDOWS = protocol.DEFAULT_LIVENESS_WINDOWS
 
 _HANDSHAKE_TIMEOUT_S = 10.0
 
@@ -101,9 +87,6 @@ def _dbg(msg: str) -> None:
 
 def _log(msg: str) -> None:
     print(f"[repro-coordinator] {msg}", file=sys.stderr, flush=True)
-
-
-validate_liveness_config = protocol.validate_liveness_config
 
 
 class _Connection:
@@ -132,26 +115,13 @@ class _Connection:
 class _Batch:
     """One submitted batch: its encoded frame and its future."""
 
-    __slots__ = (
-        "batch_id",
-        "data",
-        "future",
-        "conn",
-        "dispatched_at",
-        "attempts",
-        "failures",
-    )
+    __slots__ = ("batch_id", "data", "future", "dispatched_at")
 
     def __init__(self, batch_id: int, data: bytes, future: Future):
         self.batch_id = batch_id
         self.data = data
         self.future = future
-        self.conn: _Connection | None = None
         self.dispatched_at = 0.0
-        self.attempts = 0
-        #: Failure-driven requeues burned so far (owner death, batch
-        #: timeout, BATCH_FAILED); capped by max_batch_retries.
-        self.failures = 0
 
 
 class DistributedRunner:
@@ -171,18 +141,13 @@ class DistributedRunner:
     heartbeat_s / batch_timeout_s:
         Liveness cadence, and the per-batch wall-clock bound after
         which a silent worker is declared stuck and its batches
-        requeued elsewhere.
+        handed back to the coordinator.
     pending_timeout_s:
         When set, how long batches may sit pending with *no* worker
         connected before the run fails with :class:`EngineError`
         (``None`` waits indefinitely — fully elastic).  Must exceed
         ``heartbeat_s`` — the sweeper that enforces it ticks once per
         heartbeat.
-    max_batch_retries:
-        Failure-driven requeues one batch may burn (owner death, batch
-        timeout, typed BATCH_FAILED abort) before its future is failed
-        with :class:`~repro.engine.base.BatchFailedError` and the
-        coordinator's quarantine policy takes over.
     liveness_windows:
         Heartbeat intervals a connection may go silent before it is
         declared dead (the miss threshold).
@@ -208,8 +173,7 @@ class DistributedRunner:
         heartbeat_s: float = 2.0,
         batch_timeout_s: float = 300.0,
         pending_timeout_s: float | None = None,
-        max_batch_retries: int = 3,
-        liveness_windows: float = _LIVENESS_WINDOWS,
+        liveness_windows: float = protocol.DEFAULT_LIVENESS_WINDOWS,
         stats: EnumMISStatistics | None = None,
         on_listening=None,
         wait_for_workers_s: float | None = None,
@@ -220,9 +184,7 @@ class DistributedRunner:
             )
         if batch_timeout_s <= 0:
             raise EngineError("batch_timeout_s must be positive")
-        if max_batch_retries < 0:
-            raise EngineError("max_batch_retries must be >= 0")
-        validate_liveness_config(
+        protocol.validate_liveness_config(
             heartbeat_s, pending_timeout_s, liveness_windows
         )
         # Validates payload shape (packed, registry triangulator) and
@@ -233,7 +195,6 @@ class DistributedRunner:
         self._heartbeat_s = heartbeat_s
         self._batch_timeout_s = batch_timeout_s
         self._pending_timeout_s = pending_timeout_s
-        self._max_batch_retries = max_batch_retries
         self._liveness_windows = liveness_windows
         self._stats = stats if stats is not None else EnumMISStatistics()
         self._payload_tier = payload.backend
@@ -246,7 +207,6 @@ class DistributedRunner:
         # Loop-thread state -------------------------------------------------
         self._pending: deque[_Batch] = deque()
         self._live: dict[int, _Batch] = {}
-        self._done: set[int] = set()
         self._connections: list[_Connection] = []
         self._no_worker_since: float | None = None
         self._server = None
@@ -421,11 +381,7 @@ class DistributedRunner:
                 break
             conn = min(candidates, key=lambda c: len(c.inflight))
             entry = self._pending.popleft()
-            if entry.batch_id not in self._live:
-                continue  # resolved while pending (late duplicate result)
-            entry.conn = conn
             entry.dispatched_at = self._loop.time()
-            entry.attempts += 1
             conn.inflight[entry.batch_id] = entry
             conn.writer.write(entry.data)
         if self._pending and not self._connections:
@@ -434,51 +390,13 @@ class DistributedRunner:
         else:
             self._no_worker_since = None
 
-    def _requeue(self, conn: _Connection, reason: str) -> None:
-        """Move a dead connection's unresolved batches back to pending.
-
-        Every one of these requeues is failure-driven (the owner died
-        under the batch), so each counts against the batch's retry
-        budget; a batch over budget is failed typed instead — the
-        poison-loop breaker.
-        """
-        entries = sorted(
-            conn.inflight.values(), key=lambda e: e.dispatched_at
-        )
-        conn.inflight.clear()
-        requeued = 0
-        for entry in reversed(entries):
-            entry.conn = None
-            if entry.batch_id not in self._live:
-                continue
-            entry.failures += 1
-            if entry.failures > self._max_batch_retries:
-                self._fail_batch(entry, reason)
-                continue
-            self._pending.appendleft(entry)
-            requeued += 1
-        if requeued:
-            self._stats.batches_requeued += requeued
-            self._stats.batch_retries += requeued
-
-    def _fail_batch(self, entry: _Batch, reason: str) -> None:
-        """Retire a batch whose retry budget is exhausted, typed."""
-        _dbg(
-            f"batch {entry.batch_id} exhausted its retry budget "
-            f"({entry.failures - 1} retries); failing typed ({reason})"
-        )
+    def _fail(self, entry: _Batch, reason: str) -> None:
+        """Retire a batch and hand its failure to the coordinator."""
         self._live.pop(entry.batch_id, None)
-        self._done.add(entry.batch_id)
-        if entry in self._pending:
-            self._pending.remove(entry)
         if not entry.future.done():
             entry.future.set_exception(
                 BatchFailedError(
-                    f"batch failed {entry.failures} times "
-                    f"(last: {reason}) and exhausted its "
-                    f"{self._max_batch_retries}-retry budget",
-                    reason=reason,
-                    exhausted=True,
+                    f"batch {entry.batch_id} failed: {reason}", reason=reason
                 )
             )
 
@@ -491,7 +409,7 @@ class DistributedRunner:
             pass
 
     def _drop(self, conn: _Connection, reason: str) -> None:
-        """Unregister a connection and requeue everything it owned."""
+        """Unregister a connection and fail every batch it owned."""
         _dbg(
             f"drop {conn.name} reason={reason!r} closed={self._closed} "
             f"inflight={len(conn.inflight)}"
@@ -501,7 +419,7 @@ class DistributedRunner:
         if self._closed:
             # Teardown races the reader tasks: a connection going away
             # because *we* are closing is not a worker loss and must
-            # not requeue abandoned batches.  Removing the connection
+            # not fail abandoned batches.  Removing the connection
             # here tells ``_shutdown`` the worker has acknowledged the
             # SHUTDOWN by closing its end (the close handshake).
             conn.inflight.clear()
@@ -511,7 +429,10 @@ class DistributedRunner:
             return
         self._connections.remove(conn)
         self._stats.worker_losses += 1
-        self._requeue(conn, reason)
+        self._stats.batches_requeued += len(conn.inflight)
+        for entry in conn.inflight.values():
+            self._fail(entry, reason)
+        conn.inflight.clear()
         asyncio.ensure_future(self._close_connection(conn))
         self._pump()
 
@@ -521,52 +442,36 @@ class DistributedRunner:
 
     def _on_result(self, conn: _Connection, payload: bytes) -> None:
         batch_id, body = protocol.unpack_tagged(payload)
-        entry = self._live.get(batch_id)
+        entry = conn.inflight.get(batch_id)
         if entry is None:
-            # Late duplicate: the batch was requeued off a dead/stuck
-            # connection and its re-execution already resolved.  The
-            # id is retired, so the duplicate is dropped — exactly-once
-            # towards the coordinator.
+            # Late duplicate: the id was retired when the batch
+            # resolved or failed, so exactly-once towards the
+            # coordinator holds.
             return
         result = wire.result_from_bytes(body)  # WireDecodeError drops conn
-        del self._live[batch_id]
-        self._done.add(batch_id)
-        conn.inflight.pop(batch_id, None)
-        if entry.conn is not None and entry.conn is not conn:
-            # The batch was requeued onto another connection but the
-            # original owner answered first; release the other copy's
-            # slot (its eventual result will be dropped as a duplicate).
-            entry.conn.inflight.pop(batch_id, None)
-        if entry in self._pending:
-            self._pending.remove(entry)
-        if not entry.future.cancelled():
+        del conn.inflight[batch_id]
+        self._live.pop(batch_id, None)
+        if not entry.future.done():
             entry.future.set_result(result)
         self._pump()
 
     def _on_batch_failed(self, conn: _Connection, payload: bytes) -> None:
         """A worker cooperatively aborted a batch (watchdog/poison).
 
-        The worker is *alive and healthy* — only the batch is suspect.
-        The failure counts against the batch's retry budget exactly
-        like an owner death, but the connection stays in the fleet.
+        The worker is *alive and healthy* — only the batch is suspect,
+        so it fails at once and the connection stays in the fleet.
         """
         batch_id, reason, elapsed_s, peak_rss = (
             protocol.decode_batch_failed(payload)
         )
         entry = conn.inflight.pop(batch_id, None)
-        if entry is None or batch_id not in self._live:
+        if entry is None:
             return  # late duplicate of an already-settled batch
         _dbg(
             f"batch {batch_id} failed on {conn.name}: {reason} "
             f"({elapsed_s:.1f}s, peak RSS {peak_rss})"
         )
-        entry.conn = None
-        entry.failures += 1
-        if entry.failures > self._max_batch_retries:
-            self._fail_batch(entry, reason)
-        else:
-            self._stats.batch_retries += 1
-            self._pending.appendleft(entry)
+        self._fail(entry, reason)
         self._pump()
 
     # ------------------------------------------------------------------

@@ -89,8 +89,9 @@ class EnumerationJob:
         (worker death, cooperative watchdog abort) before the
         coordinator splits it in half and finally quarantines it —
         re-driving the surviving (answer, direction) pairs serially
-        under a hard budget.  The distributed transport uses the same
-        budget for its connection-level requeues.
+        under a hard budget.  This is the only retry budget: every
+        transport, the distributed one included, hands lost and
+        aborted batches straight back to the coordinator.
     batch_deadline_s / batch_rss_limit_mb:
         Per-batch resource ceilings enforced *inside* each worker by
         the cooperative resource watchdog (wall-clock seconds / RSS in

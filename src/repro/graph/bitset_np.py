@@ -33,7 +33,8 @@ matrices* so those sweeps become single vectorized numpy expressions:
   expansion) run on a lazily maintained packed adjacency matrix —
   the size-adaptive backend selected for large graphs;
 * :func:`select_core_class` / :func:`convert_graph` implement the
-  backend registry (``"indexed"`` / ``"numpy"`` / ``"auto"``) used by
+  backend registry (``"indexed"`` / ``"numpy"`` / ``"native"`` /
+  ``"auto"``) used by
   the enumeration engine and the CLI ``--graph-backend`` flag.
 
 Everything here is API-compatible with the int-mask core: masks go in,

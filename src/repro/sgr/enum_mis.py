@@ -93,16 +93,18 @@ class EnumMISStatistics:
     batch_roundtrip_ns: int = 0
     # Runner-level fleet accounting (the distributed transport): how
     # many workers joined and were lost over the run, and how many
-    # dispatched batches had to be requeued off a dead/timed-out host.
+    # dispatched batches were lost with a dead/timed-out host and handed
+    # back to the coordinator.
     worker_joins: int = 0
     worker_losses: int = 0
     batches_requeued: int = 0
-    # Supervised-execution accounting: batches re-dispatched after a
-    # failure (owner death or a typed BATCH_FAILED abort), batches that
-    # exhausted their retry budget and were quarantined to the serial
-    # in-process fallback, the answers those quarantined batches
-    # carried, and handshakes the coordinator rejected (malformed HELLO
-    # or a version/format mismatch — a bad worker build knocking).
+    # Supervised-execution accounting: the coordinator's redispatches
+    # and splits of failed batches (owner death or a typed BATCH_FAILED
+    # abort, on any runner), batches that exhausted the retry budget
+    # and were quarantined to the serial in-process fallback, the
+    # answers those quarantined batches carried, and handshakes the
+    # coordinator rejected (malformed HELLO or a version/format
+    # mismatch — a bad worker build knocking).
     batch_retries: int = 0
     batches_quarantined: int = 0
     poison_answers: int = 0

@@ -450,9 +450,9 @@ class TestWatchdog:
 class _PoisonRunner:
     """Inline runner that fails any batch carrying the poison answer.
 
-    Failures surface exactly like the distributed transport's
-    exhausted-retry error, so the coordinator must split and then
-    quarantine — a plain redispatch would fail forever.
+    Failures surface exactly like the distributed transport's lost or
+    aborted batch, so the coordinator's ladder must retry, split and
+    then quarantine — a plain redispatch would fail forever.
     """
 
     workers = 1
@@ -471,9 +471,7 @@ class _PoisonRunner:
             future: Future = Future()
             future.set_exception(
                 BatchFailedError(
-                    "injected transport failure",
-                    reason="injected-poison",
-                    exhausted=True,
+                    "injected transport failure", reason="injected-poison"
                 )
             )
             return future
@@ -501,8 +499,7 @@ class TestQuarantineLadder:
         answers = self._sample_answers(2)
         directions = (next(iter(minimal_separator_masks(self.GRAPH))),)
         out = coordinator._handle_failure(
-            _entry(answers, directions), "worker process died",
-            exhausted=False,
+            _entry(answers, directions), "worker process died"
         )
         assert out == []
         (redispatched,) = coordinator._inflight.values()
@@ -517,7 +514,7 @@ class TestQuarantineLadder:
         answers = self._sample_answers(4)
         directions = (next(iter(minimal_separator_masks(self.GRAPH))),)
         out = coordinator._handle_failure(
-            _entry(answers, directions), "deadline", exhausted=True
+            _entry(answers, directions, retries=3), "deadline"
         )
         assert out == []
         halves = sorted(
@@ -540,9 +537,7 @@ class TestQuarantineLadder:
         )
         entry = _entry([answer], directions, retries=1, from_split=True)
         with pytest.warns(RuntimeWarning, match="quarantin"):
-            salvaged = coordinator._handle_failure(
-                entry, "rss", exhausted=False
-            )
+            salvaged = coordinator._handle_failure(entry, "rss")
         stats = coordinator._stats
         assert stats.batches_quarantined == 1
         assert stats.poison_answers == 1
@@ -564,7 +559,7 @@ class TestQuarantineLadder:
         entry = _entry([answer], directions, from_split=True)
         with pytest.warns(RuntimeWarning, match="quarantin"):
             with pytest.raises(EngineError, match="salvaged"):
-                coordinator._handle_failure(entry, "deadline", exhausted=True)
+                coordinator._handle_failure(entry, "deadline")
 
     def test_poisoned_stream_still_enumerates_exactly(self):
         expected = inline_region_answers(self.GRAPH)
@@ -626,7 +621,6 @@ class TestDistributedSupervision:
             result = run_distributed(
                 EnumerationJob(graph, max_batch_retries=0),
                 worker_config=config,
-                max_batch_retries=0,
             )
         assert answer_set(result.triangulations) == expected
         assert result.stats.batches_quarantined >= 1

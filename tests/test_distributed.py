@@ -35,14 +35,23 @@ pytest.importorskip("numpy")
 
 from helpers import small_random_graphs
 
+from repro.chordal.minimal_separators import minimal_separator_masks
 from repro.core.enumerate import enumerate_minimal_triangulations
-from repro.engine import EngineError, EnumerationEngine, EnumerationJob
+from repro.engine import (
+    BatchFailedError,
+    EngineError,
+    EnumerationEngine,
+    EnumerationJob,
+    wire,
+)
 from repro.engine.distributed import DistributedBackend
 from repro.engine.distributed import protocol
 from repro.engine.distributed.worker import WorkerConfig, run_worker
 from repro.engine.pool import make_payload
+from repro.graph.bitset_np import word_count
 from repro.graph.generators import gnp_random_graph
 from repro.graph.io import write_edge_list
+from repro.sgr.enum_mis import EnumMISStatistics
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -264,6 +273,92 @@ class TestFaultInjection:
         assert killed
         assert answer_set(got) == expected
         assert len(got) == len(expected)  # exactly-once, no duplicates
+
+
+def _fake_worker(address) -> socket.socket:
+    """Handshake a raw socket as a worker: HELLO, then WELCOME and GRAPH."""
+    sock = socket.create_connection(address, timeout=5)
+    hello = protocol.encode_json(
+        {
+            "magic": protocol.MAGIC,
+            "protocol": protocol.PROTOCOL_VERSION,
+            "kernel_tier": "fake",
+        }
+    )
+    protocol.send_frame(sock, protocol.MSG_HELLO, hello)
+    assert protocol.recv_frame(sock).msg_type == protocol.MSG_WELCOME
+    assert protocol.recv_frame(sock).msg_type == protocol.MSG_GRAPH
+    return sock
+
+
+def _recv_batch_id(sock) -> int:
+    """Read frames (skipping PINGs) until a BATCH; return its id."""
+    while True:
+        frame = protocol.recv_frame(sock)
+        if frame.msg_type == protocol.MSG_BATCH:
+            return protocol.unpack_tagged(frame.payload)[0]
+
+
+class TestRunnerHandsFailuresBack:
+    """The runner keeps no retry budget of its own: a lost or aborted
+    batch fails its future at once, and the coordinator's ladder is the
+    one place that redispatches it."""
+
+    GRAPH = gnp_random_graph(6, 0.5, seed=2)
+
+    def _batch(self):
+        direction = next(iter(minimal_separator_masks(self.GRAPH)))
+        return wire.encode_batch(
+            self.GRAPH.core.alive,
+            [()],
+            (direction,),
+            word_count(len(self.GRAPH.core.adj)),
+        )
+
+    def _runner(self, stats):
+        from repro.engine.distributed.runner import DistributedRunner
+
+        return DistributedRunner(
+            make_payload(self.GRAPH, "mcs_m"), ("127.0.0.1", 0), stats=stats
+        )
+
+    def test_lost_connection_fails_batch_at_once(self):
+        stats = EnumMISStatistics()
+        runner = self._runner(stats)
+        try:
+            sock = _fake_worker(runner.address)
+            future = runner.submit(self._batch())
+            _recv_batch_id(sock)
+            sock.close()
+            assert isinstance(future.exception(timeout=5), BatchFailedError)
+        finally:
+            runner.close()
+        assert stats.worker_losses == 1
+        assert stats.batches_requeued == 1
+        assert stats.batch_retries == 0
+
+    def test_batch_failed_frame_fails_batch_and_keeps_worker(self):
+        stats = EnumMISStatistics()
+        runner = self._runner(stats)
+        sock = _fake_worker(runner.address)
+        try:
+            future = runner.submit(self._batch())
+            batch_id = _recv_batch_id(sock)
+            protocol.send_frame(
+                sock,
+                protocol.MSG_BATCH_FAILED,
+                protocol.encode_batch_failed(batch_id, "rss", 0.5, 1 << 20),
+            )
+            error = future.exception(timeout=5)
+            assert isinstance(error, BatchFailedError)
+            assert error.reason == "rss"
+            assert runner.connected_workers == 1
+            assert stats.worker_losses == 0
+            assert stats.batches_requeued == 0
+            assert stats.batch_retries == 0
+        finally:
+            sock.close()
+            runner.close()
 
 
 @pytest.mark.slow
