@@ -109,7 +109,8 @@ def search_clique_forest(graph: Graph, update=None, first: int | None = None):
     numbered h-neighbours, as described above.  Cliques and the visited
     set are masks, so both invariants are single integer comparisons;
     the selection queue comes from the core, which picks the kernel
-    tier.
+    tier (on the int tier, bit-sliced: a bump or a pop is O(log w) mask
+    operations, and only rank ties and the fill below walk bits).
 
     Raises
     ------
@@ -178,12 +179,8 @@ def search_clique_forest(graph: Graph, update=None, first: int | None = None):
             continue
         reached = update(core, queue, unnumbered, v)
         queue.bump_mask(reached)
-        # Only fill edges need the per-bit loop.
-        m = reached & ~adj[v]
-        while m:
-            low = m & -m
-            m ^= low
-            fill[low.bit_length() - 1] |= bit
+        for u in iter_bits(reached & ~adj[v]):  # fill edges only
+            fill[u] |= bit
 
     return fill, order, clique_masks, parent, separator_masks, clique_of_idx
 

@@ -125,11 +125,12 @@ def _mcs_m_update_mask(core, queue, unnumbered: int, v: int) -> int:
 
     Because MCS-M weights are small integers, the minimax Dijkstra
     collapses into a *threshold sweep* over the queue's weight levels
-    (``queue.levels``): for ascending thresholds t, grow the set
-    reachable through internal vertices of weight ≤ t by whole-mask
-    frontier expansion.  A vertex first reached at threshold t has
-    ``key = t`` and qualifies iff ``w > t``; direct neighbours (key −1)
-    always qualify.  Each sweep round costs a few wide integer
+    (``queue.levels``, split off the int tier's weight planes in
+    O(levels · log w) mask operations): for ascending thresholds t, grow
+    the set reachable through internal vertices of weight ≤ t by
+    whole-mask frontier expansion.  A vertex first reached at threshold
+    t has ``key = t`` and qualifies iff ``w > t``; direct neighbours
+    (key −1) always qualify.  Each sweep round costs a few wide integer
     operations, so the whole update is O(levels · rounds) big-int ops
     instead of a per-edge heap traversal.  Small frontiers are unioned
     inline; wide ones go to the core, which reduces them on the packed
@@ -249,7 +250,8 @@ def lb_triang(
         added_this_step: list[tuple[int, int]] = []
         for component in core.components(closed):
             separator = core.neighborhood_of_set(component)
-            added_this_step.extend(core.saturate(separator))
+            added_this_step.extend(core.missing_pairs(separator))
+            core.saturate(separator)
         for a, b in added_this_step:
             fill.append(edge_key(label_of(a), label_of(b)))
         if explicit is None and heuristic != "natural" and added_this_step:

@@ -34,7 +34,7 @@ from repro.chordal.cliques import (
     label_clique_forest,
 )
 from repro.chordal.sandwich import is_minimal_triangulation
-from repro.graph.core import IndexedGraph
+from repro.graph.core import IndexedGraph, iter_bits
 from repro.graph.graph import Graph, Node, edge_key, sort_edges
 
 __all__ = ["Triangulation"]
@@ -69,14 +69,19 @@ class Triangulation:
         """``g[φ]``: saturate the separator masks φ on a copy of g's core.
 
         The saturated core is kept as h's core, so the quality measures
-        never rebuild it.
+        never rebuild it; the fill is the saturated rows' difference to g's.
         """
         core = base.core.copy()
-        label_of = base.label_of
-        fill: list[tuple[Node, Node]] = []
+        members = 0
         for mask in masks:
-            for u, v in core.saturate(mask):
-                fill.append((label_of(u), label_of(v)))
+            core.saturate(mask)
+            members |= mask
+        h_adj, g_adj = core.adj, base.core.adj
+        labels = base.interner.labels_dense
+        fill: list[tuple[Node, Node]] = []
+        for u in iter_bits(members):
+            for v in iter_bits((h_adj[u] & ~g_adj[u]) >> (u + 1)):
+                fill.append((labels[u], labels[u + 1 + v]))
         answer = cls(base, tuple(fill))
         answer._core = core
         return answer

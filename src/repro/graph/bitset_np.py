@@ -24,7 +24,7 @@ matrices* so those sweeps become single vectorized numpy expressions:
   saturation fill to a live mirror in place, and
   :class:`PackedMCSQueue` (with :func:`weight_level_rows`) is the MCS
   selection queue of this tier: argmax reductions over a flat key
-  array instead of per-bit bucket scans.  The algorithms themselves
+  array instead of the int tier's bit planes.  The algorithms themselves
   (MCS-M, MCS, LB-Triang, the PEO check, the separator listing and the
   crossing oracle) are one int-mask loop each on every tier; they
   reach these kernels only through the core's overridden primitives;
@@ -198,11 +198,10 @@ def weight_level_rows(
 
     One batched ``packbits`` builds every level at once, so the MCS-M
     threshold sweep gets its weight levels in O(levels · words) numpy
-    work per update call instead of maintaining per-weight bucket
-    masks across the whole search (whose re-bucketing cost dominated
-    the int tier's profile).  Rows are little-endian byte rows; convert
-    each to an int mask with ``int.from_bytes(row.tobytes(), "little")``
-    on demand — sweeps usually stop well before the last level.
+    work per update call from the flat weight array.  Rows are
+    little-endian byte rows; convert each to an int mask with
+    ``int.from_bytes(row.tobytes(), "little")`` on demand — sweeps
+    usually stop well before the last level.
     """
     distinct = np.unique(weights)
     bits = np.zeros((distinct.shape[0], words * WORD_BITS), dtype=np.uint8)
@@ -215,11 +214,10 @@ class PackedMCSQueue:
 
     Same interface and pop order as the int tier's
     :class:`~repro.graph.core.MaxWeightBuckets` (maximum weight first,
-    ties broken by minimum label rank), without its per-member bucket
-    work: a flat int64 *key* array ``weight · stride − rank`` makes
-    popping the next vertex one ``argmax`` and bumping a whole update
-    set one fancy-indexed add.  No buckets are kept; :meth:`levels`
-    derives the weight levels on demand with one batched
+    ties broken by minimum label rank), on a flat int64 *key* array
+    ``weight · stride − rank``: popping the next vertex is one
+    ``argmax`` and bumping a whole update set one fancy-indexed add.
+    :meth:`levels` derives the weight levels on demand with one batched
     :func:`weight_level_rows` call.  Graph cores hand these out through
     :meth:`NumpyGraphCore.selection_queue`.
     """
@@ -346,30 +344,29 @@ class NumpyGraphCore(IndexedGraph):
         """
         return sys.modules[__name__]
 
-    def saturate(self, mask: int) -> list[tuple[int, int]]:
+    def saturate(self, mask: int) -> int:
         """Make ``mask`` a clique, keeping a live packed mirror live.
 
         LB-Triang saturates one separator per component per step, so
         instead of dropping the packed matrix — which would force a
         full O(n · words) rebuild before the next wide sweep — the
-        pairs the inherited int-mask scan added are set on it in place.
-        A core without a mirror (every fresh ``copy()``) just scans.
+        missing pairs are read before the inherited row-wise OR and set
+        on it in place.  A core without a mirror (every fresh
+        ``copy()``) just ORs the rows.  Returns the added edge count.
         """
-        added = super().saturate(mask)
         packed = self._packed
-        if packed is None or not added:
-            return added
-        if packed.shape[0] != len(self.adj):
-            self._packed = None
-            return added
-        if not packed.flags.writeable:
-            # ``pack_masks`` returns a read-only view over ``bytes``,
-            # so every mirror ``_matrix`` builds is read-only: detach
-            # onto a writable copy before the first in-place fill.
-            packed = self._packed = packed.copy()
-        pairs = np.array(added, dtype=np.int64)
-        self._kernel_namespace().set_edge_bits(packed, pairs[:, 0], pairs[:, 1])
-        return added
+        if packed is None or packed.shape[0] != len(self.adj):
+            return super().saturate(mask)
+        pairs = self.missing_pairs(mask)
+        if pairs:
+            if not packed.flags.writeable:
+                # ``pack_masks`` returns a read-only view over ``bytes``,
+                # so every mirror ``_matrix`` builds is read-only: detach
+                # onto a writable copy before the first in-place fill.
+                packed = self._packed = packed.copy()
+            ends = np.array(pairs, dtype=np.int64)
+            self._kernel_namespace().set_edge_bits(packed, ends[:, 0], ends[:, 1])
+        return super().saturate(mask)
 
     def selection_queue(self, initial_mask: int, ranks):
         """The tier's :class:`PackedMCSQueue`."""

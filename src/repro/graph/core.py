@@ -187,74 +187,73 @@ class NodeInterner:
 
 
 class MaxWeightBuckets:
-    """The MCS selection queue of the int-mask tier.
+    """The MCS selection queue of the int-mask tier: bit-sliced weights.
 
-    ``buckets[w]`` is the mask of queued vertices of weight ``w``, so
-    popping the max-weight vertex (ties broken by smallest label rank)
-    and bumping a whole update set are pure mask updates, and the
-    bucket list is already the ascending level order :meth:`levels`
-    walks.  The interface is shared with the packed tier's
-    :class:`~repro.graph.bitset_np.PackedMCSQueue`: :meth:`pop_max`,
-    :meth:`bump_mask`, :attr:`weights` and :meth:`levels`.  Graph cores
-    hand these out through :meth:`IndexedGraph.selection_queue`.
+    ``planes[k]`` is the mask of vertices whose weight has bit ``k``
+    set, ``queued`` the mask of vertices not yet popped.  A bump is a
+    ripple-carry add of the update set over the planes, O(log w) wide
+    integer operations however many members it has; a pop narrows
+    ``queued`` from the top plane down, then breaks ties by smallest
+    label rank; :meth:`levels` splits ``avail`` plane by plane.  The
+    interface is :class:`~repro.graph.bitset_np.PackedMCSQueue`'s;
+    graph cores hand both out through :meth:`IndexedGraph.selection_queue`.
     """
 
-    __slots__ = ("buckets", "weights", "max_weight", "_ranks")
+    __slots__ = ("planes", "queued", "_ranks", "_index_order")
 
     def __init__(self, initial_mask: int, ranks: list[int]) -> None:
-        self.buckets: list[int] = [initial_mask]
-        self.weights = [0] * len(ranks)
-        self.max_weight = 0
+        self.planes: list[int] = []
+        self.queued = initial_mask
         self._ranks = ranks
+        # Sorted-order interning: the lowest tied bit has the least rank.
+        self._index_order = ranks == sorted(ranks)
+
+    @property
+    def weights(self) -> list[int]:
+        """Every vertex's weight, read off the planes."""
+        return [
+            sum((plane >> i & 1) << k for k, plane in enumerate(self.planes))
+            for i in range(len(self._ranks))
+        ]
 
     def pop_max(self) -> int:
-        """Remove and return the min-rank vertex of the highest bucket."""
-        w = self.max_weight
-        buckets = self.buckets
-        while not buckets[w]:
-            w -= 1
-        self.max_weight = w
-        candidates = buckets[w]
-        ranks = self._ranks
-        best = -1
-        best_rank = -1
-        m = candidates
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            if best < 0 or ranks[i] < best_rank:
-                best, best_rank = i, ranks[i]
-        buckets[w] = candidates & ~(1 << best)
+        """Remove and return the min-rank queued vertex of maximum weight."""
+        candidates = self.queued
+        for plane in reversed(self.planes):
+            top = candidates & plane
+            if top:
+                candidates = top
+        if self._index_order or not candidates & (candidates - 1):
+            best = (candidates & -candidates).bit_length() - 1
+        else:
+            best = min(iter_bits(candidates), key=self._ranks.__getitem__)
+        self.queued ^= 1 << best
         return best
 
     def bump_mask(self, mask: int) -> None:
         """Add one to the weight of every member of ``mask``."""
-        buckets = self.buckets
-        weights = self.weights
-        max_weight = self.max_weight
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            mask ^= low
-            w = weights[i]
-            buckets[w] &= ~low
-            w += 1
-            weights[i] = w
-            if w < len(buckets):
-                buckets[w] |= low
-            else:
-                buckets.append(low)
-            if w > max_weight:
-                max_weight = w
-        self.max_weight = max_weight
+        planes = self.planes
+        carry = mask
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                return
+        planes.append(carry)
 
-    def levels(self, avail: int) -> Iterator[int]:
-        """Yield the non-empty weight levels within ``avail``, ascending."""
-        for level in self.buckets:
-            level &= avail
-            if level:
-                yield level
+    def levels(self, avail: int) -> list[int]:
+        """Return the non-empty weight levels of queued ``avail``, ascending."""
+        queued = avail & self.queued
+        levels = [queued] if queued else []
+        for plane in reversed(self.planes):
+            split = []
+            for level in levels:
+                high = level & plane
+                if high and high != level:
+                    split.append(level ^ high)
+                split.append(high or level)
+            levels = split
+        return levels
 
 
 class IndexedGraph:
@@ -331,25 +330,28 @@ class IndexedGraph:
         self.num_edges -= 1
         return True
 
-    def saturate(self, mask: int) -> list[tuple[int, int]]:
-        """Make the vertices of ``mask`` a clique; return added (u, v) pairs.
+    def saturate(self, mask: int) -> int:
+        """Make the vertices of ``mask`` a clique; return the added edge count.
 
-        Pairs are returned with ``u < v`` in ascending index order.
+        Each member's row gains the whole mask in one OR, and the count
+        is the pairs of ``mask`` less the edges already inside it, so
+        the cost is a few wide operations per member, none per pair.
+        Callers that need the added pairs read :meth:`missing_pairs`
+        first.
         """
-        added: list[tuple[int, int]] = []
         adj = self.adj
-        for u in iter_bits(mask):
-            # Only pair u with strictly larger members to visit each
-            # missing pair once.
-            missing = mask & ~adj[u] & ~((1 << (u + 1)) - 1)
-            if not missing:
-                continue
-            bit_u = 1 << u
-            adj[u] |= missing
-            for v in iter_bits(missing):
-                adj[v] |= bit_u
-                added.append((u, v))
-        self.num_edges += len(added)
+        present = 0
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            row = adj[u]
+            present += (row & mask).bit_count()
+            adj[u] = row | mask ^ low
+        k = mask.bit_count()
+        added = (k * (k - 1) - present) >> 1
+        self.num_edges += added
         return added
 
     # ------------------------------------------------------------------
@@ -415,11 +417,7 @@ class IndexedGraph:
     def missing_pair_count(self, mask: int) -> int:
         """Return the number of non-adjacent pairs inside ``mask``."""
         k = mask.bit_count()
-        present = 0
-        adj = self.adj
-        for i in iter_bits(mask):
-            present += (adj[i] & mask).bit_count()
-        return k * (k - 1) // 2 - present // 2
+        return k * (k - 1) // 2 - self.edges_within(mask)
 
     def missing_pairs(self, mask: int) -> list[tuple[int, int]]:
         """Return the non-adjacent (u, v) pairs inside ``mask``, u < v."""

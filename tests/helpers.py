@@ -19,8 +19,9 @@ from repro.chordal.chordal_separators import minimal_separators_of_chordal
 from repro.chordal.triangulate import get_triangulator, mcs_m
 from repro.core.triangulation import Triangulation
 from repro.graph._native import native
+from repro.graph.bitset_np import pack_masks, word_count
 from repro.graph.components import components_without, connected_components
-from repro.graph.core import iter_bits
+from repro.graph.core import IndexedGraph, iter_bits
 from repro.graph.generators import gnp_random_graph, random_chordal_graph
 from repro.graph.graph import Graph, edge_key, sort_edges
 from repro.sgr.enum_mis import enumerate_maximal_independent_sets
@@ -47,6 +48,20 @@ def small_random_graphs(count: int, max_nodes: int = 8, seed: int = 99) -> list[
         p = rng.choice([0.2, 0.35, 0.5, 0.7])
         graphs.append(gnp_random_graph(n, p, seed=seed * 1000 + index))
     return graphs
+
+
+#: Mixed-type labels: ``edge_key`` compares 1 < 3.5 natively, while the
+#: label ranks fall back to sorting by (type name, repr).
+MIXED_LABELS = [1, 1.5, 2, 2.5, 3, 3.5, 4, "a", "b"]
+
+
+def mixed_label_corpus():
+    """Gnp(9, 0.35, seed s) for s = 0–299, relabelled with MIXED_LABELS."""
+    corpus = []
+    for seed in range(300):
+        graph = gnp_random_graph(9, 0.35, seed=seed)
+        corpus.append(graph.relabeled(dict(zip(graph.nodes(), MIXED_LABELS))))
+    return corpus
 
 
 def small_chordal_graphs(count: int, max_nodes: int = 12, seed: int = 7) -> list[Graph]:
@@ -102,6 +117,66 @@ def reference_atoms(graph: Graph) -> list[frozenset]:
     return result
 
 
+def checked_saturate(core, mask: int) -> list[tuple[int, int]]:
+    """Run ``core.saturate(mask)`` under its contract; return the added pairs.
+
+    The pairs are read with ``missing_pairs`` before the call.  Checks
+    that the returned count is their number, that ``num_edges`` and the
+    rows equal an int core that added them one edge at a time, that the
+    rows stay symmetric, and that a live packed mirror equals the rows.
+    """
+    pairs = core.missing_pairs(mask)
+    oracle = IndexedGraph.copy(core)
+    for u, v in pairs:
+        assert oracle.add_edge(u, v)
+    assert core.saturate(mask) == len(pairs)
+    adj = core.adj
+    assert adj == oracle.adj
+    assert core.num_edges == oracle.num_edges
+    assert all(
+        adj[v] >> u & 1 for u in iter_bits(core.alive) for v in iter_bits(adj[u])
+    )
+    mirror = getattr(core, "_packed", None)
+    if mirror is not None:
+        assert mirror.tobytes() == pack_masks(adj, word_count(len(adj))).tobytes()
+    return pairs
+
+
+class ReferenceBuckets:
+    """A bucket-list MCS selection queue: an oracle for ``MaxWeightBuckets``.
+
+    ``buckets[w]`` is the mask of queued vertices of weight ``w``; a
+    bump moves each member up one bucket, and a pop scans the highest
+    non-empty bucket for its smallest label rank.  Only queued vertices
+    may be bumped.
+    """
+
+    def __init__(self, initial_mask: int, ranks: list[int]) -> None:
+        self.buckets = [initial_mask]
+        self.weights = [0] * len(ranks)
+        self._ranks = ranks
+
+    def pop_max(self) -> int:
+        w = len(self.buckets) - 1
+        while not self.buckets[w]:
+            w -= 1
+        best = min(iter_bits(self.buckets[w]), key=self._ranks.__getitem__)
+        self.buckets[w] &= ~(1 << best)
+        return best
+
+    def bump_mask(self, mask: int) -> None:
+        for i in iter_bits(mask):
+            w = self.weights[i]
+            self.buckets[w] &= ~(1 << i)
+            self.weights[i] = w + 1
+            if w + 1 == len(self.buckets):
+                self.buckets.append(0)
+            self.buckets[w + 1] |= 1 << i
+
+    def levels(self, avail: int) -> list[int]:
+        return [level & avail for level in self.buckets if level & avail]
+
+
 def reference_lb_triang(graph: Graph, heuristic: str = "min_fill") -> list:
     """LB-Triang with a scan pick: an oracle for ``lb_triang``'s heap.
 
@@ -142,7 +217,8 @@ def reference_lb_triang(graph: Graph, heuristic: str = "min_fill") -> list:
         closed = adj[v] | 1 << v
         added = []
         for component in core.components(closed):
-            added.extend(core.saturate(core.neighborhood_of_set(component)))
+            separator = core.neighborhood_of_set(component)
+            added.extend(checked_saturate(core, separator))
         for a, b in added:
             fill.append(edge_key(label_of(a), label_of(b)))
         if heuristic == "min_fill":

@@ -16,7 +16,12 @@ import random
 
 import pytest
 
-from helpers import PACKED_TIERS, requires_native, small_random_graphs
+from helpers import (
+    PACKED_TIERS,
+    checked_saturate,
+    requires_native,
+    small_random_graphs,
+)
 from repro.chordal.minimal_separators import (
     are_crossing_masks,
     minimal_separator_masks,
@@ -144,9 +149,9 @@ class TestNumpyGraphCore:
         before = mirror.tobytes()
         mask = sum(1 << v for v in range(NumpyGraphCore.MIN_GATHER + 4))
         oracle = g.core.copy()
-        added = oracle.saturate(mask)
+        added = checked_saturate(oracle, mask)
         assert added
-        assert sorted(core.saturate(mask)) == sorted(added)
+        assert sorted(checked_saturate(core, mask)) == sorted(added)
         assert mirror.tobytes() == before
         assert core.adj == oracle.adj
         assert core._matrix().tobytes() == (

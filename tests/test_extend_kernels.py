@@ -20,6 +20,9 @@ import pytest
 
 from helpers import (
     PACKED_TIERS,
+    ReferenceBuckets,
+    checked_saturate,
+    mixed_label_corpus,
     reference_lb_triang,
     requires_native,
     small_chordal_graphs,
@@ -89,20 +92,6 @@ CORPUS = small_random_graphs(10, max_nodes=12, seed=17) + [
     cycle_graph(64),
     near_chordal_graph(128, seed=23),
 ]
-
-
-#: Mixed-type labels: ``edge_key`` compares 1 < 3.5 natively, while the
-#: label ranks fall back to sorting by (type name, repr).
-MIXED_LABELS = [1, 1.5, 2, 2.5, 3, 3.5, 4, "a", "b"]
-
-
-def mixed_label_corpus():
-    """Gnp(9, 0.35, seed s) for s = 0–299, relabelled with MIXED_LABELS."""
-    corpus = []
-    for seed in range(300):
-        graph = gnp_random_graph(9, 0.35, seed=seed)
-        corpus.append(graph.relabeled(dict(zip(graph.nodes(), MIXED_LABELS))))
-    return corpus
 
 
 def disconnected_corpus():
@@ -397,8 +386,8 @@ class TestKernelUnits:
             packed_core = NumpyGraphCore.from_indexed(graph.core)
             packed_core._matrix()
             mask = rng.getrandbits(len(graph.core.adj)) & graph.core.alive
-            expected = reference.saturate(mask)
-            got = packed_core.saturate(mask)
+            expected = checked_saturate(reference, mask)
+            got = checked_saturate(packed_core, mask)
             assert got == expected
             assert packed_core.adj == reference.adj
             assert packed_core.num_edges == reference.num_edges
@@ -455,6 +444,65 @@ class TestKernelUnits:
             packed = tier != "indexed"
             assert isinstance(queue, PackedMCSQueue) == packed
             assert isinstance(queue, MaxWeightBuckets) == (not packed)
+
+
+class TestBitSlicedQueue:
+    """The int tier's bit-sliced queue against the bucket-list reference."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference_queue(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([2, 9, 40, 130])
+        ranks = list(range(n))
+        if seed % 2:  # even seeds keep the ranks in index order
+            rng.shuffle(ranks)
+        queued = rng.getrandbits(n) | 1 << rng.randrange(n)
+        queue = IndexedGraph(n).selection_queue(queued, ranks)
+        assert isinstance(queue, MaxWeightBuckets)
+        reference = ReferenceBuckets(queued, ranks)
+        popped = 0
+
+        def bump(mask):
+            queue.bump_mask(mask)
+            reference.bump_mask(mask)
+            agree()
+
+        def pop():
+            nonlocal queued, popped
+            v = queue.pop_max()
+            assert v == reference.pop_max()
+            queued ^= 1 << v
+            popped |= 1 << v
+            agree()
+            return v
+
+        def agree():
+            assert queue.weights == reference.weights
+            for avail in (queued, queued | popped, popped, rng.getrandbits(n)):
+                assert list(queue.levels(avail)) == reference.levels(avail)
+
+        # ``first``: one single bump picks the first vertex.
+        first = rng.choice(bit_list(queued))
+        bump(1 << first)
+        assert pop() == first
+        # One vertex bumped alone past 1, 3, 7, 15 and 31 carries
+        # across every low plane; its neighbours ride along sometimes.
+        if queued:
+            hot = rng.choice(bit_list(queued))
+            for __ in range(33):
+                riders = rng.getrandbits(n) & queued if rng.random() < 0.5 else 0
+                bump(1 << hot | riders)
+        while queued:
+            for __ in range(rng.randrange(3)):
+                bump(rng.getrandbits(n) & queued)
+            pop()
+
+    def test_empty_and_popped_levels(self):
+        queue = IndexedGraph(4).selection_queue(0b1111, [3, 2, 1, 0])
+        assert queue.levels(0) == []
+        assert queue.pop_max() == 3  # all weight 0: minimum rank wins
+        assert queue.levels(0b1000) == []
+        assert queue.weights == [0, 0, 0, 0]
 
 
 def check_queues_agree(tier):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import small_chordal_graphs, small_random_graphs
+from helpers import checked_saturate, small_chordal_graphs, small_random_graphs
 
 from repro.errors import NodeNotFoundError
 from repro.graph.components import components_without, connected_components
@@ -132,7 +132,7 @@ class TestCoreAgreesWithGraph:
             by_masks = g.copy()
             mask_fill = {
                 frozenset((g.label_of(u), g.label_of(v)))
-                for u, v in by_masks.core.saturate(g.mask_of(subset))
+                for u, v in checked_saturate(by_masks.core, g.mask_of(subset))
             }
             assert label_fill == mask_fill
             assert by_labels == by_masks

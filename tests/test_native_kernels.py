@@ -27,7 +27,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import requires_native, small_random_graphs
+from helpers import checked_saturate, requires_native, small_random_graphs
 from repro.analysis.rules.kernel_parity import NON_KERNEL_EXPORTS
 from repro.core.enumerate import enumerate_minimal_triangulations
 from repro.engine.pool import InlineRunner, _rebuild_graph, make_payload
@@ -215,7 +215,9 @@ class TestNativeCoreEnumeration:
         assert native_core.expand_component(
             seed, native_core.alive
         ) == numpy_core.expand_component(seed, numpy_core.alive)
-        assert native_core.saturate(mask) == numpy_core.saturate(mask)
+        assert checked_saturate(native_core, mask) == checked_saturate(
+            numpy_core, mask
+        )
         assert native_core.adj == numpy_core.adj
 
     def test_derived_graphs_keep_native_core(self):

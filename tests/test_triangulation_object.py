@@ -6,10 +6,11 @@ import itertools
 
 import pytest
 
-from helpers import PACKED_TIERS, small_random_graphs
+from helpers import PACKED_TIERS, mixed_label_corpus, small_random_graphs
 from repro.chordal import cliques
 from repro.chordal.chordal_separators import minimal_separators_of_chordal
 from repro.chordal.cliques import mcs_clique_forest
+from repro.chordal.triangulate import get_triangulator
 from repro.core import triangulation as triangulation_module
 from repro.core.enumerate import enumerate_minimal_triangulations
 from repro.core.triangulation import Triangulation
@@ -18,6 +19,8 @@ from repro.graph import resolve_graph_backend
 from repro.graph.bitset_np import core_backend_name
 from repro.graph.generators import cycle_graph, gnp_random_graph, path_graph
 from repro.graph.graph import Graph
+from repro.sgr.enum_mis import enumerate_maximal_independent_sets
+from repro.sgr.separator_graph import MinimalSeparatorSGR
 from repro.workloads.pgm import promedas_like
 
 TIERS = ("indexed",) + PACKED_TIERS
@@ -170,6 +173,52 @@ class TestMaskCoreOracle:
             assert self._check(answers, tier) == 2
         base = resolve_graph_backend(path_graph(5), tier)
         assert self._check([Triangulation(base, ())], tier) == 1
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestSeparatorMaskMaterialisation:
+    """``from_separator_masks`` builds the answer the public constructor does."""
+
+    @staticmethod
+    def _check(graph: Graph, tier: str) -> set[int]:
+        """Compare both constructions on every family; return the masks seen."""
+        base = resolve_graph_backend(graph, tier)
+        sgr = MinimalSeparatorSGR(base, get_triangulator("mcs_m"))
+        seen: set[int] = set()
+        for family in enumerate_maximal_independent_sets(sgr):
+            masks = sorted(family)
+            seen.update(masks)
+            built = Triangulation.from_separator_masks(base, masks)
+            saturated = base.copy()
+            fill = []
+            for mask in masks:
+                fill.extend(saturated.saturate(base.label_set(mask)))
+            public = Triangulation(base, tuple(fill))
+            assert built.fill_edges == public.fill_edges
+            assert built.width == public.width
+            assert built.minimal_separators == public.minimal_separators
+            assert built == public
+            assert hash(built) == hash(public)
+        return seen
+
+    def test_connected_property_corpus(self, tier):
+        graphs = [
+            g
+            for g in small_random_graphs(12, max_nodes=8, seed=1919)
+            if g.core.is_connected()
+        ]
+        assert len(graphs) >= 6
+        for g in graphs:
+            assert self._check(g, tier)
+
+    def test_empty_separator(self, tier):
+        c5 = [(u + 10, v + 10) for u, v in cycle_graph(5).edges()]
+        graph = Graph(edges=[*cycle_graph(4).edges(), *c5])
+        assert 0 in self._check(graph, tier)
+
+    def test_mixed_labels(self, tier):
+        for g in mixed_label_corpus()[:40]:
+            self._check(g, tier)
 
 
 class TestMaskCoreIsolation:
