@@ -39,7 +39,6 @@ NON_KERNEL_EXPORTS = {
     "kernel_info",
     "kernel_namespace",
     "NativeGraphCore",
-    "NativeMCSQueue",
 }
 
 _DECL_NAME_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(")

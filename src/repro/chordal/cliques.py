@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import NotChordalError
-from repro.graph.core import iter_bits
+from repro.graph.core import MaxWeightBuckets, iter_bits
 from repro.graph.graph import Graph, Node
 
 __all__ = [
@@ -108,9 +108,10 @@ def search_clique_forest(graph: Graph, update=None, first: int | None = None):
     clique forest from ``M(v) = (adj[v] & numbered) | fill[v]``, v's
     numbered h-neighbours, as described above.  Cliques and the visited
     set are masks, so both invariants are single integer comparisons;
-    the selection queue comes from the core, which picks the kernel
-    tier (on the int tier, bit-sliced: a bump or a pop is O(log w) mask
-    operations, and only rank ties and the fill below walk bits).
+    the selection queue is the bit-sliced
+    :class:`~repro.graph.core.MaxWeightBuckets` on every kernel tier (a
+    bump or a pop is O(log w) mask operations, and only rank ties and
+    the fill below walk bits).
 
     Raises
     ------
@@ -121,7 +122,7 @@ def search_clique_forest(graph: Graph, update=None, first: int | None = None):
     core = graph.core
     adj = core.adj
     unnumbered = core.alive
-    queue = core.selection_queue(unnumbered, graph.ranks())
+    queue = MaxWeightBuckets(unnumbered, graph.ranks())
     if first is not None:
         queue.bump_mask(1 << first)
     fill = [0] * len(adj)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import NotChordalError
-from repro.graph.core import iter_bits
+from repro.graph.core import MaxWeightBuckets, iter_bits
 from repro.graph.graph import Graph, Node, edge_key
 
 __all__ = [
@@ -66,8 +66,8 @@ def maximum_cardinality_search(graph: Graph, first: Node | None = None) -> list[
     if first is not None and first not in graph:
         raise KeyError(first)
     unvisited = core.alive
-    # The core's selection queue breaks weight ties by label rank.
-    queue = core.selection_queue(unvisited, graph.ranks())
+    # The bit-sliced queue of every tier breaks weight ties by label rank.
+    queue = MaxWeightBuckets(unvisited, graph.ranks())
     if first is not None:
         queue.bump_mask(1 << graph.index_of(first))  # picked first
     label_of = graph.label_of

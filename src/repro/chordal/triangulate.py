@@ -76,8 +76,9 @@ def mcs_m(graph: Graph, first: Node | None = None) -> tuple[list[tuple[Node, Nod
     This is a label-level view of the one MCS-M loop,
     :func:`~repro.chordal.cliques.search_clique_forest`, which also
     builds the triangulation's clique forest (:func:`mcs_m_forest`).
-    Its selection queue comes from the graph core, so every kernel tier
-    gives the same output.
+    Every kernel tier runs the same bit-sliced selection queue
+    (:class:`~repro.graph.core.MaxWeightBuckets`), so every tier gives
+    the same output.
 
     Parameters
     ----------
@@ -125,7 +126,7 @@ def _mcs_m_update_mask(core, queue, unnumbered: int, v: int) -> int:
 
     Because MCS-M weights are small integers, the minimax Dijkstra
     collapses into a *threshold sweep* over the queue's weight levels
-    (``queue.levels``, split off the int tier's weight planes in
+    (``queue.levels``, split off the queue's bit-sliced weight planes in
     O(levels · log w) mask operations): for ascending thresholds t, grow
     the set reachable through internal vertices of weight ≤ t by
     whole-mask frontier expansion.  A vertex first reached at threshold

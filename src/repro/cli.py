@@ -266,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
         "by size (default: auto — packed tier at or above the size "
         "threshold, native preferred when its extension builds).  "
         "Every --triangulator heuristic (MCS-M, LB-Triang) and the PEO "
-        "check run the same int-mask loop on every tier; a packed core "
-        "speeds up the primitives they call on large graphs (the MCS "
-        "selection queue, wide-frontier unions, component sweeps, "
-        "saturation).  The answers "
+        "check run the same int-mask loop and the same bit-sliced MCS "
+        "selection queue on every tier; a packed core speeds up the "
+        "primitives they call on large graphs (wide-frontier unions, "
+        "component sweeps, saturation).  The answers "
         "are the same on every tier.  'native' degrades to numpy "
         "when no C compiler is available (see 'repro kernels')",
     )

@@ -1,11 +1,12 @@
 /* Native word-matrix kernels — see kernels.h for the layout contract.
  *
  * Only the primitives the graph core calls on large graphs live here:
- * the MCS selection queue (argmax, bump, weight levels), wide-frontier
- * unions, component sweeps, mask-to-index conversion and in-place
- * saturation fill.  The algorithms above them (MCS-M, MCS, LB-Triang,
- * the PEO check, the separator listing and the crossing oracle) are
- * one int-mask loop on every tier.
+ * wide-frontier unions, component sweeps, mask-to-index conversion and
+ * in-place saturation fill.  The algorithms above them (MCS-M, MCS,
+ * LB-Triang, the PEO check, the separator listing and the crossing
+ * oracle) are one int-mask loop on every tier, and so is the MCS
+ * selection queue (the bit-sliced MaxWeightBuckets of
+ * repro/graph/core.py).
  *
  * The kernels mirror the numpy implementations in
  * repro/graph/bitset_np.py bit for bit; those stay the reference
@@ -76,73 +77,6 @@ void set_edge_bits(uint64_t *matrix, int64_t words, const int64_t *u_arr,
         int64_t v = v_arr[i];
         matrix[u * words + (v >> 6)] |= 1ULL << (v & 63);
         matrix[v * words + (u >> 6)] |= 1ULL << (u & 63);
-    }
-}
-
-static int compare_i64(const void *a, const void *b) {
-    int64_t lhs = *(const int64_t *)a;
-    int64_t rhs = *(const int64_t *)b;
-    return (lhs > rhs) - (lhs < rhs);
-}
-
-int64_t weight_level_rows(const int64_t *indices, const int64_t *weights,
-                          int64_t m, int64_t words, uint8_t *out) {
-    if (m == 0) {
-        return 0;
-    }
-    int64_t *distinct = malloc((size_t)m * 8);
-    if (distinct == NULL) {
-        return -1;
-    }
-    memcpy(distinct, weights, (size_t)m * 8);
-    qsort(distinct, (size_t)m, 8, compare_i64);
-    int64_t levels = 0;
-    for (int64_t i = 0; i < m; i++) {
-        if (levels == 0 || distinct[i] != distinct[levels - 1]) {
-            distinct[levels++] = distinct[i];
-        }
-    }
-    int64_t row_bytes = words * 8;
-    for (int64_t j = 0; j < m; j++) {
-        /* Binary search: weights[j] is always present in distinct. */
-        int64_t lo = 0;
-        int64_t hi = levels - 1;
-        while (lo < hi) {
-            int64_t mid = (lo + hi) >> 1;
-            if (distinct[mid] < weights[j]) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        int64_t bit = indices[j];
-        out[lo * row_bytes + (bit >> 3)] |= (uint8_t)(1u << (bit & 7));
-    }
-    free(distinct);
-    return levels;
-}
-
-int64_t argmax_i64(const int64_t *key, int64_t n) {
-    int64_t best = 0;
-    for (int64_t i = 1; i < n; i++) {
-        if (key[i] > key[best]) {
-            best = i;
-        }
-    }
-    return best;
-}
-
-void queue_bump_mask(int64_t *key, int64_t *weights,
-                     const uint64_t *mask_row, int64_t words,
-                     int64_t stride) {
-    for (int64_t w = 0; w < words; w++) {
-        uint64_t bits = mask_row[w];
-        while (bits) {
-            int64_t i = (w << 6) + __builtin_ctzll(bits);
-            bits &= bits - 1;
-            weights[i] += 1;
-            key[i] += stride;
-        }
     }
 }
 

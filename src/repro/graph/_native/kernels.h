@@ -1,4 +1,8 @@
-/* Native word-matrix kernels for the packed uint64 graph tier.
+/* Native word-matrix kernels for the packed uint64 graph tier: the
+ * four primitives the packed graph core dispatches (union_rows,
+ * frontier_sweep, set_edge_bits, mask_row_indices).  The MCS selection
+ * queue is not among them; every tier runs the int tier's bit-sliced
+ * queue.
  *
  * Every function operates on the same little-endian packed layout the
  * numpy tier uses (repro/graph/bitset_np.py): a vertex bitmask is a row
@@ -20,7 +24,7 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNELS_ABI_VERSION 3
+#define REPRO_KERNELS_ABI_VERSION 4
 
 int repro_kernels_abi_version(void);
 
@@ -39,22 +43,6 @@ int frontier_sweep(const uint64_t *matrix, int64_t words,
 /* Set the (u, v) and (v, u) bits of a packed adjacency in place. */
 void set_edge_bits(uint64_t *matrix, int64_t words, const int64_t *u_arr,
                    const int64_t *v_arr, int64_t m);
-
-/* Group m (index, weight) pairs into packed byte rows by ascending
- * distinct weight — the native twin of bitset_np.weight_level_rows.
- * out must hold m rows of words*8 bytes, pre-zeroed.  Returns the
- * number of levels written, or -1 on scratch alloc failure. */
-int64_t weight_level_rows(const int64_t *indices, const int64_t *weights,
-                          int64_t m, int64_t words, uint8_t *out);
-
-/* Index of the first maximum of key[0..n) (np.argmax tie rule). */
-int64_t argmax_i64(const int64_t *key, int64_t n);
-
-/* PackedMCSQueue bump: for every set bit i of mask_row, add 1 to
- * weights[i] and stride to key[i]. */
-void queue_bump_mask(int64_t *key, int64_t *weights,
-                     const uint64_t *mask_row, int64_t words,
-                     int64_t stride);
 
 /* Set-bit indices of a packed row, ascending, into out (which must
  * hold the row's popcount).  Returns the count written. */

@@ -22,15 +22,16 @@ around a miscompiling toolchain.
 
 The public surface mirrors :mod:`repro.graph.bitset_np` name for name
 (``union_rows``, ``frontier_sweep``, ``set_edge_bits``,
-``weight_level_rows``, ``mask_to_indices``, ``PackedMCSQueue``): a
-packed graph core picks its *kernel namespace* (``_kernel_namespace``)
-and calls the same names either way.  These are only the primitives
-the workloads call — the MCS selection queue, wide-frontier unions,
+``mask_to_indices``): a packed graph core picks its *kernel namespace*
+(``_kernel_namespace``) and calls the same names either way.  These
+are only the primitives the workloads call — wide-frontier unions,
 component sweeps and in-place saturation fill; the algorithms above
 them, the separator layer included, are one int-mask loop on every
-tier.  Every kernel takes raw buffer pointers from the existing numpy
-arrays (``ffi.from_buffer`` — zero copies, read-only buffers
-accepted), so :class:`NativeGraphCore` is a thin subclass of
+tier, and every tier runs the int tier's bit-sliced MCS selection
+queue (:class:`~repro.graph.core.MaxWeightBuckets`).  Every kernel
+takes raw buffer pointers from the existing numpy arrays
+(``ffi.from_buffer`` — zero copies, read-only buffers accepted), so
+:class:`NativeGraphCore` is a thin subclass of
 :class:`~repro.graph.bitset_np.NumpyGraphCore`: the lazily built
 packed mirror is inherited unchanged, only the kernel dispatch
 differs.
@@ -48,10 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph import bitset_np as _np_kernels
-from repro.graph.bitset_np import (
-    NumpyGraphCore,
-    PackedMCSQueue as _NumpyMCSQueue,
-)
+from repro.graph.bitset_np import NumpyGraphCore
 
 __all__ = [
     "available",
@@ -59,16 +57,14 @@ __all__ = [
     "kernel_info",
     "kernel_namespace",
     "NativeGraphCore",
-    "NativeMCSQueue",
     "union_rows",
     "frontier_sweep",
     "set_edge_bits",
-    "weight_level_rows",
     "mask_to_indices",
 ]
 
 _SOURCE_DIR = Path(__file__).resolve().parent
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 #: Environment variable that forces :func:`available` to False.
 DISABLE_ENV = "REPRO_NATIVE_DISABLE"
@@ -94,12 +90,6 @@ int frontier_sweep(const uint64_t *matrix, int64_t words,
                    uint64_t *component, const uint64_t *available);
 void set_edge_bits(uint64_t *matrix, int64_t words, const int64_t *u_arr,
                    const int64_t *v_arr, int64_t m);
-int64_t weight_level_rows(const int64_t *indices, const int64_t *weights,
-                          int64_t m, int64_t words, uint8_t *out);
-int64_t argmax_i64(const int64_t *key, int64_t n);
-void queue_bump_mask(int64_t *key, int64_t *weights,
-                     const uint64_t *mask_row, int64_t words,
-                     int64_t stride);
 int64_t mask_row_indices(const uint64_t *mask_row, int64_t words,
                          int64_t *out);
 """
@@ -111,9 +101,6 @@ KERNEL_NAMES = (
     "union_rows",
     "frontier_sweep",
     "set_edge_bits",
-    "weight_level_rows",
-    "mcs_queue_argmax",
-    "mcs_queue_bump",
     "mask_to_indices",
 )
 
@@ -316,10 +303,6 @@ def _i64_mut(ffi, array):
     return ffi.from_buffer("int64_t[]", array, require_writable=True)
 
 
-def _u8_mut(ffi, array):
-    return ffi.from_buffer("uint8_t[]", array, require_writable=True)
-
-
 def _as_i64(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.int64)
 
@@ -395,68 +378,6 @@ def set_edge_bits(
         _u64_mut(ffi, matrix), matrix.shape[1],
         _i64(ffi, u_arr), _i64(ffi, v_arr), u_arr.shape[0],
     )
-
-
-def weight_level_rows(
-    indices: np.ndarray, weights: np.ndarray, words: int
-) -> np.ndarray:
-    """Native twin of :func:`repro.graph.bitset_np.weight_level_rows`."""
-    ffi, lib = _lib()
-    idx = _as_i64(indices)
-    wts = _as_i64(weights)
-    out = np.zeros((idx.shape[0], words * 8), dtype=np.uint8)
-    levels = lib.weight_level_rows(
-        _i64(ffi, idx), _i64(ffi, wts), idx.shape[0], words,
-        _u8_mut(ffi, out),
-    )
-    if levels < 0:  # pragma: no cover - scratch malloc failure
-        return _np_kernels.weight_level_rows(indices, weights, words)
-    return out[:levels]
-
-
-class NativeMCSQueue(_NumpyMCSQueue):
-    """PackedMCSQueue with selection, bumps and levels dispatched to C.
-
-    Pop order is bit-identical to the numpy queue (first maximum of the
-    same flat key array); the win is removing one numpy dispatch per
-    MCS step and the fancy-index temporary per bump.
-    """
-
-    __slots__ = ("_key_ptr", "_weights_ptr")
-
-    _mask_to_indices = staticmethod(mask_to_indices)
-    _weight_level_rows = staticmethod(weight_level_rows)
-
-    def __init__(self, initial_mask: int, ranks, words: int) -> None:
-        super().__init__(initial_mask, ranks, words)
-        ffi, __ = _lib()
-        # The arrays never reallocate, so the pointers stay valid for
-        # the queue's lifetime (the cdata keeps the buffers pinned).
-        self._key_ptr = _i64_mut(ffi, self._key)
-        self._weights_ptr = _i64_mut(ffi, self.weights)
-
-    def pop_max(self) -> int:
-        __, lib = _lib()
-        best = lib.argmax_i64(self._key_ptr, self._key.shape[0])
-        self._key[best] = self._POPPED
-        return int(best)
-
-    def bump_mask(self, mask: int) -> None:
-        if not mask:
-            return
-        ffi, lib = _lib()
-        lib.queue_bump_mask(
-            self._key_ptr,
-            self._weights_ptr,
-            _u64(ffi, _row_bytes(mask, self._words)),
-            self._words,
-            self._stride,
-        )
-
-
-#: The namespace name :meth:`NumpyGraphCore.selection_queue` constructs
-#: queues through.
-PackedMCSQueue = NativeMCSQueue
 
 
 class NativeGraphCore(NumpyGraphCore):

@@ -4,8 +4,8 @@ The Python-int bitmask core (:mod:`repro.graph.core`) wins for graphs
 up to a few hundred nodes because each adjacency is a single machine
 object and CPython's big-int ops run in C.  Past roughly a thousand
 nodes the per-row overhead starts to dominate: set-algebraic sweeps
-(neighbourhood unions, component frontiers, the MCS selection queue)
-pay one interpreter round-trip per vertex row touched.
+(neighbourhood unions, component frontiers) pay one interpreter
+round-trip per vertex row touched.
 
 This module packs vertex bitmasks into rows of ``uint64`` *word
 matrices* so those sweeps become single vectorized numpy expressions:
@@ -20,14 +20,14 @@ matrices* so those sweeps become single vectorized numpy expressions:
   :func:`mask_to_indices` turns a mask into an index array without a
   per-bit Python loop, :func:`union_rows` OR-reduces many adjacency
   rows at once, :func:`frontier_sweep` runs a whole reachability
-  fixpoint on the packed matrix, :func:`set_edge_bits` applies
-  saturation fill to a live mirror in place, and
-  :class:`PackedMCSQueue` (with :func:`weight_level_rows`) is the MCS
-  selection queue of this tier: argmax reductions over a flat key
-  array instead of the int tier's bit planes.  The algorithms themselves
+  fixpoint on the packed matrix, and :func:`set_edge_bits` applies
+  saturation fill to a live mirror in place.  The algorithms themselves
   (MCS-M, MCS, LB-Triang, the PEO check, the separator listing and the
   crossing oracle) are one int-mask loop each on every tier; they
-  reach these kernels only through the core's overridden primitives;
+  reach these kernels only through the core's overridden primitives.
+  The MCS selection queue is not one of them: every tier runs the int
+  tier's bit-sliced :class:`~repro.graph.core.MaxWeightBuckets`, whose
+  bumps and pops are O(log w) wide-int operations at any graph size;
 * :class:`NumpyGraphCore` is an :class:`~repro.graph.core.IndexedGraph`
   whose batch-heavy methods (neighbourhood-of-set, component
   expansion) run on a lazily maintained packed adjacency matrix —
@@ -45,7 +45,7 @@ on mutation, rebuilt on demand — so correctness never depends on them.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -63,8 +63,6 @@ __all__ = [
     "union_rows",
     "frontier_sweep",
     "set_edge_bits",
-    "weight_level_rows",
-    "PackedMCSQueue",
     "NumpyGraphCore",
     "select_core_class",
     "core_backend_name",
@@ -191,82 +189,6 @@ def set_edge_bits(
     )
 
 
-def weight_level_rows(
-    indices: np.ndarray, weights: np.ndarray, words: int
-) -> np.ndarray:
-    """Group ``indices`` by weight into packed rows, ascending by weight.
-
-    One batched ``packbits`` builds every level at once, so the MCS-M
-    threshold sweep gets its weight levels in O(levels · words) numpy
-    work per update call from the flat weight array.  Rows are
-    little-endian byte rows; convert each to an int mask with
-    ``int.from_bytes(row.tobytes(), "little")`` on demand — sweeps
-    usually stop well before the last level.
-    """
-    distinct = np.unique(weights)
-    bits = np.zeros((distinct.shape[0], words * WORD_BITS), dtype=np.uint8)
-    bits[np.searchsorted(distinct, weights), indices] = 1
-    return np.packbits(bits, axis=1, bitorder="little")
-
-
-class PackedMCSQueue:
-    """The MCS selection queue of the packed tier.
-
-    Same interface and pop order as the int tier's
-    :class:`~repro.graph.core.MaxWeightBuckets` (maximum weight first,
-    ties broken by minimum label rank), on a flat int64 *key* array
-    ``weight · stride − rank``: popping the next vertex is one
-    ``argmax`` and bumping a whole update set one fancy-indexed add.
-    :meth:`levels` derives the weight levels on demand with one batched
-    :func:`weight_level_rows` call.  Graph cores hand these out through
-    :meth:`NumpyGraphCore.selection_queue`.
-    """
-
-    __slots__ = ("weights", "_key", "_stride", "_words")
-
-    _POPPED = np.iinfo(np.int64).min
-
-    #: The kernels :meth:`levels` runs on (the native queue swaps in
-    #: its compiled twins).
-    _mask_to_indices = staticmethod(mask_to_indices)
-    _weight_level_rows = staticmethod(weight_level_rows)
-
-    def __init__(self, initial_mask: int, ranks, words: int) -> None:
-        ranks_arr = np.asarray(ranks, dtype=np.int64)
-        self.weights = np.zeros(ranks_arr.shape[0], dtype=np.int64)
-        self._stride = ranks_arr.shape[0] + 1
-        self._words = words
-        member = np.zeros(ranks_arr.shape[0], dtype=bool)
-        idx = mask_to_indices(initial_mask, words)
-        member[idx[idx < ranks_arr.shape[0]]] = True
-        self._key = np.where(member, -ranks_arr, self._POPPED)
-
-    def pop_max(self) -> int:
-        """Remove and return the min-rank vertex of maximum weight."""
-        best = int(np.argmax(self._key))
-        self._key[best] = self._POPPED
-        return best
-
-    def bump_mask(self, mask: int) -> None:
-        """Add one to the weight of every member of ``mask``."""
-        if not mask:
-            return
-        idx = mask_to_indices(mask, self._words)
-        self.weights[idx] += 1
-        self._key[idx] += self._stride
-
-    def levels(self, avail: int) -> Iterator[int]:
-        """Yield the non-empty weight levels within ``avail``, ascending.
-
-        Rows are decoded to int masks lazily: the MCS-M sweep usually
-        stops well before the last level.
-        """
-        words = self._words
-        idx = self._mask_to_indices(avail, words)
-        for row in self._weight_level_rows(idx, self.weights[idx], words):
-            yield int.from_bytes(row.tobytes(), "little")
-
-
 class NumpyGraphCore(IndexedGraph):
     """An ``IndexedGraph`` with a packed adjacency matrix for batch ops.
 
@@ -276,7 +198,9 @@ class NumpyGraphCore(IndexedGraph):
     The overridden methods route wide sweeps (OR-reducing many
     adjacency rows at once) through the matrix, which is where the
     numpy core beats single-int masks on graphs of a few thousand
-    nodes.
+    nodes.  Only :meth:`neighborhood_of_set`, :meth:`expand_component`
+    and the mirror-keeping :meth:`saturate` are overridden; everything
+    else, the MCS selection queue included, is the int tier's.
     """
 
     __slots__ = ("_packed",)
@@ -367,12 +291,6 @@ class NumpyGraphCore(IndexedGraph):
             ends = np.array(pairs, dtype=np.int64)
             self._kernel_namespace().set_edge_bits(packed, ends[:, 0], ends[:, 1])
         return super().saturate(mask)
-
-    def selection_queue(self, initial_mask: int, ranks):
-        """The tier's :class:`PackedMCSQueue`."""
-        return self._kernel_namespace().PackedMCSQueue(
-            initial_mask, ranks, word_count(len(self.adj))
-        )
 
     # -- batch-accelerated queries -------------------------------------
 

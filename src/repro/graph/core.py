@@ -187,16 +187,17 @@ class NodeInterner:
 
 
 class MaxWeightBuckets:
-    """The MCS selection queue of the int-mask tier: bit-sliced weights.
+    """The MCS selection queue of every kernel tier: bit-sliced weights.
 
     ``planes[k]`` is the mask of vertices whose weight has bit ``k``
     set, ``queued`` the mask of vertices not yet popped.  A bump is a
     ripple-carry add of the update set over the planes, O(log w) wide
     integer operations however many members it has; a pop narrows
     ``queued`` from the top plane down, then breaks ties by smallest
-    label rank; :meth:`levels` splits ``avail`` plane by plane.  The
-    interface is :class:`~repro.graph.bitset_np.PackedMCSQueue`'s;
-    graph cores hand both out through :meth:`IndexedGraph.selection_queue`.
+    label rank; :meth:`levels` splits ``avail`` plane by plane.  Every
+    MCS-family search builds one directly, whatever the graph core:
+    its steps cost O(log w) wide-int operations at any graph size, so
+    one queue serves every tier.
     """
 
     __slots__ = ("planes", "queued", "_ranks", "_index_order")
@@ -436,17 +437,6 @@ class IndexedGraph:
         for i in iter_bits(mask):
             total += (adj[i] & mask).bit_count()
         return total // 2
-
-    def selection_queue(
-        self, initial_mask: int, ranks: list[int]
-    ) -> MaxWeightBuckets:
-        """The MCS selection queue over ``initial_mask``, all weights 0.
-
-        Every MCS-family search (MCS-M, the clique-forest scan, plain
-        MCS) takes its queue from the core, so the kernel tier picks
-        the queue and the searches stay one loop each.
-        """
-        return MaxWeightBuckets(initial_mask, ranks)
 
     # ------------------------------------------------------------------
     # Connectivity

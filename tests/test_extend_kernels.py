@@ -50,15 +50,12 @@ from repro.chordal.triangulate import (
 from repro.core.extend import extend_parallel_set, extend_separator_masks
 from repro.graph import resolve_graph_backend
 from repro.graph.bitset_np import (
-    GRAPH_BACKENDS,
     NumpyGraphCore,
-    PackedMCSQueue,
     frontier_sweep,
     mask_to_indices,
     pack_masks,
     set_edge_bits,
     union_rows,
-    weight_level_rows,
     word_count,
 )
 from repro.graph.core import IndexedGraph, MaxWeightBuckets, bit_list
@@ -408,46 +405,29 @@ class TestKernelUnits:
             core.add_edge(a, b)
         assert (matrix == pack_masks(core.adj, word_count(n))).all()
 
-    def test_weight_level_rows_group_by_weight(self):
-        rng = random.Random(23)
-        n = 200
-        words = word_count(n)
-        indices = np.array(sorted(rng.sample(range(n), 80)), dtype=np.int64)
-        weights = np.array(
-            [rng.randint(0, 9) for __ in range(80)], dtype=np.int64
-        )
-        rows = weight_level_rows(indices, weights, words)
-        distinct = sorted(set(weights.tolist()))
-        assert rows.shape[0] == len(distinct)
-        for row, weight in zip(rows, distinct):
-            mask = int.from_bytes(row.tobytes(), "little")
-            expected = 0
-            for i, w in zip(indices.tolist(), weights.tolist()):
-                if w == weight:
-                    expected |= 1 << i
-            assert mask == expected
-
-    def test_packed_queue_pops_in_bucket_order(self):
-        check_queues_agree("numpy")
-
-    @requires_native
-    def test_native_queue_pops_in_bucket_order(self):
-        check_queues_agree("native")
-
-    @pytest.mark.parametrize("tier", ("indexed",) + PACKED_TIERS)
-    def test_selection_queue_follows_the_core(self, tier):
-        # Wide or narrow (a cycle), the core alone picks the queue.
-        wide = resolve_graph_backend(gnp_random_graph(40, 0.3, seed=1), tier)
-        narrow = resolve_graph_backend(cycle_graph(40), tier)
-        for graph in (wide, narrow):
-            queue = graph.core.selection_queue(graph.core.alive, graph.ranks())
-            packed = tier != "indexed"
-            assert isinstance(queue, PackedMCSQueue) == packed
-            assert isinstance(queue, MaxWeightBuckets) == (not packed)
-
 
 class TestBitSlicedQueue:
-    """The int tier's bit-sliced queue against the bucket-list reference."""
+    """The bit-sliced queue against the bucket-list reference."""
+
+    @pytest.mark.parametrize("tier", ("indexed",) + PACKED_TIERS)
+    def test_every_tier_runs_the_bit_sliced_queue(self, tier, monkeypatch):
+        # Every MCS-family search pops from MaxWeightBuckets, whatever
+        # the core: one pop per vertex, and the indexed core's output.
+        graph = gnp_random_graph(200, 0.05, seed=31)
+        want = (mcs_m(graph), maximum_cardinality_search(graph))
+        resolved = resolve_graph_backend(graph, tier)
+        pops = []
+        pop_max = MaxWeightBuckets.pop_max
+
+        def spy(queue):
+            pops.append(pop_max(queue))
+            return pops[-1]
+
+        monkeypatch.setattr(MaxWeightBuckets, "pop_max", spy)
+        for search, expected in zip((mcs_m, maximum_cardinality_search), want):
+            pops.clear()
+            assert search(resolved) == expected
+            assert sorted(pops) == bit_list(resolved.core.alive)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_reference_queue(self, seed):
@@ -457,8 +437,7 @@ class TestBitSlicedQueue:
         if seed % 2:  # even seeds keep the ranks in index order
             rng.shuffle(ranks)
         queued = rng.getrandbits(n) | 1 << rng.randrange(n)
-        queue = IndexedGraph(n).selection_queue(queued, ranks)
-        assert isinstance(queue, MaxWeightBuckets)
+        queue = MaxWeightBuckets(queued, ranks)
         reference = ReferenceBuckets(queued, ranks)
         popped = 0
 
@@ -498,44 +477,11 @@ class TestBitSlicedQueue:
             pop()
 
     def test_empty_and_popped_levels(self):
-        queue = IndexedGraph(4).selection_queue(0b1111, [3, 2, 1, 0])
+        queue = MaxWeightBuckets(0b1111, [3, 2, 1, 0])
         assert queue.levels(0) == []
         assert queue.pop_max() == 3  # all weight 0: minimum rank wins
         assert queue.levels(0b1000) == []
         assert queue.weights == [0, 0, 0, 0]
-
-
-def check_queues_agree(tier):
-    """The int-tier buckets and ``tier``'s packed queue, step by step.
-
-    Both queues come from graph cores (a wide random graph), so the
-    packed one is the kernel namespace's own class.  After every pop
-    and random bump they must agree on the popped vertex, the weights
-    and the ascending weight levels of the remaining vertices.
-    """
-    rng = random.Random(29)
-    n = 120
-    graph = gnp_random_graph(n, 0.1, seed=29)
-    ranks = list(range(n))
-    rng.shuffle(ranks)
-    alive = graph.core.alive
-    scalar = graph.core.selection_queue(alive, ranks)
-    packed_core = GRAPH_BACKENDS[tier].from_indexed(graph.core)
-    packed = packed_core.selection_queue(alive, ranks)
-    assert isinstance(scalar, MaxWeightBuckets)
-    assert isinstance(packed, PackedMCSQueue)
-    remaining = alive
-    for __ in range(n):
-        a = scalar.pop_max()
-        b = packed.pop_max()
-        assert a == b
-        remaining &= ~(1 << a)
-        bump = rng.getrandbits(n) & remaining
-        scalar.bump_mask(bump)
-        packed.bump_mask(bump)
-        assert scalar.weights == packed.weights.tolist()
-        for avail in (remaining, remaining & rng.getrandbits(n)):
-            assert list(scalar.levels(avail)) == list(packed.levels(avail))
 
 
 @requires_native

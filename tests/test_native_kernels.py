@@ -129,17 +129,6 @@ class TestKernelParity:
             assert bnp.unpack_rows(filled_native) == want
             assert np.array_equal(filled_native, filled_numpy)
 
-    def test_weight_level_rows(self, rng):
-        indices = rng.choice(N, size=48, replace=False).astype(np.int64)
-        weights = rng.integers(0, 7, size=48).astype(np.int64)
-        got = native.weight_level_rows(indices, weights, WORDS)
-        want = bnp.weight_level_rows(indices, weights, WORDS)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert native.weight_level_rows(
-            indices[:0], weights[:0], WORDS
-        ).shape[0] == 0
-
     @pytest.mark.parametrize("n", [2500, 4000])
     def test_wide_matrices(self, rng, n):
         # Widths where the native tier must pay off: a sparse adjacency
@@ -158,23 +147,12 @@ class TestKernelParity:
         assert native.frontier_sweep(adjacency, seed, mask) == want
         assert bnp.frontier_sweep(adjacency, seed, mask) == want
 
-    def test_mcs_queue_parity(self, rng):
-        ranks = [int(x) for x in rng.permutation(N)]
-        q_native = native.NativeMCSQueue((1 << N) - 1, ranks, WORDS)
-        q_numpy = bnp.PackedMCSQueue((1 << N) - 1, ranks, WORDS)
-        for __ in range(N):
-            bump = random_mask(rng)
-            q_native.bump_mask(bump)
-            q_numpy.bump_mask(bump)
-            assert q_native.pop_max() == q_numpy.pop_max()
-
 
 def test_kernel_names_match_the_native_exports():
-    # ``repro kernels`` lists KERNEL_NAMES: every exported kernel plus
-    # the two dispatches of the compiled MCS queue, and nothing else.
+    # ``repro kernels`` lists KERNEL_NAMES: every exported kernel and
+    # nothing else.
     exports = set(native.__all__) - NON_KERNEL_EXPORTS
-    queue = {"mcs_queue_argmax", "mcs_queue_bump"}
-    assert set(native.KERNEL_NAMES) == exports | queue
+    assert set(native.KERNEL_NAMES) == exports
     assert len(native.KERNEL_NAMES) == len(set(native.KERNEL_NAMES))
 
 
