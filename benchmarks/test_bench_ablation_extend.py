@@ -8,8 +8,9 @@ design choices.  It decomposes the cost of the pipeline on one graph:
 * how the choice of the plugged-in triangulation heuristic changes the
   per-answer cost (including the non-minimal heuristics that must pay
   for the sandwich step);
-* how many redundant extensions (duplicates) the algorithm suppresses,
-  which is the price of incremental polynomial time.
+* how many candidates the candidate step skips because a found answer
+  already contains them — the redundant extensions the loop no longer
+  runs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _run():
                 stats.extend_calls,
                 stats.edge_oracle_calls,
                 stats.nodes_generated,
-                stats.duplicates_suppressed,
+                stats.candidates_covered,
                 trace.min_width,
             )
         )
@@ -59,7 +60,7 @@ def test_ablation_extend_cost(benchmark, report):
             "Extend calls",
             "edge-oracle calls",
             "SGR nodes",
-            "dups suppressed",
+            "candidates covered",
             "min width",
         ],
         [
@@ -70,10 +71,10 @@ def test_ablation_extend_cost(benchmark, report):
                 str(extends),
                 str(oracle),
                 str(nodes),
-                str(dups),
+                str(covered),
                 str(width),
             ]
-            for name, count, elapsed, extends, oracle, nodes, dups, width in rows
+            for name, count, elapsed, extends, oracle, nodes, covered, width in rows
         ],
     )
     per_answer = {

@@ -1,8 +1,9 @@
 """Cost-driven task sizing for the sharded coordinator.
 
-The coordinator slices its work into batches twice: popped answers are
-dispatched against the current V-snapshot, and every barrier re-examines
-all processed answers in the direction of one new node.  How big those
+The coordinator slices its work into batches of candidate families
+twice: popped answers are swept against the current V-snapshot, and
+every barrier re-examines all processed answers in the direction of
+one new node.  How big those
 batches should be is a pure throughput/latency trade:
 
 * too small, and the run drowns in per-batch overhead — a pickle, a
@@ -18,13 +19,13 @@ length alone, but the right size depends on how expensive one unit of
 work *is* — which varies by graph, triangulator and stage, and drifts
 as the enumeration warms its caches.  :class:`AdaptiveBatcher` instead
 *measures*: every completed batch reports its compute time and its pair
-count ((answer, direction) pairs — each pair is one edge-oracle sweep
-plus one ``Extend``), an exponentially-weighted moving average tracks
-the per-pair cost, and batches are sized so one batch takes roughly
-``target_ms`` of worker compute (default 100 ms — comfortably above
-per-batch overhead, comfortably below human-visible latency).  A
-stealable-work cap keeps a batch from swallowing a queue share another
-worker could be running, whatever the target says.
+count (candidate families — each is one ``Extend``), an
+exponentially-weighted moving average tracks the per-pair cost, and
+batches are sized so one batch takes roughly ``target_ms`` of worker
+compute (default 100 ms — comfortably above per-batch overhead,
+comfortably below human-visible latency).  A stealable-work cap keeps
+a batch from swallowing a queue share another worker could be running,
+whatever the target says.
 
 The batcher is also the coordinator's clock (``clock`` is injectable,
 so tests drive sizing decisions deterministically without wall-time
@@ -51,11 +52,10 @@ __all__ = ["AdaptiveBatcher", "DEFAULT_BATCH_TARGET_MS"]
 #: Default worker-compute duration one batch is sized to hit.
 DEFAULT_BATCH_TARGET_MS = 100.0
 
-#: Hard per-batch answer caps: whatever the cost model says, a pop
-#: batch never exceeds this many answers …
+#: Hard per-batch family caps: whatever the cost model says, a pop
+#: batch never exceeds this many families …
 _MAX_POP_CHUNK = 1024
-#: … and a barrier chunk never exceeds this many (barrier pairs carry
-#: a single direction each, so chunks run much larger).
+#: … and a barrier chunk never exceeds this many.
 _MAX_BARRIER_CHUNK = 4096
 
 #: EWMA smoothing factor: one observation moves the estimate a quarter
@@ -116,7 +116,7 @@ class AdaptiveBatcher:
     def observe(self, pairs: int, compute_ns: int) -> None:
         """Fold one completed batch into the cost model.
 
-        ``pairs`` is the batch's (answer, direction) pair count and
+        ``pairs`` is the batch's candidate-family count and
         ``compute_ns`` the worker-side wall time spent executing it.
         """
         if pairs > 0:
@@ -128,17 +128,16 @@ class AdaptiveBatcher:
 
     @property
     def pair_cost_ns(self) -> float | None:
-        """EWMA compute cost of one (answer, direction) pair, or None."""
+        """EWMA compute cost of one candidate family, or None."""
         return self._pair_cost_ns
 
     # ------------------------------------------------------------------
     # Sizing policy
     # ------------------------------------------------------------------
 
-    def _target_answers(self, pairs_per_answer: int, cap: int) -> int:
+    def _target_families(self, cap: int) -> int:
         assert self._pair_cost_ns is not None
-        per_answer = self._pair_cost_ns * max(1, pairs_per_answer)
-        return max(1, min(cap, int(self.target_ns / per_answer)))
+        return max(1, min(cap, int(self.target_ns / self._pair_cost_ns)))
 
     def _stealable_cap(self, chunk: int, available: int) -> int:
         """Never let one batch swallow a share another worker could run."""
@@ -147,28 +146,28 @@ class AdaptiveBatcher:
             chunk = min(chunk, max(1, share))
         return max(1, min(chunk, available))
 
-    def pop_chunk_size(self, queued: int, directions: int) -> int:
-        """Answers per dispatched pop batch.
+    def pop_chunk_size(self, available: int) -> int:
+        """Candidate families per dispatched pop batch.
 
-        Each answer costs ``directions`` pairs (it is examined against
-        the whole V-snapshot).  Before the first observation there is
-        nothing to extrapolate from, so a deliberately small bootstrap
-        size is used — the resulting measurement immediately replaces
-        it.
+        The coordinator pops answers until their uncovered families
+        reach this size; ``available`` bounds the candidates Q holds.
+        Before the first observation there is nothing to extrapolate
+        from, so a deliberately small bootstrap size is used — the
+        resulting measurement immediately replaces it.
         """
         if self._pair_cost_ns is None:
             bootstrap = 1 if self.workers <= 1 else max(
-                1, min(16, queued // (2 * self.workers) or 1)
+                1, min(16, available // (2 * self.workers) or 1)
             )
-            return min(bootstrap, max(1, queued))
-        chunk = self._target_answers(directions, _MAX_POP_CHUNK)
-        return self._stealable_cap(chunk, queued)
+            return min(bootstrap, max(1, available))
+        chunk = self._target_families(_MAX_POP_CHUNK)
+        return self._stealable_cap(chunk, available)
 
     def barrier_chunk_size(self, total: int) -> int:
-        """Answers per barrier chunk (one direction pair per answer)."""
+        """Candidate families per barrier chunk (``total`` answers to sweep)."""
         if self._pair_cost_ns is None:
             return max(1, min(32, -(-total // (4 * self.workers))))
-        chunk = self._target_answers(1, _MAX_BARRIER_CHUNK)
+        chunk = self._target_families(_MAX_BARRIER_CHUNK)
         return self._stealable_cap(chunk, total)
 
     def max_inflight(self) -> int:

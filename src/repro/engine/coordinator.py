@@ -1,29 +1,32 @@
 """The sharded EnumMIS coordinator (answer-queue partitioning).
 
 This is the paper's Figure 1 control loop with the expensive inner
-steps — the ``direction`` edge-oracle sweep and the ``Extend``
-triangulation — farmed out to a task runner, while the cheap,
-order-sensitive bookkeeping stays in one place:
+step — the ``Extend`` triangulation — farmed out to a task runner,
+while the cheap, order-sensitive bookkeeping stays in one place:
 
 * the coordinator owns Q (produced, unprocessed answers), P (processed
-  answers), V (SGR nodes generated so far) and the deduplication set;
-* popped answers are batched into tasks ``(J, V-snapshot)`` and
-  dispatched; results are absorbed as they complete, so item A can be
-  extending on one worker while item B's extensions are being deduped;
+  answers), V (SGR nodes generated so far) and the found answers
+  (:class:`~repro.sgr.enum_mis.FoundAnswers`);
+* it runs the candidate step
+  (:func:`~repro.sgr.enum_mis.candidate_families`) on its own SGR, so
+  batches carry only uncovered candidate families and workers only
+  ``Extend``; results are absorbed as they complete, so one batch can
+  be extending on a worker while another's answers are being deduped;
 * when Q runs dry and nothing is in flight, the next SGR node v is
   pulled from the (serial, polynomial-delay) node iterator and every
-  answer of P is re-examined in the direction of v — sharded across
-  the pool in chunks, as a barrier.
+  answer of P is re-examined in the direction of v — swept and
+  dispatched chunk by chunk, as a barrier.
 
 Correctness is order-agnostic exactly as in the serial algorithm: an
-answer popped and dispatched against the *snapshot* of V is re-examined
+answer popped and swept against the *snapshot* of V is re-examined
 later against any nodes discovered afterwards, because it sits in P
-when those nodes arrive.  At termination (Q empty, nothing in flight,
-iterator exhausted) every answer of P has been processed in the
-direction of every node of V = all SGR nodes — the same invariant the
-serial proof closes with, so the produced set is exactly
-``MaxInd(G(x))`` with no duplicates (deduplication is centralised in
-the coordinator).
+when those nodes arrive.  Candidates are covered only by *absorbed*
+answers, so at termination (Q empty, nothing in flight, iterator
+exhausted) every answer of P has had every node of V = all SGR nodes
+extended or covered by an output answer — the invariant the serial
+proof closes with, so the produced set is exactly ``MaxInd(G(x))``.
+Candidates in flight together can still extend to one answer, so
+deduplication stays at absorb.
 
 Checkpointing piggybacks on the same state: outside a barrier, (Q ∪
 in-flight answers, P minus in-flight, V) is always a consistent resume
@@ -40,12 +43,13 @@ the answer count, not the region count.
 
 Task sizing is delegated to an
 :class:`~repro.engine.batching.AdaptiveBatcher` (shared across the
-regions of one job): every completed batch reports its pair count,
-worker compute time and round-trip, and the next batch is sized to the
-job's target duration from the observed per-pair cost.  The same
-measurements are folded into the run statistics (``batch_roundtrip_ns``,
-``ipc_payload_bytes``, ``batches_dispatched``), so the report and the
-policy can never disagree about what was observed.  Batches leave the
+regions of one job): every completed batch reports its family count
+(one ``Extend`` each), worker compute time and round-trip, and the
+next batch is sized to the job's target duration from the observed
+per-family cost.  The same measurements are folded into the run
+statistics (``batch_roundtrip_ns``, ``ipc_payload_bytes``,
+``batches_dispatched``), so the report and the policy can never
+disagree about what was observed.  Batches leave the
 process in the packed wire format of :mod:`repro.engine.wire`; an
 in-process runner gets plain tuples.
 """
@@ -78,24 +82,31 @@ from repro.engine.watchdog import (
 )
 from repro.graph.bitset_np import word_count
 from repro.graph.graph import Graph
-from repro.sgr.enum_mis import EnumMISStatistics, _AnswerQueue
+from repro.sgr.enum_mis import (
+    EnumMISStatistics,
+    FoundAnswers,
+    _AnswerQueue,
+    candidate_families,
+)
+from repro.sgr.separator_graph import MinimalSeparatorSGR
 
 __all__ = ["MISCoordinator"]
 
 Answer = frozenset[int]
+#: A candidate family as it travels: its separator masks, sorted.
+Family = tuple[int, ...]
 
 
 class _Inflight(NamedTuple):
     """Bookkeeping for one dispatched batch."""
 
     kind: str  # "pop" | "barrier"
+    #: Popped answers a checkpoint requeues while in flight (none for
+    #: a barrier chunk); retries, splits and salvage keep ``families``.
     answers: tuple[Answer, ...]
+    families: tuple[Family, ...]
     submitted_ns: int
     sent_bytes: int
-    pairs: int
-    #: The direction masks the batch was dispatched against — needed
-    #: to rebuild the exact same work on a retry, split or salvage.
-    directions: tuple[int, ...]
     #: Coordinator-level redispatch count for this batch's lineage.
     retries: int
     #: True once the batch is a half of a split batch: it may be
@@ -169,9 +180,11 @@ class MISCoordinator:
         # takes plain tuple batches; every other runner gets packed ones.
         self._in_process = getattr(runner, "in_process", False)
         self._words = word_count(len(region.core.adj))
+        # For the direction sweep's crossing oracle; workers Extend.
+        self._sgr = MinimalSeparatorSGR(region, triangulator, stats=self._stats)
 
         self._queue = _AnswerQueue(priority)
-        self._seen: set[Answer] = set()
+        self._found = FoundAnswers()
         self._dispatched: set[Answer] = set()
         self._yielded: set[Answer] = set()
         self._known: list[int] = []
@@ -181,7 +194,8 @@ class MISCoordinator:
         # Popped from Q but not yet handed to the runner — still "queued"
         # as far as a checkpoint is concerned.
         self._popping: list[Answer] = []
-        self._barrier_node: int | None = None
+        # P's answers the barrier on the newest node has still to sweep.
+        self._barrier_targets: list[Answer] = []
         self._since_save = 0
         self._resumed = restore_state is not None
         if restore_state is not None:
@@ -193,26 +207,30 @@ class MISCoordinator:
     # Dispatch and collection (sizing policy lives in the batcher)
     # ------------------------------------------------------------------
 
+    def _add_candidates(
+        self, families: dict[Family, None], answer: Answer, directions
+    ) -> None:
+        for family in candidate_families(
+            self._sgr, answer, directions, self._found, self._stats
+        ):
+            families[tuple(sorted(family))] = None
+
     def _dispatch(
         self,
         kind: str,
-        answers: list[Answer],
-        directions: tuple[int, ...],
+        answers: tuple[Answer, ...],
+        families: tuple[Family, ...],
         *,
         retries: int = 0,
         from_split: bool = False,
     ) -> None:
         """Encode and submit one batch; register it as in flight."""
-        answer_masks = [tuple(sorted(answer)) for answer in answers]
         if self._in_process:
-            batch = (
-                self._region_mask,
-                [(masks, directions) for masks in answer_masks],
-            )
+            batch = (self._region_mask, list(families))
             sent = 0
         else:
             batch = wire.encode_batch(
-                self._region_mask, answer_masks, directions, self._words
+                self._region_mask, list(families), self._words
             )
             sent = batch.nbytes
         # Stamp *before* submitting: the inline runner executes the
@@ -233,11 +251,10 @@ class MISCoordinator:
             future = self._runner.submit(batch)
         self._inflight[future] = _Inflight(
             kind=kind,
-            answers=tuple(answers),
+            answers=answers,
+            families=families,
             submitted_ns=submitted,
             sent_bytes=sent,
-            pairs=len(answers) * len(directions),
-            directions=tuple(directions),
             retries=retries,
             from_split=from_split,
         )
@@ -290,7 +307,7 @@ class MISCoordinator:
         stats.ipc_payload_bytes += entry.sent_bytes + received
         stats.batches_dispatched += 1
         stats.batch_roundtrip_ns += roundtrip
-        self._batcher.observe(entry.pairs, compute_ns)
+        self._batcher.observe(len(entry.families), compute_ns)
         return self._absorb(candidates, delta)
 
     # ------------------------------------------------------------------
@@ -305,11 +322,11 @@ class MISCoordinator:
 
         1. *Retry* the batch as-is (a fresh submission) while its
            lineage has budget left.
-        2. *Split in half* once: a single poison answer condemns every
+        2. *Split in half* once: a single poison family condemns every
            batch it rides in, and halving isolates it so the healthy
-           answers rejoin the normal path.
-        3. *Quarantine*: re-drive the remaining (answer, direction)
-           pairs serially in this process under a hard budget.
+           families rejoin the normal path.
+        3. *Quarantine*: extend the remaining families serially in this
+           process under a hard budget.
 
         Returns the answers recovered now (salvage) or ``[]`` when the
         work was redispatched.
@@ -319,23 +336,23 @@ class MISCoordinator:
             stats.batch_retries += 1
             self._dispatch(
                 entry.kind,
-                list(entry.answers),
-                entry.directions,
+                entry.answers,
+                entry.families,
                 retries=entry.retries + 1,
                 from_split=entry.from_split,
             )
             return []
-        if len(entry.answers) > 1 and not entry.from_split:
+        if len(entry.families) > 1 and not entry.from_split:
             stats.batch_retries += 1
-            half = len(entry.answers) // 2
-            for part in (entry.answers[:half], entry.answers[half:]):
+            half = len(entry.families) // 2
+            for part in (entry.families[:half], entry.families[half:]):
                 # The split is the last pre-quarantine attempt: halves
                 # carry a spent retry budget, so a half that fails
                 # again goes straight to salvage.
                 self._dispatch(
                     entry.kind,
-                    list(part),
-                    entry.directions,
+                    entry.answers,
+                    part,
                     retries=self._max_batch_retries,
                     from_split=True,
                 )
@@ -354,9 +371,9 @@ class MISCoordinator:
         """
         stats = self._stats
         stats.batches_quarantined += 1
-        stats.poison_answers += len(entry.answers)
+        stats.poison_answers += len(entry.families)
         warnings.warn(
-            f"quarantining a batch of {len(entry.answers)} answer(s) "
+            f"quarantining a batch of {len(entry.families)} candidate(s) "
             f"after repeated failures (last: {reason}); re-driving it "
             "serially in the coordinator process",
             RuntimeWarning,
@@ -369,19 +386,16 @@ class MISCoordinator:
                 limits=BatchLimits(deadline_s=self._quarantine_budget_s),
             )
             self._salvage_state = state
-        jobs = [
-            (tuple(sorted(answer)), entry.directions)
-            for answer in entry.answers
-        ]
         try:
-            out, delta, __ = state.run_batch((self._region_mask, jobs))
+            out, delta, __ = state.run_batch(
+                (self._region_mask, list(entry.families))
+            )
         except BatchAbortedError as exc:
             raise EngineError(
                 "quarantined batch could not be salvaged within its "
                 f"{self._quarantine_budget_s:.0f}s serial budget "
-                f"({exc.reason}); an (answer, direction) pair of this "
-                "input is genuinely unprocessable under the configured "
-                "limits"
+                f"({exc.reason}); a candidate family of this input is "
+                "genuinely unprocessable under the configured limits"
             ) from exc
         return self._absorb(out, delta)
 
@@ -391,10 +405,12 @@ class MISCoordinator:
 
     @property
     def barrier_active(self) -> bool:
-        """Whether a barrier node is mid-flight (its pull is re-counted
-        on resume, so document-level stats subtract one generated node
-        per active barrier)."""
-        return self._barrier_node is not None
+        """Whether the barrier on the newest node is mid-flight (its pull
+        is re-counted on resume, so document-level stats subtract one
+        generated node per active barrier)."""
+        return bool(self._barrier_targets) or any(
+            entry.kind == "barrier" for entry in self._inflight.values()
+        )
 
     def control_snapshot(self) -> CheckpointState:
         """This region's (Q, P, V, yielded) as a checkpoint section."""
@@ -403,15 +419,12 @@ class MISCoordinator:
         # interrupted mid-pop was never submitted at all.
         requeue: set[Answer] = set(self._popping)
         for entry in self._inflight.values():
-            if entry.kind == "pop":
-                requeue.update(entry.answers)
-        known = list(self._known)
-        if self._barrier_node is not None:
-            known.remove(self._barrier_node)
+            requeue.update(entry.answers)
+        barrier = self.barrier_active
         return CheckpointState(
             region=self._region_fingerprint,
-            known_nodes=known,
-            exhausted=self._exhausted and self._barrier_node is None,
+            known_nodes=self._known[:-1] if barrier else list(self._known),
+            exhausted=self._exhausted and not barrier,
             queue=self._queue.items() + sorted(requeue, key=sorted),
             processed=sorted(self._dispatched - requeue, key=sorted),
             yielded=sorted(self._yielded, key=sorted),
@@ -443,10 +456,10 @@ class MISCoordinator:
         self._exhausted = state.exhausted
         self._dispatched = set(state.processed)
         self._yielded = set(state.yielded)
-        self._seen = set(state.processed)
+        for answer in state.processed:
+            self._found.add(answer)
         for answer in state.queue:
-            if answer not in self._seen:
-                self._seen.add(answer)
+            if self._found.add(answer):
                 self._queue.push(answer)
         return node_iterator
 
@@ -465,15 +478,14 @@ class MISCoordinator:
         return frozenset(self._region.mask_of(sep) for sep in family)
 
     def _absorb(self, candidates, delta) -> list[Answer]:
-        """Fold a batch result into (stats, seen, Q); return new answers."""
+        """Fold a batch result into (stats, found, Q); return new answers."""
         self._stats.add(delta)
         fresh: list[Answer] = []
         for masks in candidates:
             answer = frozenset(masks)
-            if answer in self._seen:
+            if not self._found.add(answer):
                 self._stats.duplicates_suppressed += 1
             else:
-                self._seen.add(answer)
                 self._stats.answers += 1
                 self._since_save += 1
                 self._queue.push(answer)
@@ -488,7 +500,7 @@ class MISCoordinator:
         node_iterator = self._node_iterator
         if not self._resumed:
             seed = self._seed()
-            self._seen.add(seed)
+            self._found.add(seed)
             self._stats.answers += 1
             queue.push(seed)
             if mode == "UG":
@@ -505,20 +517,36 @@ class MISCoordinator:
                     yield answer
         batcher = self._batcher
         while True:
-            # Dispatch popped answers against the current V snapshot.
-            while len(queue) and len(inflight) < batcher.max_inflight():
-                count = min(
-                    batcher.pop_chunk_size(len(queue), len(self._known)),
-                    len(queue),
-                )
+            # Fill the pipeline: the barrier's chunks first, then popped
+            # answers against the current V snapshot, each batch taking
+            # answers until it holds its size in families.  The work on
+            # offer is sized in candidates: |V| per queued answer, one
+            # per barrier target.
+            while len(inflight) < batcher.max_inflight():
+                families: dict[Family, None] = {}
+                targets = self._barrier_targets
+                if targets:
+                    limit = batcher.barrier_chunk_size(len(targets))
+                    while targets and len(families) < limit:
+                        self._add_candidates(
+                            families, targets.pop(), self._known[-1:]
+                        )
+                    if families:
+                        self._dispatch("barrier", (), tuple(families))
+                    continue
+                if not len(queue):
+                    break
+                limit = batcher.pop_chunk_size(len(queue) * max(1, len(self._known)))
                 batch = self._popping
-                for __ in range(count):
-                    batch.append(queue.pop())
-                for answer in batch:
+                while len(queue) and len(families) < limit:
+                    answer = queue.pop()
+                    batch.append(answer)
                     if mode == "UP" and answer not in self._yielded:
                         self._yielded.add(answer)
                         yield answer
-                self._dispatch("pop", batch, tuple(self._known))
+                    self._add_candidates(families, answer, self._known)
+                if families:
+                    self._dispatch("pop", tuple(batch), tuple(families))
                 # Only now is the batch safely in flight: answers
                 # move from "still queued" to "dispatched" together,
                 # so an interrupt mid-batch can never record an
@@ -541,32 +569,17 @@ class MISCoordinator:
                         if mode == "UG":
                             self._yielded.add(answer)
                             yield answer
-                    if entry.kind == "barrier" and not any(
-                        e.kind == "barrier" for e in inflight.values()
-                    ):
-                        self._barrier_node = None
                 self._maybe_checkpoint()
-                continue
-
-            if len(queue):
                 continue
 
             # Q empty, nothing in flight: grow V by one node.
             if self._exhausted:
                 break
             try:
-                v = next(node_iterator)
+                self._known.append(next(node_iterator))
             except StopIteration:
                 self._exhausted = True
                 break
-            self._known.append(v)
             self._stats.nodes_generated += 1
-            if not self._dispatched:
-                continue
-            self._barrier_node = v
-            targets = sorted(self._dispatched, key=sorted)
-            size = batcher.barrier_chunk_size(len(targets))
-            for start in range(0, len(targets), size):
-                self._dispatch(
-                    "barrier", targets[start : start + size], (v,)
-                )
+            # The barrier: every answer of P in the direction of it.
+            self._barrier_targets = sorted(self._dispatched, key=sorted)

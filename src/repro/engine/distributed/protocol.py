@@ -49,8 +49,9 @@ document the coordinator feeds into its retry/quarantine policy.
 coordinator on a fixed cadence (from a side thread, so a worker deep
 in a long ``Extend`` still proves liveness); ``PING`` flows coordinator
 → worker so an idle worker can distinguish a quiet coordinator from a
-dead one.  ``GOODBYE`` announces a graceful worker departure;
-``SHUTDOWN`` tells workers the job is complete.
+dead one.  ``GOODBYE`` announces a graceful worker departure, and
+acknowledges a ``SHUTDOWN``, which tells workers the job is complete
+(also in answer to a ``HELLO`` during the coordinator's shutdown).
 """
 
 from __future__ import annotations
@@ -141,10 +142,12 @@ def validate_liveness_config(
 #: Version 2 added the per-body CRC-32 in tagged frames and the
 #: BATCH_FAILED cooperative-abort frame.  Version 3 dropped the
 #: one-value wire-format negotiation (HELLO's ``wire_formats``,
-#: WELCOME's ``wire_format``).  Every version checks the version right
+#: WELCOME's ``wire_format``).  Version 4 batches carry candidate
+#: families instead of answers plus directions, and a HELLO after the
+#: job's end is answered SHUTDOWN.  Every version checks the version right
 #: after the magic, so a peer of another version — older or newer — is
 #: answered with a clean fatal ERROR frame rather than garbage.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 MAGIC = "repro-enum"
 
 #: Per-frame body cap.  The largest legitimate frame is the graph

@@ -77,6 +77,10 @@ _HANDSHAKE_TIMEOUT_S = 10.0
 #: SHUTDOWN broadcast before force-closing the sockets.
 _SHUTDOWN_LINGER_S = 5.0
 
+#: How long the listener stays open after a worker left without a
+#: GOODBYE (its first reconnect backoff is at most 0.25 s).
+_RECONNECT_GRACE_S = 1.0
+
 _DEBUG = bool(os.environ.get("REPRO_DIST_DEBUG"))
 
 
@@ -209,6 +213,8 @@ class DistributedRunner:
         self._live: dict[int, _Batch] = {}
         self._connections: list[_Connection] = []
         self._no_worker_since: float | None = None
+        # Loop time a worker last left without a GOODBYE.
+        self._last_loss = float("-inf")
         self._server = None
         self._sweeper = None
         # Signalled whenever membership grows (for wait_for_workers).
@@ -324,9 +330,6 @@ class DistributedRunner:
         _dbg(f"shutdown begin, conns={[c.name for c in self._connections]}")
         if self._sweeper is not None:
             self._sweeper.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
         for conn in list(self._connections):
             try:
                 conn.writer.write(
@@ -340,21 +343,31 @@ class DistributedRunner:
         # in response to the SHUTDOWN.  Closing first would race a
         # last-instant heartbeat sitting unread in our receive buffer —
         # the close then sends a TCP reset that destroys the SHUTDOWN
-        # queued on the worker side, and the worker burns its whole
-        # reconnect budget on a finished job.  Reading to EOF drains the
-        # buffer, so no reset is ever generated.  The reader tasks
-        # remove each connection from ``_connections`` when they see
+        # queued on the worker side.  Reading to EOF drains the buffer,
+        # so no reset is ever generated.  The reader tasks remove each
+        # connection from ``_connections`` when they see its GOODBYE or
         # EOF (see ``_drop``); stragglers are force-closed at the
-        # deadline.
-        deadline = self._loop.time() + _SHUTDOWN_LINGER_S
-        while self._connections and self._loop.time() < deadline:
+        # deadline.  The listener stays open until a grace has passed
+        # since the last departure without a GOODBYE: such a worker (a
+        # late loss, or a SHUTDOWN it could not read) reconnects and is
+        # answered SHUTDOWN at HELLO instead of being refused until its
+        # retries run out.
+        loop = self._loop
+        deadline = loop.time() + _SHUTDOWN_LINGER_S
+        while self._connections and loop.time() < deadline:
             await asyncio.sleep(0.02)
         _dbg(
             f"linger done, stragglers={[c.name for c in self._connections]}"
         )
         for conn in list(self._connections):
+            self._last_loss = loop.time()
             await self._close_connection(conn)
         self._connections.clear()
+        while loop.time() - self._last_loss < _RECONNECT_GRACE_S:
+            await asyncio.sleep(0.02)
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
         for entry in self._live.values():
             entry.future.cancel()
         self._live.clear()
@@ -416,12 +429,13 @@ class DistributedRunner:
         )
         if conn not in self._connections:
             return
+        if reason != "goodbye":
+            self._last_loss = self._loop.time()
         if self._closed:
             # Teardown races the reader tasks: a connection going away
             # because *we* are closing is not a worker loss and must
             # not fail abandoned batches.  Removing the connection
-            # here tells ``_shutdown`` the worker has acknowledged the
-            # SHUTDOWN by closing its end (the close handshake).
+            # here tells ``_shutdown`` the worker has closed its end.
             conn.inflight.clear()
             conn.closed = True
             self._connections.remove(conn)
@@ -511,6 +525,16 @@ class DistributedRunner:
             return
         except (asyncio.IncompleteReadError, asyncio.TimeoutError,
                 ConnectionError, OSError):
+            writer.close()
+            return
+        if self._closed:
+            # The job has ended: a worker reconnecting during the
+            # shutdown linger is told so instead of being refused.
+            try:
+                writer.write(protocol.encode_frame(protocol.MSG_SHUTDOWN))
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass
             writer.close()
             return
 

@@ -24,9 +24,11 @@ failure
     A lost/reset/idle-timed-out connection triggers a bounded
     exponential-backoff reconnect loop (full jitter); the coordinator
     requeues whatever this worker owned, so a reconnecting worker
-    never double-delivers.  A SHUTDOWN frame or an ERROR frame marked
-    fatal (protocol version mismatch, bad magic) ends the process
-    instead — retrying a rejected handshake would loop forever.
+    never double-delivers.  A SHUTDOWN frame (acknowledged with a
+    GOODBYE, and also the answer to a HELLO once the job has ended) or
+    an ERROR frame marked fatal (protocol version mismatch, bad magic)
+    ends the process instead — retrying a rejected handshake would loop
+    forever.
 """
 
 from __future__ import annotations
@@ -122,8 +124,9 @@ class _Heartbeat(threading.Thread):
                 return
 
 
-def _handshake(sock: socket.socket, config: WorkerConfig) -> dict:
-    """HELLO → WELCOME; returns the coordinator's welcome document."""
+def _handshake(sock: socket.socket, config: WorkerConfig) -> dict | None:
+    """HELLO → WELCOME; the coordinator's welcome document, or ``None``
+    when it answers SHUTDOWN (its job has ended)."""
     hello = protocol.encode_json(
         {
             "magic": protocol.MAGIC,
@@ -133,6 +136,8 @@ def _handshake(sock: socket.socket, config: WorkerConfig) -> dict:
     )
     protocol.send_frame(sock, protocol.MSG_HELLO, hello)
     frame = protocol.recv_frame(sock)
+    if frame.msg_type == protocol.MSG_SHUTDOWN:
+        return None
     if frame.msg_type == protocol.MSG_ERROR:
         detail = protocol.decode_json(frame.payload)
         raise _FatalHandshake(
@@ -202,6 +207,9 @@ def _serve(
     sock.settimeout(config.connect_timeout_s)
     try:
         welcome = _handshake(sock, config)
+        if welcome is None:
+            _log("job already complete")
+            return "shutdown", state, fingerprint
         state, fingerprint = _receive_graph(
             sock, config, welcome, state, fingerprint
         )
@@ -269,6 +277,12 @@ def _serve(
                 continue  # liveness is carried by the heartbeat thread
             elif frame.msg_type == protocol.MSG_SHUTDOWN:
                 _log(f"job complete ({batches} batches served)")
+                # The ack spares the coordinator its reconnect grace.
+                try:
+                    with write_lock:
+                        protocol.send_frame(sock, protocol.MSG_GOODBYE)
+                except OSError:
+                    pass
                 return "shutdown", state, fingerprint
             elif frame.msg_type == protocol.MSG_ERROR:
                 detail = protocol.decode_json(frame.payload)

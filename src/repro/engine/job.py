@@ -79,7 +79,7 @@ class EnumerationJob:
         Worker-compute duration one sharded task batch is sized to
         take (milliseconds).  The coordinator's
         :class:`~repro.engine.batching.AdaptiveBatcher` learns the
-        per-(answer, direction)-pair extend cost from completed
+        per-family Extend cost from completed
         batches and sizes the next batch to this target — lower values
         mean finer-grained work stealing, cheaper interrupts and
         fresher V-snapshots; higher values amortise more per-batch IPC
@@ -88,7 +88,7 @@ class EnumerationJob:
         How many times one failed extend batch may be redispatched
         (worker death, cooperative watchdog abort) before the
         coordinator splits it in half and finally quarantines it —
-        re-driving the surviving (answer, direction) pairs serially
+        extending the surviving candidate families serially
         under a hard budget.  This is the only retry budget: every
         transport, the distributed one included, hands lost and
         aborted batches straight back to the coordinator.

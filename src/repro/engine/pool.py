@@ -20,24 +20,20 @@ Task batches for a pool travel in the packed wire format of
 :mod:`repro.engine.wire` — per-batch interned mask tables with
 ``uint32`` references, one contiguous buffer each way.  In-process
 execution, where nothing is pickled, hands
-``(region_mask, [(answer_masks, direction_masks), ...])`` tuples
-straight to the worker state.
-Each job asks: for this answer J (a tuple of separator masks) and each
-direction node v (a separator mask), compute
-``Extend({v} ∪ {u ∈ J : ¬(v ♮ u)})``.  The worker returns one extended
-answer per (J, v) pair plus an
+``(region_mask, [family_masks, ...])`` tuples straight to the worker
+state.  A batch is a list of candidate families, left by the
+coordinator's candidate step, and a worker only runs ``Extend`` on
+each: it returns one extended answer per family plus an
 :class:`~repro.sgr.enum_mis.EnumMISStatistics` delta covering exactly
-that batch — including the ``extend_time_ns`` / ``crossing_time_ns``
-stage timers the coordinator's adaptive batcher feeds on — which the
-coordinator folds into the run aggregate.
+that batch — including the ``extend_time_ns`` stage timer the
+coordinator's adaptive batcher feeds on — which the coordinator folds
+into the run aggregate.
 
 Each worker keeps one :class:`~repro.sgr.separator_graph.MinimalSeparatorSGR`
-per region for its whole lifetime, so the interned separator table and
-the memoized crossing cache warm up once and are shared by every task
-the worker ever runs — the worker-pool analogue of the caches the
-serial pipeline builds up in a single process.  The SGR's nodes are
-separator masks, so a worker sweeps and extends the masks it gets off
-the wire as they are and returns masks.
+per region for its whole lifetime, so the region graph and its
+interned separator table are built once and shared by every task the
+worker ever runs.  The SGR's nodes are separator masks, so a worker
+extends the masks it gets off the wire as they are and returns masks.
 
 Runners
 -------
@@ -87,12 +83,10 @@ __all__ = [
     "triangulator_spec",
 ]
 
-# (answer separator masks, direction separator masks)
-TaskJob = tuple[tuple[int, ...], tuple[int, ...]]
-# In-process batch: (region mask, jobs)
-TaskBatch = tuple[int, list[TaskJob]]
-# In-process result: (one extended answer per (answer, direction)
-# pair, stats delta, worker compute time in ns)
+# In-process batch: (region mask, candidate families as separator masks)
+TaskBatch = tuple[int, list[tuple[int, ...]]]
+# In-process result: (one extended answer per family, stats delta,
+# worker compute time in ns)
 BatchResult = tuple[list[tuple[int, ...]], EnumMISStatistics, int]
 
 
@@ -241,72 +235,62 @@ class WorkerState:
             else None
         )
         # Fault injection (tests, chaos soak): a separator mask whose
-        # presence in any answer of a batch makes this worker fail it.
+        # presence in any answer a batch extends to makes this worker
+        # fail it.
         self._poison_mask = 0
         self._poison_mode = "fail"
-        # region mask → (region graph, SGR)
-        self._regions: dict[int, tuple[Graph, MinimalSeparatorSGR]] = {}
+        # region mask → the SGR of that region of the graph
+        self._regions: dict[int, MinimalSeparatorSGR] = {}
 
     def set_poison(self, mask: int, mode: str = "fail") -> None:
         """Inject a deterministic poison batch (fault-injection only).
 
-        Any batch containing ``mask`` in one of its answers is failed:
-        ``mode="fail"`` aborts it cooperatively (the worker stays alive
-        and reports a typed failure — the watchdog-breach path),
-        ``mode="kill"`` terminates the whole process abruptly, like the
-        OOM killer would.  Never set in production; the coordinator's
-        serial quarantine fallback uses a fresh WorkerState on which
-        this is never called, which is what makes salvage converge.
+        Any batch that extends a family to an answer holding ``mask`` is
+        failed: ``mode="fail"`` aborts it cooperatively (the worker
+        stays alive and reports a typed failure — the watchdog-breach
+        path), ``mode="kill"`` terminates the whole process abruptly,
+        like the OOM killer would.  Never set in production; the
+        coordinator's serial quarantine fallback uses a fresh
+        WorkerState on which this is never called, which is what makes
+        salvage converge.
         """
         if mode not in ("fail", "kill"):
             raise EngineError(f"poison mode must be fail|kill, got {mode!r}")
         self._poison_mask = mask
         self._poison_mode = mode
 
-    def _region(self, region_mask: int) -> tuple[Graph, MinimalSeparatorSGR]:
-        entry = self._regions.get(region_mask)
-        if entry is None:
-            if region_mask == self.graph.core.alive:
-                region = self.graph
-            else:
-                region = self.graph.subgraph(
-                    self.graph.label_set(region_mask)
-                )
-            entry = (region, MinimalSeparatorSGR(region, self.triangulator))
-            self._regions[region_mask] = entry
-        return entry
+    def _region(self, region_mask: int) -> MinimalSeparatorSGR:
+        sgr = self._regions.get(region_mask)
+        if sgr is None:
+            region = self.graph
+            if region_mask != region.core.alive:
+                region = region.subgraph(region.label_set(region_mask))
+            sgr = MinimalSeparatorSGR(region, self.triangulator)
+            self._regions[region_mask] = sgr
+        return sgr
 
     def _execute(
         self,
         region_mask: int,
-        jobs: "list[TaskJob]",
+        families: list[tuple[int, ...]],
         stats: EnumMISStatistics,
     ) -> list[tuple[int, ...]]:
-        __, sgr = self._region(region_mask)
-        sgr.attach_statistics(stats)
-        has_edges_batch = sgr.has_edges_batch
+        sgr = self._region(region_mask)
         clock = time.perf_counter_ns
         watchdog = self._watchdog
         out: list[tuple[int, ...]] = []
-        for answer, direction_masks in jobs:
-            for v in direction_masks:
-                # Cooperative abort point: the watchdog bounds a batch
-                # at (answer, direction)-pair granularity — one pair
-                # that never returns is the transport batch-timeout's
-                # problem, a batch that is too big/leaky is caught here.
-                if watchdog is not None:
-                    watchdog.check()
-                started = clock()
-                crossed = has_edges_batch(v, answer)
-                stats.crossing_time_ns += clock() - started
-                stats.edge_oracle_calls += len(answer)
-                kept = {u for u, edge in zip(answer, crossed) if not edge}
-                kept.add(v)
-                stats.extend_calls += 1
-                started = clock()
-                extended = sgr.extend(frozenset(kept))
-                stats.extend_time_ns += clock() - started
-                out.append(tuple(sorted(extended)))
+        for family in families:
+            # Cooperative abort point: the watchdog bounds a batch at
+            # family granularity — one Extend that never returns is the
+            # transport batch-timeout's problem, a batch that is too
+            # big/leaky is caught here.
+            if watchdog is not None:
+                watchdog.check()
+            stats.extend_calls += 1
+            started = clock()
+            extended = sgr.extend(frozenset(family))
+            stats.extend_time_ns += clock() - started
+            out.append(tuple(sorted(extended)))
         return out
 
     def run_batch(self, batch) -> "BatchResult | object":
@@ -327,13 +311,11 @@ class WorkerState:
         try:
             packed = isinstance(batch, wire.PackedBatch)
             if packed:
-                region_mask, answers, directions = wire.decode_batch(batch)
-                jobs = [(answer, directions) for answer in answers]
+                region_mask, families = wire.decode_batch(batch)
             else:
-                region_mask, jobs = batch
-                answers = [answer_masks for answer_masks, __ in jobs]
-            self._check_poison(answers, started)
-            out = self._execute(region_mask, jobs, stats)
+                region_mask, families = batch
+            out = self._execute(region_mask, families, stats)
+            self._check_poison(out, started)
             if packed:
                 return wire.encode_result(
                     out,
@@ -343,8 +325,8 @@ class WorkerState:
                 )
             return out, stats, time.perf_counter_ns() - started
         except BatchAbortedError:
-            # Free the scratch state the runaway batch grew (separator
-            # interns, crossing caches, the Extend memo): the worker
+            # Free the scratch state the runaway batch grew (region
+            # graphs, separator interns): the worker
             # survives the abort and must return to a small footprint
             # before its next batch, or an RSS breach would recur on
             # healthy work.

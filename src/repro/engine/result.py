@@ -90,7 +90,9 @@ class EnumerationResult:
         """One-line human-readable report.
 
         Ends with :func:`~repro.sgr.enum_mis.report_clause` (supervision
-        events and the Extend memo hit rate) when that is non-empty.
+        events, and how many candidates the candidate step skipped
+        because a found answer already contained them) when that is
+        non-empty.
         """
         state = "complete" if self.completed else "stopped"
         line = (

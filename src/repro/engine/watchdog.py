@@ -1,7 +1,7 @@
 """Per-batch resource watchdog for enumeration workers.
 
 A worker executing an ``Extend`` batch can be wedged by a pathological
-input: one (answer, direction) pair whose triangulation blows up in
+input: one candidate family whose triangulation blows up in
 time or memory.  Without supervision the OS eventually OOM-kills the
 process, the coordinator sees a dead connection, requeues the batch —
 and the next worker dies the same way, taking the fleet down in a loop.
@@ -12,7 +12,7 @@ an RSS ceiling (:class:`BatchLimits`), and a small daemon thread
 samples ``/proc/self/statm`` (falling back to ``resource.getrusage``
 where procfs is unavailable — no psutil dependency anywhere) while the
 batch computes.  The compute loop polls :meth:`ResourceWatchdog.check`
-between (answer, direction) pairs; on breach it raises
+between candidate families; on breach it raises
 :class:`BatchAbortedError`, the worker frees its scratch state, reports
 a typed failure — a :class:`BatchFailure` value through the process
 pool, a ``BATCH_FAILED`` protocol frame over a socket — and *stays
@@ -187,7 +187,7 @@ class ResourceWatchdog:
     def check(self) -> None:
         """Raise :class:`BatchAbortedError` if any limit is breached.
 
-        Called from the compute loop between (answer, direction) pairs;
+        Called from the compute loop between candidate families;
         samples directly in addition to reading the monitor's verdict.
         """
         if not self.limits.enabled:

@@ -1,41 +1,41 @@
 """Packed wire format for sharded task batches and their results.
 
-The first sharded engine shipped every separator of every task as its
-own pickled Python int.  A separator mask over an n-vertex graph is an
-~n-bit integer, so each *reference* to a separator cost ~n/8 bytes on
-the wire — even though a batch references the same few separators over
-and over (every answer in a batch is a maximal pairwise-parallel family
-of the same graph, and the direction set is one shared V-snapshot).
+A task batch is a list of candidate families (separator masks) to
+extend, and its result one extended answer per family.  A separator
+mask over an n-vertex graph is an ~n-bit integer, so shipping each
+*reference* to a separator as its own pickled int would cost ~n/8
+bytes, even though a batch references the same few separators over
+and over (the families of one region overlap heavily).
 
 This codec replaces that with two ideas:
 
 * **per-batch interning** — every *distinct* mask in a batch is stored
   exactly once, packed into one contiguous little-endian ``uint64``
-  buffer (:func:`repro.graph.bitset_np.pack_masks` layout); answers and
-  directions then reference masks by dense ``uint32`` index.  A
-  repeated separator costs 4 bytes instead of ~n/8 — at n = 2000 that
-  is a 64× saving per repeat, and overlap between answers is the norm,
-  not the exception;
-* **flat buffers** — the table, the reference stream and the per-answer
+  buffer (:func:`repro.graph.bitset_np.pack_masks` layout); families
+  then reference masks by dense ``uint32`` index.  A repeated
+  separator costs 4 bytes instead of ~n/8 — at n = 2000 that is a 64×
+  saving per repeat, and overlap between families is the norm, not
+  the exception;
+* **flat buffers** — the table, the reference stream and the per-family
   lengths are plain ``bytes``, so a batch pickles as a handful of
   fixed-cost byte strings however many separators it mentions.
 
 Decoding interns in the opposite direction: the table's rows are
 converted to int masks once (:func:`repro.graph.bitset_np.unpack_rows`)
-and answers are rebuilt by indexing, so a worker also pays the big-int
+and families are rebuilt by indexing, so a worker also pays the big-int
 reconstruction once per distinct mask rather than once per reference.
 
 Both directions of the protocol use the same layout:
-:class:`PackedBatch` carries tasks coordinator → worker (answers plus
-the batch-wide direction set), :class:`PackedResult` carries extended
-answers worker → coordinator, together with the worker's stage-timer
-statistics delta and its batch compute time (the coordinator subtracts
-the latter from the observed round-trip to meter pure IPC time).
+:class:`PackedBatch` carries candidate families coordinator → worker,
+:class:`PackedResult` carries extended answers worker → coordinator,
+together with the worker's stage-timer statistics delta and its batch
+compute time (the coordinator subtracts the latter from the observed
+round-trip to meter pure IPC time).
 
-The tuple form — ``(region_mask, [(answer_masks, direction_masks),
-...])`` — remains the in-process representation used by the inline
-runner (nothing is pickled there, so interning would be pure
-overhead); every batch that leaves the process is packed.
+The tuple form — ``(region_mask, [family_masks, ...])`` — remains the
+in-process representation used by the inline runner (nothing is
+pickled there, so interning would be pure overhead); every batch that
+leaves the process is packed.
 
 Untrusted bytes
 ---------------
@@ -101,23 +101,15 @@ class PackedBatch(NamedTuple):
     words: int
     #: The interned mask table: ``len(table) // (words * 8)`` rows.
     table: bytes
-    #: ``uint32`` indices into the table, all answers concatenated.
-    answer_refs: bytes
-    #: ``uint32`` member count per answer (one entry per task).
-    answer_lens: bytes
-    #: ``uint32`` indices of the direction masks, shared by every
-    #: answer of the batch (the V-snapshot, or the barrier node).
-    direction_refs: bytes
+    #: ``uint32`` indices into the table, all families concatenated.
+    family_refs: bytes
+    #: ``uint32`` member count per family (one entry per Extend).
+    family_lens: bytes
 
     @property
     def nbytes(self) -> int:
         """Wire size of the mask payload (the pickle adds ~100 bytes)."""
-        return (
-            len(self.table)
-            + len(self.answer_refs)
-            + len(self.answer_lens)
-            + len(self.direction_refs)
-        )
+        return len(self.table) + len(self.family_refs) + len(self.family_lens)
 
 
 class PackedResult(NamedTuple):
@@ -156,15 +148,15 @@ class _MaskInterner:
         return index
 
 
-def _encode_answer_lists(
-    answers: Iterable[tuple[int, ...]], interner: _MaskInterner
+def _encode_mask_lists(
+    families: Iterable[tuple[int, ...]], interner: _MaskInterner
 ) -> tuple[bytes, bytes]:
     refs: list[int] = []
     lens: list[int] = []
     intern = interner.intern
-    for answer in answers:
-        lens.append(len(answer))
-        refs.extend(intern(mask) for mask in answer)
+    for family in families:
+        lens.append(len(family))
+        refs.extend(intern(mask) for mask in family)
     return (
         np.asarray(refs, dtype=_REF_DTYPE).tobytes(),
         np.asarray(lens, dtype=_REF_DTYPE).tobytes(),
@@ -184,39 +176,34 @@ def _decode_table(table: bytes, words: int) -> list[int]:
     return unpack_rows(matrix)
 
 
-def _decode_answer_lists(
-    table: list[int], answer_refs: bytes, answer_lens: bytes
+def _decode_mask_lists(
+    table: list[int], refs_bytes: bytes, lens_bytes: bytes
 ) -> list[tuple[int, ...]]:
-    refs = np.frombuffer(answer_refs, dtype=_REF_DTYPE).tolist()
-    answers: list[tuple[int, ...]] = []
+    refs = np.frombuffer(refs_bytes, dtype=_REF_DTYPE).tolist()
+    families: list[tuple[int, ...]] = []
     cursor = 0
-    for length in np.frombuffer(answer_lens, dtype=_REF_DTYPE).tolist():
-        answers.append(
+    for length in np.frombuffer(lens_bytes, dtype=_REF_DTYPE).tolist():
+        families.append(
             tuple(table[ref] for ref in refs[cursor : cursor + length])
         )
         cursor += length
-    return answers
+    return families
 
 
 def encode_batch(
     region_mask: int,
-    answers: list[tuple[int, ...]],
-    directions: tuple[int, ...],
+    families: list[tuple[int, ...]],
     words: int,
 ) -> PackedBatch:
-    """Pack a task batch: per-answer separator sets + shared directions."""
+    """Pack a task batch: the candidate families to extend."""
     interner = _MaskInterner()
-    answer_refs, answer_lens = _encode_answer_lists(answers, interner)
-    direction_refs = np.asarray(
-        [interner.intern(mask) for mask in directions], dtype=_REF_DTYPE
-    ).tobytes()
+    family_refs, family_lens = _encode_mask_lists(families, interner)
     return PackedBatch(
         region_mask=region_mask,
         words=words,
         table=_pack_table(interner, words),
-        answer_refs=answer_refs,
-        answer_lens=answer_lens,
-        direction_refs=direction_refs,
+        family_refs=family_refs,
+        family_lens=family_lens,
     )
 
 
@@ -225,26 +212,23 @@ def _check(condition: bool, message: str) -> None:
         raise WireDecodeError(message)
 
 
-def _validate_refs(
-    refs: bytes, lens: bytes | None, rows: int, what: str
-) -> None:
+def _validate_refs(refs: bytes, lens: bytes, rows: int, what: str) -> None:
     """All invariants that make indexing into the mask table safe."""
     _check(
         len(refs) % _REF_DTYPE.itemsize == 0,
         f"{what} reference stream is not a whole number of uint32 words",
     )
-    if lens is not None:
-        _check(
-            len(lens) % _REF_DTYPE.itemsize == 0,
-            f"{what} length stream is not a whole number of uint32 words",
-        )
-        lengths = np.frombuffer(lens, dtype=_REF_DTYPE)
-        total = int(lengths.sum(dtype=np.int64))
-        _check(
-            total == len(refs) // _REF_DTYPE.itemsize,
-            f"{what} lengths sum to {total} but the reference stream "
-            f"holds {len(refs) // _REF_DTYPE.itemsize} entries",
-        )
+    _check(
+        len(lens) % _REF_DTYPE.itemsize == 0,
+        f"{what} length stream is not a whole number of uint32 words",
+    )
+    lengths = np.frombuffer(lens, dtype=_REF_DTYPE)
+    total = int(lengths.sum(dtype=np.int64))
+    _check(
+        total == len(refs) // _REF_DTYPE.itemsize,
+        f"{what} lengths sum to {total} but the reference stream "
+        f"holds {len(refs) // _REF_DTYPE.itemsize} entries",
+    )
     if refs:
         references = np.frombuffer(refs, dtype=_REF_DTYPE)
         top = int(references.max())
@@ -270,8 +254,7 @@ def validate_batch(batch: PackedBatch) -> None:
     """Raise :class:`WireDecodeError` unless ``batch`` decodes safely."""
     rows = _validate_table(batch.table, batch.words)
     _check(batch.region_mask >= 0, "region mask must be non-negative")
-    _validate_refs(batch.answer_refs, batch.answer_lens, rows, "answer")
-    _validate_refs(batch.direction_refs, None, rows, "direction")
+    _validate_refs(batch.family_refs, batch.family_lens, rows, "family")
 
 
 def validate_result(result: PackedResult) -> None:
@@ -280,10 +263,8 @@ def validate_result(result: PackedResult) -> None:
     _validate_refs(result.answer_refs, result.answer_lens, rows, "answer")
 
 
-def decode_batch(
-    batch: PackedBatch,
-) -> tuple[int, list[tuple[int, ...]], tuple[int, ...]]:
-    """Invert :func:`encode_batch`: ``(region_mask, answers, directions)``.
+def decode_batch(batch: PackedBatch) -> tuple[int, list[tuple[int, ...]]]:
+    """Invert :func:`encode_batch`: ``(region_mask, families)``.
 
     Validates the batch first, so malformed input raises
     :class:`WireDecodeError` rather than an arbitrary numpy/indexing
@@ -291,14 +272,10 @@ def decode_batch(
     """
     validate_batch(batch)
     table = _decode_table(batch.table, batch.words)
-    answers = _decode_answer_lists(
-        table, batch.answer_refs, batch.answer_lens
+    families = _decode_mask_lists(
+        table, batch.family_refs, batch.family_lens
     )
-    directions = tuple(
-        table[ref]
-        for ref in np.frombuffer(batch.direction_refs, dtype=_REF_DTYPE)
-    )
-    return batch.region_mask, answers, directions
+    return batch.region_mask, families
 
 
 def encode_result(
@@ -309,7 +286,7 @@ def encode_result(
 ) -> PackedResult:
     """Pack a batch's extended answers for the trip back."""
     interner = _MaskInterner()
-    answer_refs, answer_lens = _encode_answer_lists(answers, interner)
+    answer_refs, answer_lens = _encode_mask_lists(answers, interner)
     return PackedResult(
         words=words,
         table=_pack_table(interner, words),
@@ -324,7 +301,7 @@ def decode_result(result: PackedResult) -> list[tuple[int, ...]]:
     """Invert :func:`encode_result` (the mask payload half)."""
     validate_result(result)
     table = _decode_table(result.table, result.words)
-    return _decode_answer_lists(
+    return _decode_mask_lists(
         table, result.answer_refs, result.answer_lens
     )
 
@@ -333,7 +310,7 @@ def decode_result(result: PackedResult) -> list[tuple[int, ...]]:
 # Flat byte serialisation (the socket transport's message bodies)
 # ----------------------------------------------------------------------
 
-_BATCH_HEADER = struct.Struct("!IIIIII")
+_BATCH_HEADER = struct.Struct("!IIIII")
 _RESULT_HEADER = struct.Struct("!IqIIII")
 
 
@@ -368,19 +345,11 @@ def batch_to_bytes(batch: PackedBatch) -> bytes:
         batch.words,
         len(region),
         len(batch.table),
-        len(batch.answer_refs),
-        len(batch.answer_lens),
-        len(batch.direction_refs),
+        len(batch.family_refs),
+        len(batch.family_lens),
     )
     return b"".join(
-        (
-            header,
-            region,
-            batch.table,
-            batch.answer_refs,
-            batch.answer_lens,
-            batch.direction_refs,
-        )
+        (header, region, batch.table, batch.family_refs, batch.family_lens)
     )
 
 
@@ -391,16 +360,15 @@ def batch_from_bytes(data: bytes) -> PackedBatch:
         f"batch frame of {len(data)} bytes is shorter than its header",
     )
     words, *lengths = _BATCH_HEADER.unpack_from(data)
-    region, table, refs, lens, directions = _split_fields(
+    region, table, refs, lens = _split_fields(
         data, _BATCH_HEADER.size, tuple(lengths), "batch frame"
     )
     batch = PackedBatch(
         region_mask=int.from_bytes(region, "little"),
         words=words,
         table=table,
-        answer_refs=refs,
-        answer_lens=lens,
-        direction_refs=directions,
+        family_refs=refs,
+        family_lens=lens,
     )
     validate_batch(batch)
     return batch

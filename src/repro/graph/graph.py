@@ -495,10 +495,7 @@ class Graph:
         return self._restricted(self._core.alive & ~drop)
 
     def _restricted(self, keep: int) -> "Graph":
-        interner = self._interner.copy()
-        label_of = self._interner.label_of
-        for index in iter_bits(self._core.alive & ~keep):
-            interner.release(label_of(index))
+        interner = NodeInterner.from_dense(self._interner.labels_dense, keep)
         return Graph._from_parts(self._core.subgraph(keep), interner)
 
     def saturated(self, node_sets: Iterable[Iterable[Node]]) -> "Graph":

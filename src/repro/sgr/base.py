@@ -53,6 +53,10 @@ class SuccinctGraphRepresentation(ABC):
     def has_edge(self, u: SGRNode, v: SGRNode) -> bool:
         """Decide adjacency of two nodes of G(x) (the algorithm ``A_E``)."""
 
+    def has_edges_batch(self, v: SGRNode, nodes: list[SGRNode]) -> list[bool]:
+        """``[has_edge(v, u) for u in nodes]``; an SGR may answer it at once."""
+        return [self.has_edge(v, u) for u in nodes]
+
     @abstractmethod
     def extend(self, independent_set: frozenset[SGRNode]) -> frozenset[SGRNode]:
         """Extend an independent set of G(x) into a maximal one.

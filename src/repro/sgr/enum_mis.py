@@ -13,10 +13,21 @@ The algorithm maintains
 * ``V`` — the SGR nodes generated so far by the node iterator.
 
 Each popped answer J is extended *in the direction of* every known
-node v (``Jv = {v} ∪ {u ∈ J : ¬edge(v, u)}`` completed by ``extend``);
-when Q runs dry, new nodes are pulled from the iterator and all past
-answers are revisited in the direction of each new node — the twist
-that lets the algorithm run without ever materialising the node set.
+node v: the candidate ``{v} ∪ {u ∈ J : ¬edge(v, u)}`` is completed by
+``extend``.  When Q runs dry, new nodes are pulled from the iterator
+and all past answers are revisited in the direction of each new node —
+the twist that lets the algorithm run without ever materialising the
+node set.
+
+:func:`candidate_families`, the candidate step of this loop and of the
+engine's coordinator, skips every candidate a found answer contains.
+Completeness survives (the EnumMIS argument of Cohen, Kimelfeld &
+Sagiv, JCSS 2008, behind Theorem 3.1): were a maximal independent set
+I never output, take the found J meeting I in the most members and a
+v ∈ I \\ J; J's candidate for v contains (J ∩ I) ∪ {v}, so, extended
+or covered, it lies in a found answer meeting I in more members than
+J.  Pop order does not enter the argument.  An uncovered candidate
+extends to a new answer, so in this loop every ``extend`` yields one.
 
 Two printing disciplines are supported (paper Section 3.2.2 and the
 Figure 8 experiment):
@@ -44,7 +55,9 @@ from repro.sgr.base import SGRNode, SuccinctGraphRepresentation
 
 __all__ = [
     "enumerate_maximal_independent_sets",
+    "candidate_families",
     "EnumMISStatistics",
+    "FoundAnswers",
     "merge_statistics",
     "report_clause",
 ]
@@ -80,11 +93,8 @@ class EnumMISStatistics:
     edge_cache_hits: int = 0
     edge_cache_misses: int = 0
     edge_cache_evictions: int = 0
-    # Maintained by SGRs with a memoized expansion (the separator-graph
-    # SGR's bounded Extend memo): calls answered from the memo, and
-    # entries dropped by its generation rotation.
-    extend_memo_hits: int = 0
-    extend_memo_evictions: int = 0
+    # Candidates skipped because a found answer already contains them.
+    candidates_covered: int = 0
     # Stage timers (ns) and sharded-engine wire accounting.
     extend_time_ns: int = 0
     crossing_time_ns: int = 0
@@ -127,8 +137,7 @@ class EnumMISStatistics:
         "edge_cache_hits",
         "edge_cache_misses",
         "edge_cache_evictions",
-        "extend_memo_hits",
-        "extend_memo_evictions",
+        "candidates_covered",
         "extend_time_ns",
         "crossing_time_ns",
         "ipc_payload_bytes",
@@ -197,8 +206,9 @@ def report_clause(stats: EnumMISStatistics) -> str:
     """The run-report clause behind ``result.summary()`` and the CLI.
 
     Names the supervision events a run needed (a correct answer set
-    that needed salvage is worth knowing about) and the Extend memo hit
-    rate with its base; ``""`` when there is nothing to report.
+    that needed salvage is worth knowing about) and the candidates
+    skipped out of all met (skipped plus extended, seeds ∅ included);
+    ``""`` when there is nothing to report.
     """
     supervision = []
     if stats.batch_retries:
@@ -211,9 +221,10 @@ def report_clause(stats: EnumMISStatistics) -> str:
     if stats.protocol_rejections:
         supervision.append(f"{stats.protocol_rejections} protocol rejections")
     clauses = ["supervision: " + ", ".join(supervision)] if supervision else []
-    if stats.extend_memo_hits:
-        hits, calls = stats.extend_memo_hits, stats.extend_calls
-        clauses.append(f"extend memo: {hits}/{calls} calls hit ({hits / calls:.0%})")
+    if stats.candidates_covered:
+        covered = stats.candidates_covered
+        met = covered + stats.extend_calls
+        clauses.append(f"coverage: {covered} of {met} candidates skipped")
     return "; ".join(clauses)
 
 
@@ -272,6 +283,74 @@ class _AnswerQueue:
         return len(self._fifo) + len(self._heap)
 
 
+class FoundAnswers:
+    """The answers found so far (the Figure-1 loops' dedup set), plus
+    per node an int bitset of the discovery ids of the answers holding
+    it: a family lies in a found answer iff its members' bitsets AND to
+    non-zero."""
+
+    __slots__ = ("_answers", "_holders")
+
+    def __init__(self) -> None:
+        self._answers: set[frozenset[SGRNode]] = set()
+        self._holders: dict[SGRNode, int] = {}
+
+    def add(self, answer: frozenset[SGRNode]) -> bool:
+        """Record ``answer``; ``False`` when it was found already."""
+        if answer in self._answers:
+            return False
+        bit = 1 << len(self._answers)
+        self._answers.add(answer)
+        holders = self._holders
+        for node in answer:
+            holders[node] = holders.get(node, 0) | bit
+        return True
+
+    def covers(self, nodes: Iterable[SGRNode]) -> bool:
+        """Whether one found answer holds all of ``nodes`` (not empty;
+        the most selective first, the AND stops once it is empty)."""
+        holders = self._holders
+        common = -1
+        for node in nodes:
+            common &= holders.get(node, 0)
+            if not common:
+                return False
+        return True
+
+
+def candidate_families(
+    sgr: SuccinctGraphRepresentation,
+    answer: frozenset[SGRNode],
+    directions: Iterable[SGRNode],
+    found: FoundAnswers,
+    stats: EnumMISStatistics,
+) -> Iterator[frozenset[SGRNode]]:
+    """Figure 1's candidate step: answer J's uncovered candidates.
+
+    For each direction v, in order, the candidate ``{v} ∪ {u ∈ J :
+    ¬edge(v, u)}`` is skipped (and counted in ``candidates_covered``)
+    when a found answer contains it — always when v ∈ J.  Lazy, so an
+    answer recorded in ``found`` meanwhile covers later candidates.
+    """
+    members = list(answer)
+    clock = time.perf_counter_ns
+    for v in directions:
+        if v in answer:
+            stats.candidates_covered += 1
+            continue
+        stats.edge_oracle_calls += len(members)
+        started = clock()
+        crossed = sgr.has_edges_batch(v, members)
+        stats.crossing_time_ns += clock() - started
+        family = [v]
+        family += [u for u, edge in zip(members, crossed) if not edge]
+        # v first: the others all sit in J, so v's bitset decides.
+        if found.covers(family):
+            stats.candidates_covered += 1
+            continue
+        yield frozenset(family)
+
+
 def enumerate_maximal_independent_sets(
     sgr: SuccinctGraphRepresentation,
     mode: str = "UG",
@@ -317,63 +396,42 @@ def enumerate_maximal_independent_sets(
     if attach is not None:
         attach(stats)
     clock = time.perf_counter_ns
+    queue = _AnswerQueue(priority)
+    found = FoundAnswers()
 
-    def extend(independent: frozenset[SGRNode]) -> frozenset[SGRNode]:
+    def extend(family: frozenset[SGRNode]) -> frozenset[SGRNode] | None:
+        """Extend ``family``; queue and return the answer if it is new."""
         stats.extend_calls += 1
         started = clock()
-        extended = sgr.extend(independent)
+        extended = sgr.extend(family)
         stats.extend_time_ns += clock() - started
+        if not found.add(extended):
+            # Only an extend that drops part of its input gets here.
+            stats.duplicates_suppressed += 1
+            return None
+        stats.answers += 1
+        queue.push(extended)
         return extended
 
-    # The direction step is a v-versus-many edge-oracle sweep; SGRs
-    # exposing a batched oracle (the separator-graph SGR's vectorized
-    # crossing kernel) answer it in one call instead of |J| calls.
-    has_edges_batch = getattr(sgr, "has_edges_batch", None)
-
-    def direction(answer: frozenset[SGRNode], v: SGRNode) -> frozenset[SGRNode]:
-        members = list(answer)
-        stats.edge_oracle_calls += len(members)
-        started = clock()
-        if has_edges_batch is not None:
-            crossed = has_edges_batch(v, members)
-            kept = {u for u, edge in zip(members, crossed) if not edge}
-        else:
-            kept = {u for u in members if not sgr.has_edge(v, u)}
-        stats.crossing_time_ns += clock() - started
-        kept.add(v)
-        return frozenset(kept)
-
     first = extend(frozenset())
-    stats.answers += 1
     if mode == "UG":
         yield first
 
-    queue = _AnswerQueue(priority)
-    queue.push(first)
-    in_queue: set[frozenset[SGRNode]] = {first}
-    processed: set[frozenset[SGRNode]] = set()
+    processed: list[frozenset[SGRNode]] = []
     known_nodes: list[SGRNode] = []
     node_iterator = sgr.iter_nodes()
     iterator_exhausted = False
 
     while queue:
         answer = queue.pop()
-        in_queue.discard(answer)
         if mode == "UP":
             yield answer
-        processed.add(answer)
+        processed.append(answer)
 
-        for v in known_nodes:
-            candidate = direction(answer, v)
-            extended = extend(candidate)
-            if extended not in in_queue and extended not in processed:
-                stats.answers += 1
-                if mode == "UG":
-                    yield extended
-                queue.push(extended)
-                in_queue.add(extended)
-            else:
-                stats.duplicates_suppressed += 1
+        for family in candidate_families(sgr, answer, known_nodes, found, stats):
+            extended = extend(family)
+            if extended is not None and mode == "UG":
+                yield extended
 
         while not queue and not iterator_exhausted:
             try:
@@ -383,14 +441,8 @@ def enumerate_maximal_independent_sets(
                 break
             stats.nodes_generated += 1
             known_nodes.append(v)
-            for past in list(processed):
-                candidate = direction(past, v)
-                extended = extend(candidate)
-                if extended not in in_queue and extended not in processed:
-                    stats.answers += 1
-                    if mode == "UG":
+            for past in processed:
+                for family in candidate_families(sgr, past, (v,), found, stats):
+                    extended = extend(family)
+                    if extended is not None and mode == "UG":
                         yield extended
-                    queue.push(extended)
-                    in_queue.add(extended)
-                else:
-                    stats.duplicates_suppressed += 1

@@ -30,11 +30,11 @@ independent set of MSGraph has size < |V(g)|.
 
 Performance
 -----------
-EnumMIS calls both oracles over and over: every direction step sweeps
-``v`` against the members of an answer, and every candidate it builds
-goes through ``Extend``.  The same separator pairs recur across
-answers, and so do the candidates.  This SGR keeps two bounded caches,
-both pure memos of pure functions, so neither can change an answer:
+EnumMIS calls the edge oracle over and over: every direction step of
+the candidate step (:func:`repro.sgr.enum_mis.candidate_families`)
+sweeps ``v`` against the members of an answer, and the same separator
+pairs recur across answers.  This SGR keeps a bounded pure memo of
+crossing results, so it cannot change an answer:
 
 * **Crossing pairs.**  Each separator mask is interned once to a
   dense id, and the components of ``g \\ S`` are cached per separator
@@ -44,32 +44,23 @@ both pure memos of pure functions, so neither can change an answer:
   every graph-core tier.  Results are stored per query node
   (``cache[id_v][id_u]``).  Bound: :data:`EDGE_CACHE_LIMIT` pairs per
   generation.
-* **Extend results.**  :meth:`extend` maps an input family φ to the
-  maximal family it extends to.  For a fixed triangulator that result
-  is a function of φ alone (paper Lemma 4.6), and most candidates of a
-  run repeat an earlier one.  Bound: :data:`EXTEND_MEMO_LIMIT`
-  *separator references* per generation, counting ``|φ| + |result|``
-  per entry, so a large graph's long families weigh what they cost.
-  Equal separators of different entries are one shared int object
-  (the one in the interning table of the crossing oracle), so an entry
-  stores references, not copies of masks: about 81 bytes per reference
-  on Gnp(30, 0.35) and 58 on a 1600-node PGM graph, where one mask
-  alone takes up to 240 bytes (see :data:`EXTEND_MEMO_LIMIT`).  The
-  serial loop and every inline, pool and distributed worker call
-  Extend through this method, so each SGR instance memoizes with no
-  second code path.
 
-Both caches use the same two-generation eviction: entries go to the
-current generation, a hit in the old generation promotes the entry to
-the current one, and filling the current generation drops the old one
+The cache uses a two-generation eviction: entries go to the current
+generation, a hit in the old generation promotes the entry to the
+current one, and filling the current generation drops the old one
 wholesale.  Lookups stay O(1) with no per-hit bookkeeping, recently
 used entries survive rotation, and at most two generations are ever
 held.  Hits, misses and evictions are counted in the attached
-:class:`~repro.sgr.enum_mis.EnumMISStatistics` (``edge_cache_*`` and
-``extend_memo_*``).  An evicted entry is simply recomputed on its next
-query.  The per-separator tables (ids, masks, components) are not
-evicted; they grow linearly with the separators seen, the price of the
-oracles themselves.
+:class:`~repro.sgr.enum_mis.EnumMISStatistics` (``edge_cache_*``).  An
+evicted entry is simply recomputed on its next query.  The
+per-separator tables (ids, masks, components) are not evicted; they
+grow linearly with the separators seen, the price of the oracle
+itself.
+
+:meth:`extend` is not memoized: the candidate step never hands it a
+family that a found answer contains, so each call yields a new answer
+and no input repeats.  Its results hold the interned separator
+objects, so the answers a run keeps share one int per separator.
 """
 
 from __future__ import annotations
@@ -83,7 +74,7 @@ from repro.graph.graph import Graph
 from repro.sgr.base import SuccinctGraphRepresentation
 from repro.sgr.enum_mis import EnumMISStatistics
 
-__all__ = ["MinimalSeparatorSGR", "EDGE_CACHE_LIMIT", "EXTEND_MEMO_LIMIT"]
+__all__ = ["MinimalSeparatorSGR", "EDGE_CACHE_LIMIT"]
 
 #: A node of the SGR: a minimal separator as a vertex mask.
 Separator = int
@@ -94,19 +85,6 @@ Separator = int
 #: being far larger than any run that fits in a workday.
 EDGE_CACHE_LIMIT = 1 << 20
 
-#: Per-generation bound of the Extend memo, in stored separator
-#: references (``|input| + |result|`` summed over entries; two
-#: generations may be live at once).  Separator masks are shared int
-#: objects, so a reference costs a set slot plus its share of the
-#: frozenset header and the dict entry.  Measured (``sys.getsizeof``
-#: over the memo after a serial run): 81 bytes on Gnp(30, 0.35) after
-#: 3000 answers, so one generation holds about 20 MiB and covers the
-#: first ~4500 answers of that graph without a rotation; 58 bytes on
-#: the 1600-node ``promedas_like(600, 1000, seed=1600)`` after 20
-#: answers, where a mask costs 88 bytes on average and up to 240 bytes,
-#: so an unshared copy per reference would multiply the memo.  ``0``
-#: disables the memo.
-EXTEND_MEMO_LIMIT = 1 << 18
 
 class MinimalSeparatorSGR(SuccinctGraphRepresentation):
     """The SGR ``(Gms, Ams_V, Ams_E)`` of the paper, for one input graph.
@@ -123,8 +101,7 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         Optional :class:`~repro.sgr.enum_mis.EnumMISStatistics` whose
         ``edge_cache_hits`` / ``edge_cache_misses`` /
         ``edge_cache_evictions`` counters are updated by the memoized
-        edge oracle, and whose ``extend_memo_hits`` /
-        ``extend_memo_evictions`` counters by the Extend memo.
+        edge oracle.
     """
 
     def __init__(
@@ -152,12 +129,6 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         self._edge_cache_old: dict[int, dict[int, bool]] = {}
         self._edge_entries = 0
         self._edge_entries_old = 0
-        # The Extend memo, input family → result, in two generations
-        # sized in separator references (see EXTEND_MEMO_LIMIT).
-        self._memo: dict[frozenset[Separator], frozenset[Separator]] = {}
-        self._memo_old: dict[frozenset[Separator], frozenset[Separator]] = {}
-        self._memo_refs = 0
-        self._memo_refs_old = 0
 
     @property
     def graph(self) -> Graph:
@@ -177,11 +148,6 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         briefly counted in both.
         """
         return self._edge_entries + self._edge_entries_old
-
-    @property
-    def extend_memo_size(self) -> int:
-        """Separator references held by the Extend memo (both generations)."""
-        return self._memo_refs + self._memo_refs_old
 
     @property
     def statistics(self) -> EnumMISStatistics | None:
@@ -405,43 +371,8 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
     def extend(self, independent_set: frozenset[Separator]) -> frozenset[Separator]:
         """Extend a pairwise-parallel family to a maximal one (Figure 3).
 
-        Memoized on ``independent_set`` in the bounded two-generation
-        memo described in the module docstring.  A hit returns the
-        object an earlier call returned, and a call after eviction
-        rebuilds an equal set in the same insertion order, so the memo
-        changes neither the answers nor the order in which any caller
-        meets them.  A stored entry holds the interned separator
-        objects, for its key as for its result.
+        The result holds the interned separator objects.
         """
-        limit = EXTEND_MEMO_LIMIT
-        if limit <= 0:
-            return self._extend(independent_set)
-        stats = self._stats
-        extended = self._memo.get(independent_set)
-        if extended is not None:
-            if stats is not None:
-                stats.extend_memo_hits += 1
-            return extended
-        extended = self._memo_old.pop(independent_set, None)
-        if extended is not None:
-            # Promote the old-generation hit so it survives rotation.
-            self._memo_refs_old -= len(independent_set) + len(extended)
-            if stats is not None:
-                stats.extend_memo_hits += 1
-        else:
-            extended = self._extend(independent_set)
-        self._memo[self._shared(independent_set)] = extended
-        self._memo_refs += len(independent_set) + len(extended)
-        if self._memo_refs >= limit:
-            if self._memo_old and stats is not None:
-                stats.extend_memo_evictions += len(self._memo_old)
-            self._memo_old = self._memo
-            self._memo_refs_old = self._memo_refs
-            self._memo = {}
-            self._memo_refs = 0
-        return extended
-
-    def _extend(self, independent_set: frozenset[Separator]) -> frozenset[Separator]:
         return self._shared(
             extend_separator_masks(
                 self._graph, independent_set, self._triangulator

@@ -294,48 +294,39 @@ def reference_ranked(
 
 def reference_batch(
     n: int, seed: int = 99
-) -> tuple[list[tuple[int, ...]], tuple[int, ...], int]:
-    """A representative pop batch over an n-vertex graph: ``(answers,
-    directions, words)``.
+) -> tuple[list[tuple[int, ...]], int]:
+    """A representative pop batch over an n-vertex graph: ``(families,
+    words)``.
 
-    The shape mirrors what the coordinator actually dispatches: 16
-    answers of 20 separators drawn from a shared pool of 60 (answers
-    of one region overlap heavily — they are maximal pairwise-parallel
-    families of the same graph) against a 40-separator V-snapshot.
+    The shape mirrors what the coordinator dispatches: 16 candidate
+    families of 20 separators drawn from a shared pool of 60 (the
+    families of one region overlap heavily — they are pairwise-parallel
+    families of the same graph).
     """
     rng = random.Random(seed)
     words = (n + 63) // 64
     pool = [rng.getrandbits(n) | 1 << rng.randrange(n) for __ in range(60)]
-    answers = [tuple(rng.sample(pool, 20)) for __ in range(16)]
-    directions = tuple(rng.sample(pool, 40))
-    return answers, directions, words
+    families = [tuple(rng.sample(pool, 20)) for __ in range(16)]
+    return families, words
 
 
 def legacy_batch(
-    region_mask: int,
-    answers: list[tuple[int, ...]],
-    directions: tuple[int, ...],
-    words: int,
-) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    region_mask: int, families: list[tuple[int, ...]], words: int
+) -> tuple[int, list[tuple[int, ...]]]:
     """The pre-packed-wire batch structure, sized as it really pickled.
 
-    Every answer member is rebuilt as a *fresh* int object — pickle
-    dedups by object identity only, and the original coordinator
-    decoded each answer's masks separately, so equal masks across
-    answers never shared a pickle memo entry.  The direction tuple is
-    one shared object per batch, exactly as the old dispatch loop
-    passed it.
+    Every family member is rebuilt as a *fresh* int object — pickle
+    dedups by object identity only, and a coordinator decoding each
+    answer's masks separately never shares a pickle memo entry between
+    equal masks of different families.
     """
     return (
         region_mask,
         [
-            (
-                tuple(
-                    int.from_bytes(m.to_bytes(words * 8, "little"), "little")
-                    for m in answer
-                ),
-                directions,
+            tuple(
+                int.from_bytes(m.to_bytes(words * 8, "little"), "little")
+                for m in family
             )
-            for answer in answers
+            for family in families
         ],
     )

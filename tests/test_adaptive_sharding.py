@@ -75,10 +75,10 @@ class TestAdaptiveBatcher:
         # Before any observation the batcher falls back to the
         # conservative static heuristic the adaptive policy replaced.
         serial = AdaptiveBatcher(1)
-        assert serial.pop_chunk_size(100, 10) == 1
+        assert serial.pop_chunk_size(100) == 1
         pool = AdaptiveBatcher(4)
-        assert pool.pop_chunk_size(100, 10) == 12  # 100 // (2*4)
-        assert pool.pop_chunk_size(2, 10) == 1
+        assert pool.pop_chunk_size(100) == 12  # 100 // (2*4)
+        assert pool.pop_chunk_size(2) == 1
         assert pool.barrier_chunk_size(1000) == 32
         assert pool.barrier_chunk_size(8) == 1
 
@@ -87,9 +87,9 @@ class TestAdaptiveBatcher:
         # 10 pairs took 10 ms of compute → 1 ms per pair.
         batcher.observe(pairs=10, compute_ns=10_000_000)
         assert batcher.pair_cost_ns == pytest.approx(1_000_000)
-        # 5 directions → 5 ms per answer → 20 answers hit 100 ms.
-        assert batcher.pop_chunk_size(1_000_000, directions=5) == 20
-        # One direction per answer in a barrier → 100 answers.
+        # About one family per answer → 100 answers hit 100 ms, in a
+        # pop batch and in a barrier chunk alike.
+        assert batcher.pop_chunk_size(1_000_000) == 100
         assert batcher.barrier_chunk_size(1_000_000) == 100
 
     def test_ewma_follows_cost_drift(self):
@@ -105,7 +105,7 @@ class TestAdaptiveBatcher:
         batcher = AdaptiveBatcher(2, target_ms=100)
         batcher.observe(pairs=64, compute_ns=0)
         # Cost floors at 1 ns → sizes hit the hard cap, not infinity.
-        assert 1 <= batcher.pop_chunk_size(10**9, 1) <= 1024
+        assert 1 <= batcher.pop_chunk_size(10**9) <= 1024
         assert 1 <= batcher.barrier_chunk_size(10**9) <= 4096
 
     def test_stealable_work_cap(self):
@@ -113,12 +113,12 @@ class TestAdaptiveBatcher:
         batcher.observe(pairs=1, compute_ns=1000)
         # The cost model alone would take everything; the cap leaves a
         # queue share per worker.
-        assert batcher.pop_chunk_size(8, directions=1) == 2
+        assert batcher.pop_chunk_size(8) == 2
         assert batcher.barrier_chunk_size(8) == 2
         # A single-worker batcher has nobody to steal for.
         solo = AdaptiveBatcher(1, target_ms=100)
         solo.observe(pairs=1, compute_ns=1000)
-        assert solo.pop_chunk_size(8, directions=1) == 8
+        assert solo.pop_chunk_size(8) == 8
 
     def test_max_inflight(self):
         assert AdaptiveBatcher(1).max_inflight() == 1
@@ -141,13 +141,11 @@ class TestWireCodec:
         rng = random.Random(7)
         words = word_count(2000)
         pool = [rng.getrandbits(2000) | 1 for __ in range(40)]
-        answers = self._random_answers(rng, pool, 16)
-        directions = tuple(rng.sample(pool, 12))
-        batch = wire.encode_batch(123, answers, directions, words)
-        region, got_answers, got_directions = wire.decode_batch(batch)
+        families = self._random_answers(rng, pool, 16)
+        batch = wire.encode_batch(123, families, words)
+        region, got_families = wire.decode_batch(batch)
         assert region == 123
-        assert got_answers == answers
-        assert got_directions == directions
+        assert got_families == families
 
     def test_result_round_trip(self):
         rng = random.Random(9)
@@ -161,34 +159,32 @@ class TestWireCodec:
         assert result.stats.extend_time_ns == 555
 
     def test_empty_batch_and_result(self):
-        batch = wire.encode_batch(0, [], (), 4)
-        assert wire.decode_batch(batch) == (0, [], ())
+        batch = wire.encode_batch(0, [], 4)
+        assert wire.decode_batch(batch) == (0, [])
         result = wire.encode_result([], 4, 0, EnumMISStatistics())
         assert wire.decode_result(result) == []
 
     def test_masks_are_interned_once(self):
         words = word_count(2000)
         mask = (1 << 1999) | (1 << 3) | 1
-        answers = [(mask,)] * 50
-        batch = wire.encode_batch(1, answers, (mask,), words)
-        # 50 answer references + 1 direction reference, but one table row.
+        families = [(mask,)] * 50
+        batch = wire.encode_batch(1, families, words)
+        # 50 family references, but one table row.
         assert len(batch.table) == words * 8
-        assert len(batch.answer_refs) == 50 * 4
-        assert len(batch.direction_refs) == 4
+        assert len(batch.family_refs) == 50 * 4
+        assert len(batch.family_lens) == 50 * 4
 
     def test_payload_shrinks_vs_pickled_ints(self):
         # A coordinator-shaped batch at n = 2000 (reference_batch):
-        # answers overlap heavily and the direction set is shared, so
-        # the interned packed format must undercut per-reference
-        # pickled big ints (legacy_batch) by at least 4x.
+        # candidate families overlap heavily, so the interned packed
+        # format must undercut per-reference pickled big ints
+        # (legacy_batch) by at least 4x.
         import pickle
 
-        answers, directions, words = reference_batch(2000)
-        packed = wire.encode_batch(1, answers, directions, words)
+        families, words = reference_batch(2000)
+        packed = wire.encode_batch(1, families, words)
         packed_bytes = len(pickle.dumps(packed))
-        legacy_bytes = len(
-            pickle.dumps(legacy_batch(1, answers, directions, words))
-        )
+        legacy_bytes = len(pickle.dumps(legacy_batch(1, families, words)))
         assert legacy_bytes >= 4 * packed_bytes
 
 
@@ -241,7 +237,7 @@ class TestPoolRunnerLifecycle:
         """Run one batch, so the workers are up; return that batch."""
         seed = tuple(sorted(g.mask_of(s) for s in serial_seed_family(g)))
         batch = wire.encode_batch(
-            g.core.alive, [seed], (), word_count(len(g.core.adj))
+            g.core.alive, [seed], word_count(len(g.core.adj))
         )
         runner.submit(batch).result()
         return batch
@@ -361,18 +357,20 @@ class TestCrashTimeCheckpoint:
 
         class FailingRunner:
             """Fails the first *pop* batch dispatched against a grown
-            V-snapshot (≥ 2 directions; barrier batches always carry
-            exactly one)."""
+            V-snapshot (≥ 2 known nodes; a pop batch is dispatched
+            while its answers still sit in the coordinator's
+            ``_popping``, a barrier chunk with it empty)."""
 
             workers = 1
             in_process = True  # receives the inner runner's tuple batches
+            coordinator = None
 
             def __init__(self, inner):
                 self._inner = inner
 
             def submit(self, batch):
-                __, jobs = batch
-                if jobs and len(jobs[0][1]) >= 2:
+                coordinator = self.coordinator
+                if coordinator._popping and len(coordinator._known) >= 2:
                     future: Future = Future()
                     future.set_exception(RuntimeError("worker died"))
                     return future
@@ -384,6 +382,7 @@ class TestCrashTimeCheckpoint:
         g = gnp_random_graph(12, 0.35, seed=11)
         runner = FailingRunner(InlineRunner(make_payload(g, "mcs_m")))
         coordinator = MISCoordinator(g, g.core.alive, runner)
+        runner.coordinator = coordinator
         with pytest.raises(RuntimeError, match="worker died"):
             for __ in coordinator.stream():
                 pass
@@ -405,10 +404,9 @@ class TestInProcessMetering:
 
         g = gnp_random_graph(10, 0.4, seed=2)
         runner = InlineRunner(make_payload(g, "mcs_m"))
-        seed = tuple(sorted(g.mask_of(s) for s in serial_seed_family(g)))
         direction = next(iter(minimal_separator_masks(g)))
         out, stats, compute_ns = runner.submit(
-            (g.core.alive, [(seed, (direction,))])
+            (g.core.alive, [(direction,)])
         ).result()
         assert len(out) == 1
         assert stats.extend_calls == 1

@@ -74,14 +74,13 @@ def inline_region_answers(graph) -> set[frozenset]:
     return set(coordinator.stream())
 
 
-def _entry(answers, directions, *, retries=0, from_split=False) -> _Inflight:
+def _entry(answers, families, *, retries=0, from_split=False) -> _Inflight:
     return _Inflight(
         kind="pop",
         answers=tuple(answers),
+        families=tuple(families),
         submitted_ns=0,
         sent_bytes=0,
-        pairs=len(answers) * len(directions),
-        directions=tuple(directions),
         retries=retries,
         from_split=from_split,
     )
@@ -377,9 +376,9 @@ class TestChaosFrameTypeCoverage:
 # ----------------------------------------------------------------------
 
 
-def _one_pair_batch(graph):
+def _one_family_batch(graph):
     direction = next(iter(minimal_separator_masks(graph)))
-    return (graph.core.alive, [((), (direction,))])
+    return (graph.core.alive, [(direction,)])
 
 
 class TestWatchdog:
@@ -407,7 +406,7 @@ class TestWatchdog:
             limits=BatchLimits(deadline_s=1e-9),
         )
         with pytest.raises(BatchAbortedError) as excinfo:
-            state.run_batch(_one_pair_batch(graph))
+            state.run_batch(_one_family_batch(graph))
         assert excinfo.value.reason == "deadline"
         assert excinfo.value.elapsed_s >= 0
         # The abort path must drop the scratch caches the batch grew.
@@ -420,14 +419,14 @@ class TestWatchdog:
             limits=BatchLimits(rss_limit_bytes=1),
         )
         with pytest.raises(BatchAbortedError) as excinfo:
-            state.run_batch(_one_pair_batch(graph))
+            state.run_batch(_one_family_batch(graph))
         assert excinfo.value.reason == "rss"
         assert excinfo.value.peak_rss > 1
 
     def test_generous_limits_do_not_interfere(self):
         graph = gnp_random_graph(8, 0.5, seed=7)
         payload = make_payload(graph, "mcs_m")
-        batch = _one_pair_batch(graph)
+        batch = _one_family_batch(graph)
         bounded = WorkerState(
             payload,
             limits=BatchLimits(deadline_s=300.0, rss_limit_bytes=1 << 40),
@@ -448,7 +447,8 @@ class TestWatchdog:
 
 
 class _PoisonRunner:
-    """Inline runner that fails any batch carrying the poison answer.
+    """Inline runner that fails any batch carrying a candidate family
+    of the poison answer (a family it contains).
 
     Failures surface exactly like the distributed transport's lost or
     aborted batch, so the coordinator's ladder must retry, split and
@@ -464,10 +464,9 @@ class _PoisonRunner:
         self.failed_sizes: list[int] = []
 
     def submit(self, batch):
-        region_mask, jobs = batch
-        answers = [frozenset(masks) for masks, __ in jobs]
-        if self._poison in answers:
-            self.failed_sizes.append(len(answers))
+        region_mask, families = batch
+        if any(self._poison.issuperset(family) for family in families):
+            self.failed_sizes.append(len(families))
             future: Future = Future()
             future.set_exception(
                 BatchFailedError(
@@ -494,16 +493,22 @@ class TestQuarantineLadder:
     def _sample_answers(self, count: int) -> list[frozenset]:
         return sorted(inline_region_answers(self.GRAPH), key=sorted)[:count]
 
+    @staticmethod
+    def _families(answers) -> list[tuple[int, ...]]:
+        # An answer is a valid family: it extends to itself.
+        return [tuple(sorted(answer)) for answer in answers]
+
     def test_retry_preserves_lineage(self):
         coordinator = self._coordinator(max_batch_retries=2)
         answers = self._sample_answers(2)
-        directions = (next(iter(minimal_separator_masks(self.GRAPH))),)
+        families = self._families(answers)
         out = coordinator._handle_failure(
-            _entry(answers, directions), "worker process died"
+            _entry(answers, families), "worker process died"
         )
         assert out == []
         (redispatched,) = coordinator._inflight.values()
         assert redispatched.answers == tuple(answers)
+        assert redispatched.families == tuple(families)
         assert redispatched.retries == 1
         assert not redispatched.from_split
         assert coordinator._stats.batch_retries == 1
@@ -512,17 +517,17 @@ class TestQuarantineLadder:
     def test_exhausted_batch_splits_in_half_once(self):
         coordinator = self._coordinator(max_batch_retries=3)
         answers = self._sample_answers(4)
-        directions = (next(iter(minimal_separator_masks(self.GRAPH))),)
+        families = self._families(answers)
         out = coordinator._handle_failure(
-            _entry(answers, directions, retries=3), "deadline"
+            _entry(answers, families, retries=3), "deadline"
         )
         assert out == []
-        halves = sorted(
-            coordinator._inflight.values(), key=lambda e: sorted(e.answers)
-        )
-        assert sorted(len(h.answers) for h in halves) == [2, 2]
-        assert {a for h in halves for a in h.answers} == set(answers)
+        halves = list(coordinator._inflight.values())
+        assert sorted(len(h.families) for h in halves) == [2, 2]
+        assert {f for h in halves for f in h.families} == set(families)
         for half in halves:
+            # Both halves keep the source answers for a checkpoint.
+            assert half.answers == tuple(answers)
             # Halves carry a spent retry budget: a failing half goes
             # straight to quarantine instead of splitting again.
             assert half.from_split
@@ -532,22 +537,20 @@ class TestQuarantineLadder:
     def test_failed_half_is_quarantined_and_salvaged(self):
         coordinator = self._coordinator(max_batch_retries=1)
         (answer,) = self._sample_answers(1)
-        directions = tuple(
-            sorted(minimal_separator_masks(self.GRAPH))[:2]
-        )
-        entry = _entry([answer], directions, retries=1, from_split=True)
+        families = [
+            (mask,) for mask in sorted(minimal_separator_masks(self.GRAPH))[:2]
+        ]
+        entry = _entry([answer], families, retries=1, from_split=True)
         with pytest.warns(RuntimeWarning, match="quarantin"):
             salvaged = coordinator._handle_failure(entry, "rss")
         stats = coordinator._stats
         assert stats.batches_quarantined == 1
-        assert stats.poison_answers == 1
-        # The salvage re-drove the pairs serially: the recovered
+        assert stats.poison_answers == len(families)
+        # The salvage extended the families serially: the recovered
         # answers are exactly what an inline runner computes.
         out, __, __ = InlineRunner(
             make_payload(self.GRAPH, "mcs_m")
-        ).submit(
-            (self.GRAPH.core.alive, [(tuple(sorted(answer)), directions)])
-        ).result()
+        ).submit((self.GRAPH.core.alive, families)).result()
         assert set(salvaged) == {frozenset(masks) for masks in out}
 
     def test_quarantine_budget_breach_is_typed(self):
@@ -555,8 +558,7 @@ class TestQuarantineLadder:
             max_batch_retries=0, quarantine_budget_s=1e-9
         )
         (answer,) = self._sample_answers(1)
-        directions = (next(iter(minimal_separator_masks(self.GRAPH))),)
-        entry = _entry([answer], directions, from_split=True)
+        entry = _entry([answer], self._families([answer]), from_split=True)
         with pytest.warns(RuntimeWarning, match="quarantin"):
             with pytest.raises(EngineError, match="salvaged"):
                 coordinator._handle_failure(entry, "deadline")
@@ -713,14 +715,13 @@ class TestChaosSoak:
         ), (seed, mode)
 
     def test_chaotic_fleet_with_memo_hits_matches_serial(self):
-        # A graph big enough that the workers' Extend memos answer
-        # repeated candidates, under the same fault schedule.
+        # A larger graph than the soak's, under the same fault
+        # schedule: more batches, more candidates covered.
         graph = gnp_random_graph(12, 0.35, seed=11)
         result = run_distributed(
             EnumerationJob(graph), spawn=_chaotic_spawn(7), batch_timeout_s=1.0
         )
         assert answer_set(result.triangulations) == serial_answers(graph)
-        assert result.stats.extend_memo_hits > 0
 
 
 # ----------------------------------------------------------------------

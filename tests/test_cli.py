@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, load_graph, main
@@ -67,13 +69,17 @@ class TestEnumerateCommand:
     def test_triangulator_choice(self, square_gr, capsys):
         assert main(["enumerate", square_gr, "--triangulator", "lb_triang"]) == 0
 
-    def test_reports_extend_memo_hit_rate(self, tmp_path, capsys):
+    def test_reports_covered_candidates(self, tmp_path, capsys):
         path = tmp_path / "c7.edges"
         write_edge_list(cycle_graph(7), path)
         assert main(["enumerate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "42 minimal triangulations" in out
-        assert "extend memo: " in out and " calls hit (" in out
+        # One Extend per answer: the 42 answers of one region, out of
+        # every candidate the loop met.
+        covered = re.search(r"coverage: (\d+) of (\d+) candidates skipped", out)
+        assert covered is not None
+        assert int(covered[2]) - int(covered[1]) == 42
 
     def test_atoms_decompose(self, square_gr, capsys):
         assert main(["enumerate", square_gr, "--decompose", "atoms"]) == 0

@@ -310,8 +310,7 @@ class TestRunnerHandsFailuresBack:
         direction = next(iter(minimal_separator_masks(self.GRAPH)))
         return wire.encode_batch(
             self.GRAPH.core.alive,
-            [()],
-            (direction,),
+            [(direction,)],
             word_count(len(self.GRAPH.core.adj)),
         )
 
@@ -359,6 +358,91 @@ class TestRunnerHandsFailuresBack:
         finally:
             sock.close()
             runner.close()
+
+
+class TestJobEnd:
+    """Job end is reliable on the protocol side: a worker that loses its
+    connection as the job ends reconnects into the coordinator's
+    shutdown linger, is answered SHUTDOWN at HELLO and exits 0."""
+
+    GRAPH = gnp_random_graph(6, 0.5, seed=2)
+
+    def _runner(self, stats=None):
+        from repro.engine.distributed.runner import DistributedRunner
+
+        return DistributedRunner(
+            make_payload(self.GRAPH, "mcs_m"), ("127.0.0.1", 0), stats=stats
+        )
+
+    @staticmethod
+    def _drop_all(runner, reason: str) -> None:
+        """Drop every connection from the coordinator side, as its
+        liveness sweep does on a batch timeout."""
+
+        def drop() -> None:
+            for conn in list(runner._connections):
+                runner._drop(conn, reason)
+
+        runner._loop.call_soon_threadsafe(drop)
+
+    def test_worker_dropped_at_job_end_exits_cleanly(self):
+        stats = EnumMISStatistics()
+        runner = self._runner(stats)
+        codes: list[int] = []
+        config = WorkerConfig(
+            heartbeat_s=0.2, max_retries=3, backoff_base_s=0.05,
+            backoff_cap_s=0.2,
+        )
+        worker = threading.Thread(
+            target=lambda: codes.append(run_worker(runner.address, config)),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            assert runner.wait_for_workers(1, 10) == 1
+            # A transient loss mid-job: the worker reconnects.
+            self._drop_all(runner, "batch timeout")
+            deadline = time.monotonic() + 10
+            while stats.worker_joins < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert stats.worker_joins == 2
+            # A loss right at job end, with the SHUTDOWN sent after it.
+            self._drop_all(runner, "batch timeout")
+        finally:
+            runner.close()
+        worker.join(timeout=15)
+        assert codes == [0]
+
+    def test_hello_during_shutdown_linger_gets_shutdown(self):
+        runner = self._runner()
+        sock = _fake_worker(runner.address)
+        closing = threading.Thread(target=runner.close, daemon=True)
+        try:
+            closing.start()
+            # The joined worker is told first; the coordinator then
+            # lingers until it closes its end.
+            while protocol.recv_frame(sock).msg_type != protocol.MSG_SHUTDOWN:
+                pass
+            late = socket.create_connection(runner.address, timeout=5)
+            try:
+                protocol.send_frame(
+                    late,
+                    protocol.MSG_HELLO,
+                    protocol.encode_json(
+                        {
+                            "magic": protocol.MAGIC,
+                            "protocol": protocol.PROTOCOL_VERSION,
+                            "kernel_tier": "fake",
+                        }
+                    ),
+                )
+                assert protocol.recv_frame(late).msg_type == protocol.MSG_SHUTDOWN
+            finally:
+                late.close()
+        finally:
+            sock.close()
+            closing.join(timeout=15)
+        assert not closing.is_alive()
 
 
 @pytest.mark.slow

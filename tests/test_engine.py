@@ -121,11 +121,16 @@ class TestSerialShardedEquivalence:
         serial_stats = EnumMISStatistics()
         list(enumerate_minimal_triangulations(g, stats=serial_stats))
         result = EnumerationEngine("sharded", workers=2).run(EnumerationJob(g))
-        # Work counters are execution-order independent; only the cache
-        # hit/miss split differs (each worker warms its own cache).
-        for key in ("extend_calls", "edge_oracle_calls", "answers",
-                    "nodes_generated", "duplicates_suppressed"):
+        for key in ("answers", "nodes_generated"):
             assert getattr(result.stats, key) == getattr(serial_stats, key)
+        # Serially every Extend gives a new answer.  The coordinator
+        # covers only against absorbed answers, so candidates of batches
+        # in flight together may extend to one answer: those extra
+        # calls are exactly the duplicates it suppresses.
+        assert serial_stats.extend_calls == serial_stats.answers
+        assert serial_stats.duplicates_suppressed == 0
+        stats = result.stats
+        assert stats.extend_calls == stats.answers + stats.duplicates_suppressed
 
     def test_disconnected_graph(self):
         g = Graph(
@@ -213,14 +218,14 @@ class TestStatisticsMerge:
         a = EnumMISStatistics(
             extend_calls=4,
             edge_cache_evictions=11,
-            extend_memo_hits=6,
+            candidates_covered=6,
             kernel_tiers={"indexed": 2, "native": 5},
         )
         b = EnumMISStatistics()
         b.restore(a.snapshot())
         assert b.kernel_tiers == {"indexed": 2, "native": 5}
         assert b.edge_cache_evictions == 11
-        assert b.extend_memo_hits == 6
+        assert b.candidates_covered == 6
         assert b.snapshot() == a.snapshot()
         # The snapshot holds a copy, not the live map.
         a.kernel_tiers["indexed"] = 99
@@ -237,10 +242,10 @@ class TestStatisticsMerge:
     def test_report_clause(self):
         assert report_clause(EnumMISStatistics()) == ""
         stats = EnumMISStatistics(
-            batch_retries=2, extend_calls=8, extend_memo_hits=6
+            batch_retries=2, extend_calls=8, candidates_covered=24
         )
         assert report_clause(stats) == (
-            "supervision: 2 batch retries; extend memo: 6/8 calls hit (75%)"
+            "supervision: 2 batch retries; coverage: 24 of 32 candidates skipped"
         )
 
     def test_restore_ignores_retired_redundant_extensions(self):

@@ -76,9 +76,7 @@ class TestTierStamping:
         graph = gnp_random_graph(7, 0.5, seed=3)
         payload = make_payload(graph, "mcs_m")
         state = WorkerState(payload)
-        batch = encode_batch(
-            graph.core.alive, [()], (), max(1, payload.words)
-        )
+        batch = encode_batch(graph.core.alive, [()], max(1, payload.words))
         result = state.run_batch(batch)
         assert result.stats.kernel_tiers == {state.kernel_tier: 1}
 

@@ -58,12 +58,8 @@ def _random_answers(rng: random.Random, words: int, count: int):
 
 def _random_batch(rng: random.Random) -> PackedBatch:
     words = rng.randint(1, 3)
-    answers = _random_answers(rng, words, rng.randint(0, 6))
-    directions = tuple(
-        rng.randint(0, (1 << (64 * words)) - 1)
-        for _ in range(rng.randint(0, 3))
-    )
-    return encode_batch(rng.randint(0, (1 << 64) - 1), answers, directions, words)
+    families = _random_answers(rng, words, rng.randint(0, 6))
+    return encode_batch(rng.randint(0, (1 << 64) - 1), families, words)
 
 
 def _random_result(rng: random.Random) -> PackedResult:
@@ -102,7 +98,7 @@ class TestRoundTrip:
 
     def test_result_stats_round_trip(self):
         stats = EnumMISStatistics()
-        stats.extend_memo_hits = 7
+        stats.candidates_covered = 7
         stats.kernel_tiers["numpy"] = 3
         stats.kernel_tiers["native"] = 2
         result = encode_result([(1,)], 1, 42, stats)
@@ -110,7 +106,7 @@ class TestRoundTrip:
         assert again.stats.snapshot() == stats.snapshot()
 
     def test_empty_batch_round_trips(self):
-        batch = encode_batch(0, [], (), 1)
+        batch = encode_batch(0, [], 1)
         assert batch_from_bytes(batch_to_bytes(batch)) == batch
 
 
@@ -162,7 +158,7 @@ class TestAdversarialLengths:
         import struct
 
         huge = MAX_WIRE_FIELD_BYTES + 1
-        header = struct.pack("!IIIIII", 1, 8, huge, 0, 0, 0)
+        header = struct.pack("!IIIII", 1, 8, huge, 0, 0)
         with pytest.raises(WireDecodeError, match="exceeds"):
             batch_from_bytes(header + b"\x00" * 64)
 
@@ -171,7 +167,7 @@ class TestAdversarialLengths:
 
         # Each field under the cap, sum far beyond the actual payload.
         header = struct.pack(
-            "!IIIIII", 1, 8, MAX_WIRE_FIELD_BYTES, MAX_WIRE_FIELD_BYTES, 0, 0
+            "!IIIII", 1, 8, MAX_WIRE_FIELD_BYTES, MAX_WIRE_FIELD_BYTES, 0
         )
         with pytest.raises(WireDecodeError):
             batch_from_bytes(header + b"\x00" * 128)
@@ -179,35 +175,35 @@ class TestAdversarialLengths:
 
 class TestValidation:
     def test_out_of_range_ref_rejected(self):
-        batch = encode_batch(3, [(1, 2)], (1,), 1)
+        batch = encode_batch(3, [(1, 2)], 1)
         bad = batch._replace(
-            answer_refs=np.asarray([99], dtype="<u4").tobytes()
+            family_refs=np.asarray([99], dtype="<u4").tobytes()
         )
         with pytest.raises(WireDecodeError, match="ref"):
             decode_batch(bad)
 
     def test_misaligned_refs_rejected(self):
-        batch = encode_batch(3, [(1, 2)], (1,), 1)
-        bad = batch._replace(answer_refs=batch.answer_refs + b"\x01")
+        batch = encode_batch(3, [(1, 2)], 1)
+        bad = batch._replace(family_refs=batch.family_refs + b"\x01")
         with pytest.raises(WireDecodeError):
             decode_batch(bad)
 
     def test_lens_sum_mismatch_rejected(self):
-        batch = encode_batch(3, [(1, 2)], (1,), 1)
+        batch = encode_batch(3, [(1, 2)], 1)
         bad = batch._replace(
-            answer_lens=np.asarray([3], dtype="<u4").tobytes()
+            family_lens=np.asarray([3], dtype="<u4").tobytes()
         )
         with pytest.raises(WireDecodeError):
             decode_batch(bad)
 
     def test_misaligned_table_rejected(self):
-        batch = encode_batch(3, [(1, 2)], (1,), 1)
+        batch = encode_batch(3, [(1, 2)], 1)
         bad = batch._replace(table=batch.table + b"\x00")
         with pytest.raises(WireDecodeError):
             validate_batch(bad)
 
     def test_zero_words_rejected(self):
-        batch = encode_batch(3, [(1, 2)], (1,), 1)
+        batch = encode_batch(3, [(1, 2)], 1)
         with pytest.raises(WireDecodeError, match="words"):
             validate_batch(batch._replace(words=0))
 
